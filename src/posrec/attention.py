@@ -55,17 +55,19 @@ def scaled_dot_attention(q, k, v, keep_mask, return_weights: bool = False):
 
 
 def relative_attention(q, k, v, a_k, a_v, keep_mask, use_value_bias: bool = True,
-                       return_weights: bool = False):
+                       return_weights: bool = False, query_positions=None):
     """Attention with trainable biases indexed by the clamped offset j - i.
 
     a_k rows enter the pre-softmax scores through a dot with the query;
-    a_v rows are added to the values under the attention weights.
+    a_v rows are added to the values under the attention weights.  Query row
+    r sits at position query_positions[r] (default: every key position).
     """
     d_h = q.shape[-1]
-    L = q.shape[-2]
     clip = (a_k.shape[0] - 1) // 2
-    idx = relative_index_matrix(L, clip)
-    key_bias = nm.gather(a_k, idx)  # [L, L, d_h]
+    idx = relative_index_matrix(k.shape[-2], clip)
+    if query_positions is not None:
+        idx = idx[query_positions]
+    key_bias = nm.gather(a_k, idx)  # [L_q, L, d_h]
     scores = nm.add(
         nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))),
         nm.einsum2("bhid,ijd->bhij", q, key_bias),
@@ -144,24 +146,33 @@ class TransformerBlock:
         return nm.transpose(nm.reshape(x, (B, L, h, d_h)), (0, 2, 1, 3))
 
     def __call__(self, x: TensorNode, keep_mask, rng: Rng | None = None,
-                 train: bool = False) -> TensorNode:
+                 train: bool = False, query_positions=None) -> TensorNode:
+        """[B, L, d] -> [B, L_q, d], for the query rows at `query_positions`
+        (default: all L).  Keys and values always cover every position; the
+        queries, attention rows, residuals and feed-forward only the query rows.
+        """
         cfg = self.cfg
         B, L, d = x.shape
         normed = nm.layer_norm(x, self.ln1_gain, self.ln1_bias)
-        q = self._split_heads(nm.add(nm.matmul(normed, self.w_query), self.b_query), B, L)
         k = self._split_heads(nm.add(nm.matmul(normed, self.w_key), self.b_key), B, L)
         v = self._split_heads(nm.add(nm.matmul(normed, self.w_value), self.b_value), B, L)
+        if query_positions is not None:  # rebinding frees the full-length rows
+            x, normed = _rows(x, query_positions), _rows(normed, query_positions)
+            keep_mask = keep_mask[..., query_positions, :]
+        L_q = x.shape[1]
+        q = self._split_heads(nm.add(nm.matmul(normed, self.w_query), self.b_query), B, L_q)
         if self.spec.rope_active(cfg.block_index):
-            q = rope_rotate(q, base=self.spec.rope_base)
+            q = rope_rotate(q, base=self.spec.rope_base, positions=query_positions)
             k = rope_rotate(k, base=self.spec.rope_base)
         if self.spec.is_relative:
             a_k, a_v = self.rel_tables
             attended = relative_attention(
-                q, k, v, a_k, a_v, keep_mask, use_value_bias=self.spec.use_value_bias
+                q, k, v, a_k, a_v, keep_mask, use_value_bias=self.spec.use_value_bias,
+                query_positions=query_positions,
             )
         else:
             attended = scaled_dot_attention(q, k, v, keep_mask)
-        merged = nm.reshape(nm.transpose(attended, (0, 2, 1, 3)), (B, L, d))
+        merged = nm.reshape(nm.transpose(attended, (0, 2, 1, 3)), (B, L_q, d))
         attn_out = nm.add(nm.matmul(merged, self.w_out), self.b_out)
         attn_out = nm.dropout(attn_out, cfg.dropout, rng.child(0) if rng else None, train)
         x = nm.add(x, attn_out)
@@ -171,6 +182,13 @@ class TransformerBlock:
         ff_out = nm.add(nm.matmul(hidden, self.w_ff2), self.b_ff2)
         ff_out = nm.dropout(ff_out, cfg.dropout, rng.child(1) if rng else None, train)
         return nm.add(x, ff_out)
+
+
+def _rows(x: TensorNode, positions) -> TensorNode:
+    """[B, L, d] -> [B, len(positions), d]: the rows at `positions` of every sequence."""
+    B, L, d = x.shape
+    flat_ids = np.arange(B)[:, None] * L + np.asarray(positions)[None, :]
+    return nm.gather(nm.reshape(x, (B * L, d)), flat_ids)
 
 
 def causal_keep_mask(valid: np.ndarray) -> np.ndarray:

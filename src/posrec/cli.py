@@ -25,13 +25,12 @@ from .data import (format_stats_table, load_attributes, load_interactions,
                    subset, write_stats_tsv)
 from .errors import PosrecError, UserError
 from .metrics import evaluate
-from .model import load_checkpoint, save_checkpoint, train, write_history_tsv
+from .model import (TEST_EVAL_STREAM, load_checkpoint, save_checkpoint, train,
+                    write_history_tsv)
 from .numeric.rng import Rng
 from .runconfig import (RunConfig, build_model_config, load_run_config,
                         resolve_dataset)
 from .stability import read_summary_tsv, recommend_encoding
-
-TEST_EVAL_STREAM = 5  # train() evaluates the test split on root.child(5)
 
 
 def _progress(message: str) -> None:

@@ -72,9 +72,6 @@ class InteractionDataset:
     def attribute_dim(self) -> int:
         return 0 if self.attributes is None else int(self.attributes.shape[1])
 
-    def history_set(self, user: int) -> set[int]:
-        return set(self.sequences[user].tolist())
-
 
 def _sniff_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","

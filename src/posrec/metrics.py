@@ -1,9 +1,15 @@
-"""Hit@10 / NDCG under sampled-candidate ranking.
+"""Hit@10 / NDCG under leave-one-out ranking, sampled or full-catalogue.
 
-Each user's ground-truth next item is ranked against sampled negatives by
-dot product with the model's final hidden state (the sigmoid is monotone, so
-ranks are unaffected by skipping it).  Ties break against the ground truth:
-a constant scorer lands at the bottom, not the top.
+Each user's ground-truth next item is ranked by dot product with the model's
+final hidden state (the sigmoid is monotone, so ranks are unaffected by
+skipping it), either against `num_negatives` items sampled outside the
+user's history or, with 0 or a request larger than what is left, against
+every item outside it.  Ties break against the ground truth: a constant
+scorer lands at the bottom, not the top.
+
+Only the last position's hidden state is ranked, so `Model.final_hidden`
+computes the last block for that one row, and each chunk of users is scored
+against the whole catalogue with one matrix product.
 """
 
 from __future__ import annotations
@@ -42,32 +48,25 @@ def ndcg_single(rank: int) -> float:
     return 1.0 / np.log2(rank + 1.0)
 
 
-def _rank(hidden_row: np.ndarray, item_values: np.ndarray, candidates: np.ndarray) -> int:
-    # candidates[0] is the ground truth; +1 shifts into model id space
-    scores = item_values[candidates + 1] @ hidden_row
-    return 1 + int(np.sum(scores[1:] >= scores[0]))
+def _rank_user(scores: np.ndarray, row, num_negatives: int | None, rng: Rng) -> tuple[int, int]:
+    """(rank, candidate count) of row.target given every item's score.
 
-
-def rank_candidates(model, context, ground_truth: int, negatives) -> int:
-    """1-based pessimistic rank of the ground truth among itself + negatives."""
-    hidden = model.final_hidden([context])[0]
-    candidates = np.concatenate(([ground_truth], np.asarray(negatives, dtype=np.int64)))
-    return _rank(hidden, model.item_table.values, candidates)
-
-
-def _negatives_for(row, num_items: int, num_negatives: int | None, rng: Rng) -> np.ndarray:
-    """Distinct items outside the context and ground truth.
-
-    num_negatives of None or 0 means the full remaining catalogue; a pool
-    smaller than the request is returned whole.
+    Sampled negatives are the pool indices rng.choice(pool_size, k) of the
+    sorted items outside `seen`, mapped to item ids without building the pool.
     """
-    seen = np.concatenate((np.asarray(row.context, dtype=np.int64), [row.target]))
-    pool = np.setdiff1d(np.arange(num_items, dtype=np.int64), seen)
-    if pool.size == 0:
+    seen = np.unique(np.append(np.asarray(row.context, dtype=np.int64), row.target))
+    pool_size = scores.size - seen.size
+    if pool_size == 0:
         raise UserError(f"user {row.user}: no candidate items outside the history")
-    if not num_negatives or num_negatives >= pool.size:
-        return pool
-    return rng.choice(pool, num_negatives, replace=False)
+    truth = scores[row.target]
+    if not num_negatives or num_negatives >= pool_size:
+        # the target is in `seen` and ties with itself, so both counts include it
+        beaten_by = np.count_nonzero(scores >= truth) - np.count_nonzero(scores[seen] >= truth)
+        return 1 + int(beaten_by), pool_size + 1
+    picks = rng.choice(pool_size, num_negatives, replace=False)
+    # pool index t is item t + #{seen items s: s - (their index in seen) <= t}
+    negatives = picks + np.searchsorted(seen - np.arange(seen.size), picks, side="right")
+    return 1 + int(np.count_nonzero(scores[negatives] >= truth)), num_negatives + 1
 
 
 def evaluate(model, rows, num_negatives: int | None, rng: Rng, batch_size: int = 256) -> EvalResult:
@@ -80,16 +79,14 @@ def evaluate(model, rows, num_negatives: int | None, rng: Rng, batch_size: int =
         raise UserError("evaluation split is empty")
     ranks = []
     counts = []
-    item_values = model.item_table.values
+    items = model.item_table.values[1:]  # model id i + 1 is dataset item i
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
-        hidden = model.final_hidden([row.context for row in chunk])
+        scores = model.final_hidden([row.context for row in chunk]) @ items.T
         for j, row in enumerate(chunk):
-            negatives = _negatives_for(row, model.num_items, num_negatives,
-                                       rng.child(start + j))
-            candidates = np.concatenate(([row.target], negatives))
-            ranks.append(_rank(hidden[j], item_values, candidates))
-            counts.append(candidates.size)
+            rank, count = _rank_user(scores[j], row, num_negatives, rng.child(start + j))
+            ranks.append(rank)
+            counts.append(count)
     hit = float(np.mean([r <= NDCG_CUTOFF for r in ranks]))
     ndcg = float(np.mean([ndcg_single(r) for r in ranks]))
     return EvalResult(

@@ -29,6 +29,8 @@ CHECKPOINT_FORMAT_VERSION = 1
 # validation runs at epoch 1, then whenever epoch >= 1.3 * last-evaluated epoch
 EVAL_SCHEDULE_FACTOR = 1.3
 LOSS_EPS = 1e-7
+# train() ranks the test split on Rng(seed).child(TEST_EVAL_STREAM)
+TEST_EVAL_STREAM = 5
 
 HISTORY_COLUMNS = ("epoch", "split", "loss", "Hit@10", "NDCG")
 
@@ -323,9 +325,8 @@ class Model:
     def clamped_tables(self) -> list[TensorNode]:
         return [self.item_table] + self.spec.clamped_tables()
 
-    def hidden_states(self, inputs: np.ndarray, mask: np.ndarray,
-                      rng: Rng | None = None, train: bool = False) -> TensorNode:
-        """[B, L, d] hidden states for inputs already in model id space."""
+    def _embed(self, inputs: np.ndarray, rng: Rng | None, train: bool) -> TensorNode:
+        """[B, L, d] block input: item embeddings, attributes, vector encoding."""
         ids = np.asarray(inputs, dtype=np.int64)
         x = nm.gather(self.item_table, ids)
         if self.fuse_weight is not None:
@@ -334,7 +335,12 @@ class Model:
             x = nm.add(fused, self.fuse_bias)
         if self.spec.is_vector or self.spec.variant == "None":
             x = apply_vector_encoding(x, self.spec)
-        x = nm.dropout(x, self.config.dropout, rng.child(0) if rng else None, train)
+        return nm.dropout(x, self.config.dropout, rng.child(0) if rng else None, train)
+
+    def hidden_states(self, inputs: np.ndarray, mask: np.ndarray,
+                      rng: Rng | None = None, train: bool = False) -> TensorNode:
+        """[B, L, d] hidden states for inputs already in model id space."""
+        x = self._embed(inputs, rng, train)
         keep = causal_keep_mask(mask)
         for i, block in enumerate(self.blocks):
             x = block(x, keep, rng.child(i + 1) if rng else None, train)
@@ -344,7 +350,9 @@ class Model:
         """Graph-free [B, d] hidden state at each context's last position.
 
         Contexts are dataset item-id sequences; longer ones keep their most
-        recent max_len events.
+        recent max_len events.  Ranking reads only the last position, so the
+        last block runs its queries, feed-forward and the final layer norm
+        for that row alone; it equals hidden_states(...)[:, -1] up to rounding.
         """
         max_len = self.config.max_len
         batch = len(contexts)
@@ -357,8 +365,13 @@ class Model:
             inputs[b, max_len - ctx.size:] = ctx + 1
             mask[b, max_len - ctx.size:] = True
         with nm.no_graph():
-            hidden = self.hidden_states(inputs, mask)
-        return hidden.values[:, -1, :]
+            x = self._embed(inputs, None, False)
+            keep = causal_keep_mask(mask)
+            for block in self.blocks[:-1]:
+                x = block(x, keep)
+            x = self.blocks[-1](x, keep, query_positions=[max_len - 1])
+            hidden = nm.layer_norm(x, self.final_gain, self.final_bias)
+        return hidden.values[:, 0, :]
 
     def snapshot(self) -> dict:
         return {name: node.values.copy() for name, node in self.parameters()}
@@ -421,7 +434,7 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
     shuffle_root = root.child(2)
     drop_root = root.child(3)
     valid_root = root.child(4)
-    test_rng = root.child(5)
+    test_rng = root.child(TEST_EVAL_STREAM)
 
     history: list[MetricRecord] = []
     best_values = None

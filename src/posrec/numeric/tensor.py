@@ -5,9 +5,9 @@ requires gradients, an op record (parents + a closure pushing the output
 adjoint to the parents). backward() walks the recorded graph once in reverse
 topological order and accumulates adjoints, so calling it twice doubles them.
 
-Float64 is the default dtype; float32 is an opt-in speed mode. Elementwise ops
-follow standard numpy broadcasting; gradients of broadcast inputs are summed
-back to the input shape.
+Float64 is the default dtype. Elementwise ops follow standard numpy
+broadcasting; gradients of broadcast inputs are summed back to the input
+shape.
 """
 
 from __future__ import annotations

@@ -232,14 +232,38 @@ def _worker(args) -> tuple[int, str, float, float, str]:
 
 
 def _read_ledger(path: str) -> list[dict]:
+    """The ledger's rows.
+
+    An unterminated last line is an append cut short: a partial row is cut
+    from the file with a warning and a complete one gets its newline, so the
+    next append starts a line of its own.  A bad line anywhere else is
+    corruption and raises.
+    """
     if not os.path.exists(path):
         return []
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    if lines and not lines[-1].endswith(b"\n"):
+        tail = lines.pop()
+        try:
+            json.loads(tail)
+        except ValueError:
+            warnings.warn(f"{path}: dropping torn last line {len(lines) + 1}", RuntimeWarning)
+            with open(path, "r+b") as fh:
+                fh.truncate(sum(len(line) for line in lines))
+        else:
+            lines.append(tail + b"\n")
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(json.loads(line))
+        except ValueError as err:
+            raise UserError(f"{path} line {number} is not a ledger row ({err}); "
+                            "repair or delete that line to resume") from None
     return rows
 
 

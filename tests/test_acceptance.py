@@ -14,9 +14,9 @@ import pytest
 from posrec import numeric as nm
 from posrec import synth
 from posrec.attention import relative_attention, scaled_dot_attention
-from posrec.data import _assemble
+from posrec.data import EvalRow, _assemble
 from posrec.encodings import relative_bias_tables, rope_rotate, rotatory_table
-from posrec.metrics import _rank, ndcg_single
+from posrec.metrics import evaluate, ndcg_single
 from posrec.model import (
     Model,
     ModelConfig,
@@ -239,13 +239,21 @@ def test_criterion_07_metric_oracles():
     # rank and compare against a brute-force sort
     num = 12
     scores = np.arange(num, 0, -1, dtype=np.float64)  # item i scores num - i
-    item_values = np.zeros((num + 1, 1))
-    item_values[1:, 0] = scores  # +1: model id space reserves 0 for padding
-    hidden = np.ones(1)
-    for truth in range(num):
-        negatives = np.array([i for i in range(num) if i != truth])
-        candidates = np.concatenate(([truth], negatives))
-        got = _rank(hidden, item_values, candidates)
+    item_values = np.zeros((num + 2, 1))
+    item_values[1:num + 1, 0] = scores  # +1: model id space reserves 0 for padding
+    item_values[num + 1, 0] = 100.0  # the context item: seen, so never a candidate
+
+    class FixedScorer:  # every hidden state is 1, so item i scores item_values[i + 1]
+        num_items = num + 1
+        item_table = type("T", (), {"values": item_values})()
+
+        def final_hidden(self, contexts):
+            return np.ones((len(contexts), 1))
+
+    rows = [EvalRow(user=truth, context=np.array([num]), target=truth) for truth in range(num)]
+    result = evaluate(FixedScorer(), rows, 0, Rng(0))
+    assert result.candidate_count == num
+    for truth, got in enumerate(result.per_user_ranks):
         oracle_rank = 1 + int(np.sum(scores > scores[truth]))
         assert got == oracle_rank
         oracle_hit = 1.0 if oracle_rank <= 10 else 0.0

@@ -184,6 +184,22 @@ def test_padded_keys_never_influence_real_positions():
     np.testing.assert_allclose(out[0, 2:], base[0, 2:], atol=1e-12)
 
 
+@pytest.mark.parametrize("variant", ["None", "RMHA4", "RoPE"])
+def test_query_positions_select_rows_of_the_full_block(variant):
+    rng = nm.Rng(23)
+    block = make_block(variant)
+    if variant == "RMHA4":
+        for table in block.rel_tables:
+            table.values = rng.normal(table.shape)
+    x = rng.normal((2, 6, 8))
+    valid = np.array([[False, True, True, True, True, True], [True] * 6])
+    mask = causal_keep_mask(valid)
+    full = block(nm.tensor(x), mask).values
+    for positions in ([5], [1, 3], [0, 2, 5]):
+        rows = block(nm.tensor(x), mask, query_positions=positions).values
+        np.testing.assert_allclose(rows, full[:, positions], atol=1e-12)
+
+
 def test_rope_one_matches_plain_block_past_block_zero():
     # identical init streams, so the only difference is the rotation gate
     a = make_block("RopeOne", seed=21, block_index=1)

@@ -6,7 +6,7 @@ import pytest
 from posrec import synth
 from posrec.data import EvalRow, leave_one_out
 from posrec.errors import UserError
-from posrec.metrics import EvalResult, evaluate, ndcg_single, rank_candidates
+from posrec.metrics import EvalResult, evaluate, ndcg_single
 from posrec.model import Model, ModelConfig
 from posrec.numeric import Rng
 
@@ -45,13 +45,20 @@ def test_ndcg_single_rejects_rank_below_one():
 # ranking
 
 
+def eval_rows(num_users=40, num_items=50, seed=5):
+    ds = synth.build_dataset("random", num_users, num_items, 6, seed)
+    return ds, leave_one_out(ds).test
+
+
 def test_rank_matches_sort_oracle_on_twelve_candidates():
-    model = fresh_model()
+    # a 15-item catalogue: 3 context items, the truth and 11 negatives
+    model = fresh_model(num_items=15)
     gen = np.random.default_rng(17)
     for _ in range(10):
-        items = gen.permutation(30)
-        context, truth, negatives = items[:3], int(items[3]), items[4:15]
-        got = rank_candidates(model, context, truth, negatives)
+        items = gen.permutation(15)
+        context, truth, negatives = items[:3], int(items[3]), items[4:]
+        result = evaluate(model, [EvalRow(user=0, context=context, target=truth)], 0, Rng(1))
+        got = result.per_user_ranks[0]
 
         hidden = model.final_hidden([context])[0]
         table = model.item_table.values
@@ -60,31 +67,102 @@ def test_rank_matches_sort_oracle_on_twelve_candidates():
         oracle = 1 + int(np.sum(neg_scores >= truth_score))
         assert got == oracle
         assert 1 <= got <= 12
+        assert result.candidate_count == 12
 
 
 def test_all_equal_scores_rank_pessimistically():
     model = fresh_model(num_items=150)
     model.item_table.values[:] = 0.0  # constant scorer
-    negatives = np.arange(20, 120)
-    assert rank_candidates(model, [1, 2, 3], 5, negatives) == 101
+    rows = [EvalRow(user=0, context=np.array([1, 2, 3]), target=5)]
+    assert evaluate(model, rows, 100, Rng(1)).per_user_ranks == [101]
+    assert evaluate(model, rows, 0, Rng(1)).per_user_ranks == [147]  # 146 unseen items tie
 
 
 def test_rank_invariant_to_negative_order():
-    model = fresh_model()
+    # outside the history the catalogue is exactly twelve negatives; shuffling
+    # which of them holds which embedding reorders them without moving the rank
+    model = fresh_model(num_items=15)
+    rows = [EvalRow(user=0, context=np.array([1, 2]), target=4)]
+    negatives = np.setdiff1d(np.arange(15), [1, 2, 4])
     gen = np.random.default_rng(3)
-    negatives = np.arange(10, 22)
-    base = rank_candidates(model, [1, 2], 4, negatives)
+    table = model.item_table.values
+    base = evaluate(model, rows, 0, Rng(1)).per_user_ranks
     for _ in range(5):
-        assert rank_candidates(model, [1, 2], 4, gen.permutation(negatives)) == base
+        table[negatives + 1] = table[gen.permutation(negatives) + 1]
+        assert evaluate(model, rows, 0, Rng(1)).per_user_ranks == base
+
+
+def oracle_evaluate(model, rows, num_negatives, rng):
+    """Brute force: each user's pool by setdiff1d, negatives drawn from the
+    pool itself, the candidates scored one row at a time."""
+    ranks, counts, draws = [], [], []
+    for i, row in enumerate(rows):
+        hidden = model.final_hidden([row.context])[0]
+        seen = np.concatenate((np.asarray(row.context), [row.target]))
+        pool = np.setdiff1d(np.arange(model.num_items), seen)
+        if num_negatives and num_negatives < pool.size:
+            pool = rng.child(i).choice(pool, num_negatives, replace=False)
+        candidates = np.concatenate(([row.target], pool))
+        scores = model.item_table.values[candidates + 1] @ hidden
+        ranks.append(1 + int(np.sum(scores[1:] >= scores[0])))
+        counts.append(candidates.size)
+        draws.append(pool)
+    return ranks, int(round(np.mean(counts))), draws
+
+
+@pytest.mark.parametrize("num_items,num_negatives", [
+    (50, 20),   # sampled
+    (50, 0),    # full catalogue
+    (12, 10),   # pools of 6-9 items: smaller than the request, so whole
+    (13, 8),    # pools of 7-10 items: some whole, some sampled
+])
+def test_evaluate_matches_brute_force_oracle(num_items, num_negatives):
+    ds, rows = eval_rows(num_items=num_items)
+    model = fresh_model(num_items=ds.num_items, seed=4)
+    result = evaluate(model, rows, num_negatives, Rng(6), batch_size=16)
+    ranks, count, _ = oracle_evaluate(model, rows, num_negatives, Rng(6))
+    assert result.per_user_ranks == ranks
+    assert result.candidate_count == count
+
+
+class FixedScores:
+    """Stub: every hidden state is 1, so item i scores scores[i] for every user."""
+
+    def __init__(self, scores):
+        self.num_items = len(scores)
+        table = np.zeros((self.num_items + 1, 1))
+        table[1:, 0] = scores
+        self.item_table = type("T", (), {"values": table})()
+
+    def final_hidden(self, contexts):
+        return np.ones((len(contexts), 1))
+
+
+def test_sampled_negatives_are_the_pool_draws():
+    # users share the target T; probing one item j at a time (j scores above
+    # T, the rest below) makes each rank 1 + [j was drawn], which spells out
+    # every user's negatives
+    n, target, k = 30, 7, 9
+    gen = np.random.default_rng(11)
+    rows = []
+    for u in range(25):
+        context = gen.choice(np.setdiff1d(np.arange(n), [target]), gen.integers(1, 12))
+        rows.append(EvalRow(user=u, context=context, target=target))
+    drawn = [set() for _ in rows]
+    for j in np.setdiff1d(np.arange(n), [target]):
+        scores = np.zeros(n)
+        scores[target], scores[j] = 1.0, 2.0
+        result = evaluate(FixedScores(scores), rows, k, Rng(3), batch_size=8)
+        for u, rank in enumerate(result.per_user_ranks):
+            if rank == 2:
+                drawn[u].add(int(j))
+    _, _, draws = oracle_evaluate(FixedScores(np.zeros(n)), rows, k, Rng(3))
+    assert drawn == [set(d.tolist()) for d in draws]
+    assert all(len(d) == k for d in drawn)
 
 
 # ---------------------------------------------------------------------------
 # evaluation loop
-
-
-def eval_rows(num_users=40, num_items=50, seed=5):
-    ds = synth.build_dataset("random", num_users, num_items, 6, seed)
-    return ds, leave_one_out(ds).test
 
 
 def test_hit_iff_positive_ndcg():

@@ -7,7 +7,7 @@ import pytest
 
 from posrec import synth
 from posrec.data import load_interactions
-from posrec.encodings import EncodingSpec
+from posrec.encodings import VARIANTS, EncodingSpec
 from posrec.errors import GraphError, TrainingDiverged, UserError
 from posrec.model import (
     Model,
@@ -347,6 +347,39 @@ def test_attribute_fusion_trains_and_round_trips(tmp_path):
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+# ---------------------------------------------------------------------------
+# the ranking forward
+
+
+def padded_inputs(contexts, max_len):
+    """Model-space inputs and mask, left-padded and cut to max_len."""
+    inputs = np.zeros((len(contexts), max_len), dtype=np.int64)
+    mask = np.zeros((len(contexts), max_len), dtype=bool)
+    for b, ctx in enumerate(contexts):
+        ctx = np.asarray(ctx)[-max_len:]
+        inputs[b, max_len - ctx.size:] = ctx + 1
+        mask[b, max_len - ctx.size:] = True
+    return inputs, mask
+
+
+@pytest.mark.parametrize("with_attributes", [False, True])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_final_hidden_is_last_row_of_hidden_states(variant, blocks, with_attributes):
+    num_items = 15
+    attributes = Rng(4).normal((num_items, 3)) if with_attributes else None
+    model = Model(num_items, tiny_cfg(encoding=variant, blocks=blocks), Rng(5),
+                  attributes=attributes)
+    if model.rel_tables is not None:  # zero-initialised: make the offsets matter
+        for i, table in enumerate(model.rel_tables):
+            table.values = Rng(6, i).normal(table.shape)
+    # max_len is 6: left-padded short contexts, one exactly full, one cut
+    contexts = [[3], [4, 1, 9], [0, 2, 4, 6, 8, 10], list(range(14, 3, -1))]
+    inputs, mask = padded_inputs(contexts, model.config.max_len)
+    expected = model.hidden_states(inputs, mask).values[:, -1]
+    np.testing.assert_allclose(model.final_hidden(contexts), expected, rtol=0, atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -220,6 +220,48 @@ def test_sweep_resume_skips_recorded_seeds(tmp_path):
     assert s_resumed.ci == s_fresh.ci
 
 
+def test_sweep_resume_drops_torn_last_ledger_line(tmp_path):
+    out = tmp_path / "sw"
+    ds, cfg = tiny_dataset(), tiny_config()
+    sweep(cfg, ds, [1, 2], out_dir=str(out))
+    ledger = out / "runs.jsonl"
+    complete = ledger.read_text().splitlines(keepends=True)
+    # a kill mid-append leaves half of seed 2's row without its newline
+    ledger.write_text(complete[0] + complete[1][: len(complete[1]) // 2])
+
+    with pytest.warns(RuntimeWarning, match="torn last line 2"):
+        s = sweep(cfg, ds, [1, 2, 3], out_dir=str(out))
+    rows = [json.loads(l) for l in ledger.read_text().splitlines()]
+    assert [r["seed"] for r in rows] == [1, 2, 3]  # only the torn seed reran
+    assert s.hit_mean == sweep(cfg, ds, [1, 2, 3], out_dir=str(tmp_path / "fresh")).hit_mean
+    sweep(cfg, ds, [1, 2, 3], out_dir=str(out))  # the repaired ledger resumes again
+    assert len(ledger.read_text().splitlines()) == 3
+
+
+def test_sweep_resume_terminates_complete_unterminated_ledger_row(tmp_path):
+    out = tmp_path / "sw"
+    ds, cfg = tiny_dataset(), tiny_config()
+    sweep(cfg, ds, [1, 2], out_dir=str(out))
+    ledger = out / "runs.jsonl"
+    ledger.write_text(ledger.read_text().rstrip("\n"))  # cut just before the newline
+    sweep(cfg, ds, [1, 2, 3], out_dir=str(out))
+    sweep(cfg, ds, [1, 2, 3], out_dir=str(out))
+    rows = [json.loads(l) for l in ledger.read_text().splitlines()]
+    assert [r["seed"] for r in rows] == [1, 2, 3]  # seed 2's row was kept, not rerun
+
+
+def test_sweep_resume_rejects_bad_ledger_line_mid_file(tmp_path):
+    out = tmp_path / "sw"
+    ds, cfg = tiny_dataset(), tiny_config()
+    sweep(cfg, ds, [1, 2], out_dir=str(out))
+    ledger = out / "runs.jsonl"
+    first, second = ledger.read_text().splitlines(keepends=True)
+    ledger.write_text(first[: len(first) // 2] + "\n" + second)
+    with pytest.raises(UserError, match="runs.jsonl line 1 is not a ledger row"):
+        sweep(cfg, ds, [1, 2], out_dir=str(out))
+    assert ledger.read_text() == first[: len(first) // 2] + "\n" + second  # left as found
+
+
 def test_sweep_fingerprint_change_invalidates_ledger(tmp_path):
     out = tmp_path / "sw"
     ds = tiny_dataset()
