@@ -61,23 +61,28 @@ def relative_attention(q, k, v, a_k, a_v, keep_mask, use_value_bias: bool = True
     a_k rows enter the pre-softmax scores through a dot with the query;
     a_v rows are added to the values under the attention weights.  Query row
     r sits at position query_positions[r] (default: every key position).
+
+    Only C = 2*clip + 1 offsets exist, so both terms work on offset buckets
+    (Shaw et al. 2018, section 3.3) and no [L_q, L, d_h] tensor is built.  The
+    key term scores each query against every table row, q @ a_k^T of shape
+    [B, h, L_q, C], and reads pair (i, j) at its bucket.  The value term sums
+    row i's attention weights into the buckets of its keys, [B, h, L_q, C],
+    and multiplies that by a_v.
     """
     d_h = q.shape[-1]
-    clip = (a_k.shape[0] - 1) // 2
-    idx = relative_index_matrix(k.shape[-2], clip)
+    buckets = a_k.shape[0]
+    idx = relative_index_matrix(k.shape[-2], (buckets - 1) // 2)
     if query_positions is not None:
         idx = idx[query_positions]
-    key_bias = nm.gather(a_k, idx)  # [L_q, L, d_h]
     scores = nm.add(
         nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))),
-        nm.einsum2("bhid,ijd->bhij", q, key_bias),
+        nm.offset_take(nm.matmul(q, nm.transpose(a_k, (1, 0))), idx),
     )
     scores = nm.scale(scores, 1.0 / np.sqrt(d_h))
     weights = nm.softmax_last(nm.mask_fill(scores, keep_mask))
     out = nm.matmul(weights, v)
     if use_value_bias:
-        value_bias = nm.gather(a_v, idx)
-        out = nm.add(out, nm.einsum2("bhij,ijd->bhid", weights, value_bias))
+        out = nm.add(out, nm.matmul(nm.offset_sum(weights, idx, buckets), a_v))
     return (out, weights) if return_weights else out
 
 

@@ -258,30 +258,27 @@ def _projection_activation(spec: EncodingSpec, x: TensorNode) -> TensorNode:
     return x
 
 
-def apply_vector_encoding(x: TensorNode, spec: EncodingSpec, mode: str | None = None) -> TensorNode:
+def apply_vector_encoding(x: TensorNode, spec: EncodingSpec) -> TensorNode:
     """Combine input embeddings [B, L, d] with the variant's position rows.
 
-    mode defaults to what the variant dictates ("add", or "concat" for the
-    Con variants, which project activation(W . [x ; rows] + b) back to d).
+    Plain variants add the rows; the Con variants project
+    activation(W . [x ; rows] + b) back to d, computed as
+    x W_x^T + (rows W_r^T + b) with W = [W_x | W_r], so the position half is
+    projected once per position rather than once per sequence.
     The None variant returns x unchanged; in-attention variants are rejected.
     """
     if spec.variant == "None":
         return x
     if not spec.is_vector:
         raise GraphError(f"variant {spec.variant} is applied inside attention, not on embeddings")
-    natural = "concat" if spec.is_concat else "add"
-    if mode is None:
-        mode = natural
-    if mode != natural:
-        raise GraphError(f"variant {spec.variant} uses mode '{natural}', not '{mode}'")
     B, L, d = x.shape
     if d != spec.model_dim:
         raise GraphError(f"input dim {d} does not match encoding dim {spec.model_dim}")
     rows = spec.encoding_rows(L)
-    if mode == "add":
+    if not spec.is_concat:
         return nm.add(x, rows)
-    # broadcast rows across the batch, then concat and project
-    rows_b = nm.add(rows, nm.constant(np.zeros_like(x.values)))
-    cat = nm.concat([x, rows_b])
-    projected = nm.add(nm.einsum2("blc,dc->bld", cat, spec.projection_weight), spec.projection_bias)
+    w_t = nm.transpose(spec.projection_weight, (1, 0))  # [2d, d]: W_x^T over W_r^T
+    w_x_t, w_r_t = nm.gather(w_t, np.arange(d)), nm.gather(w_t, np.arange(d, 2 * d))
+    position_term = nm.add(nm.matmul(rows, w_r_t), spec.projection_bias)  # [L, d]
+    projected = nm.add(nm.matmul(x, w_x_t), position_term)
     return _projection_activation(spec, projected)

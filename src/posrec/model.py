@@ -331,7 +331,7 @@ class Model:
         x = nm.gather(self.item_table, ids)
         if self.fuse_weight is not None:
             attrs = nm.gather(self.attribute_table, ids)
-            fused = nm.einsum2("blc,dc->bld", nm.concat([x, attrs]), self.fuse_weight)
+            fused = nm.matmul(nm.concat([x, attrs]), nm.transpose(self.fuse_weight, (1, 0)))
             x = nm.add(fused, self.fuse_bias)
         if self.spec.is_vector or self.spec.variant == "None":
             x = apply_vector_encoding(x, self.spec)
@@ -414,6 +414,20 @@ class TrainResult:
     skipped_users: int
 
 
+def _loss_and_gradients(model: Model, batch: SequenceBatch, drop_rng: Rng) -> float:
+    """Mean batch loss; when finite, its gradient is added to the parameters'
+    adjoints.  The step's graph is freed on return, before evaluation or the
+    next batch's forward pass."""
+    hidden = model.hidden_states(batch.inputs, batch.mask, rng=drop_rng, train=True)
+    y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
+    y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
+    loss = bce_loss(batch, y_pos, y_neg, reduction="mean")
+    value = loss.item()
+    if np.isfinite(value):
+        loss.backward()
+    return value
+
+
 def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> TrainResult:
     """Full training run: leave-one-out split, Adam over shuffled user
     batches, max-norm clamp, logarithmic validation schedule, best-checkpoint
@@ -460,20 +474,13 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
                 for u in users
             ]
             batch = SequenceBatch.stack(rows)
-            hidden = model.hidden_states(
-                batch.inputs, batch.mask, rng=drop_epoch.child(start), train=True
-            )
-            y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
-            y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-            loss = bce_loss(batch, y_pos, y_neg, reduction="mean")
-            value = loss.item()
+            value = _loss_and_gradients(model, batch, drop_epoch.child(start))
             if not np.isfinite(value):
                 raise TrainingDiverged(
                     epoch,
                     f"loss became {value} (encoding={config.encoding.variant}, "
                     f"lr={config.lr}, seed={config.seed})",
                 )
-            loss.backward()
             if config.l2_weight > 0.0:
                 for node in nodes:
                     grad = node.adjoint if node.adjoint is not None else 0.0

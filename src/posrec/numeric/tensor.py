@@ -3,7 +3,9 @@
 Every op returns a TensorNode holding the forward values and, when any input
 requires gradients, an op record (parents + a closure pushing the output
 adjoint to the parents). backward() walks the recorded graph once in reverse
-topological order and accumulates adjoints, so calling it twice doubles them.
+topological order and accumulates adjoints into the leaves, so calling it
+twice doubles them; intermediate adjoints are dropped as soon as they are
+pushed to the parents.
 
 Float64 is the default dtype. Elementwise ops follow standard numpy
 broadcasting; gradients of broadcast inputs are summed back to the input
@@ -301,34 +303,55 @@ def dot_last(a, b):
     return _make("dot_last", out, (a, b), push)
 
 
-def einsum2(subscripts: str, a, b):
-    """Two-operand einsum restricted so the adjoint is another einsum.
+def _take_offsets(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x[..., i, idx[i, j]] for every row i and column j of idx."""
+    return x[..., np.arange(idx.shape[0])[:, None], idx]
 
-    Each label must be unique within its operand and appear in at least one
-    of the other operand or the output.
+
+def _sum_offsets(w: np.ndarray, idx: np.ndarray, buckets: int) -> np.ndarray:
+    """out[..., i, c] = sum of w[..., i, j] over the j with idx[i, j] == c.
+
+    One batched product over the rows i of idx: [L_q, N, L] @ [L_q, L, C]
+    against a one-hot of idx, with the leading axes of w folded into N.
     """
-    lhs, out_sub = subscripts.replace(" ", "").split("->")
-    sub_a, sub_b = lhs.split(",")
-    for sub, node in ((sub_a, a), (sub_b, b)):
-        if len(set(sub)) != len(sub):
-            raise GraphError(f"einsum2: repeated label in '{sub}'")
-        if len(sub) != node.values.ndim:
-            raise ShapeMismatchError("einsum2", node.shape)
-    if not set(sub_a) <= set(out_sub) | set(sub_b):
-        raise GraphError(f"einsum2: labels of '{sub_a}' not recoverable")
-    if not set(sub_b) <= set(out_sub) | set(sub_a):
-        raise GraphError(f"einsum2: labels of '{sub_b}' not recoverable")
-    try:
-        out = np.einsum(subscripts, a.values, b.values)
-    except ValueError:
-        raise ShapeMismatchError("einsum2", a.shape, b.shape) from None
+    rows, cols = idx.shape
+    one_hot = (idx[..., None] == np.arange(buckets)).astype(w.dtype)
+    by_row = np.moveaxis(w, -2, 0).reshape(rows, -1, cols)
+    summed = (by_row @ one_hot).reshape((rows,) + w.shape[:-2] + (buckets,))
+    return np.moveaxis(summed, 0, -2)
+
+
+def offset_take(x, idx):
+    """out[..., i, j] = x[..., i, idx[i, j]]: row i's bucket idx[i, j] at column j.
+
+    x is [..., L_q, C] and idx an integer [L_q, L] array of buckets in [0, C).
+    The adjoint is offset_sum.
+    """
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or x.values.ndim < 2 or x.shape[-2] != idx.shape[0]:
+        raise ShapeMismatchError("offset_take", x.shape, idx.shape)
+    buckets = x.shape[-1]
 
     def push(g):
-        ga = np.einsum(f"{out_sub},{sub_b}->{sub_a}", g, b.values)
-        gb = np.einsum(f"{out_sub},{sub_a}->{sub_b}", g, a.values)
-        return ga, gb
+        return (_sum_offsets(g, idx, buckets),)
 
-    return _make("einsum2", out, (a, b), push)
+    return _make("offset_take", _take_offsets(x.values, idx), (x,), push)
+
+
+def offset_sum(w, idx, buckets: int):
+    """out[..., i, c] = sum of w[..., i, j] over the columns j with idx[i, j] == c.
+
+    w is [..., L_q, L] and idx an integer [L_q, L] array of buckets in
+    [0, buckets); the output is [..., L_q, buckets].  The adjoint is offset_take.
+    """
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or w.shape[-2:] != idx.shape:
+        raise ShapeMismatchError("offset_sum", w.shape, idx.shape)
+
+    def push(g):
+        return (_take_offsets(g, idx),)
+
+    return _make("offset_sum", _sum_offsets(w.values, idx, buckets), (w,), push)
 
 
 def sum_all(x):
@@ -521,10 +544,12 @@ def pair_swap(x):
 
 
 def backward(loss: TensorNode) -> None:
-    """Accumulate adjoints of everything `loss` depends on.
+    """Add d(loss)/d(leaf) to the adjoint of every leaf `loss` depends on.
 
     Leaves with requires_grad get their .adjoint populated (lazily allocated);
     repeated calls keep accumulating, which callers must zero between steps.
+    Intermediate nodes keep adjoint None: their gradient lives only until it
+    has been pushed to their parents.
     """
     if loss.values.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
@@ -550,8 +575,8 @@ def backward(loss: TensorNode) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        node.adjoint = g if node.adjoint is None else node.adjoint + g
         if node.op_record is None:
+            node.adjoint = g if node.adjoint is None else node.adjoint + g
             continue
         for parent, pg in zip(node.op_record.parents, node.op_record.push_grads(g)):
             if pg is None or not parent.requires_grad:

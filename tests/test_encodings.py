@@ -114,7 +114,7 @@ def test_concat_identity_projection_recovers_input():
     spec.projection_weight.values = eye
     spec.projection_bias.values = np.zeros(6)
     x = nm.tensor(nm.Rng(4).normal((2, 5, 6)))
-    out = apply_vector_encoding(x, spec, mode="concat")
+    out = apply_vector_encoding(x, spec)
     np.testing.assert_allclose(out.values, x.values, atol=1e-12)
 
 
@@ -125,9 +125,8 @@ def test_concat_projection_approaches_plain_projection_as_pe_columns_shrink():
     w_pe = spec.projection_weight.values[:, 6:].copy()
     bias = spec.projection_bias.values.copy()
     x = nm.tensor(rng.normal((2, 4, 6)))
-    plain = nm.leaky_relu(
-        nm.add(nm.einsum2("bld,od->blo", x, nm.constant(w_x)), nm.constant(bias))
-    ).values
+    z = x.values @ w_x.T + bias
+    plain = np.where(z > 0, z, 0.01 * z)  # leaky_relu
 
     gaps = []
     for s in [1.0, 0.3, 0.1, 0.03, 0.01, 0.001]:
@@ -143,12 +142,6 @@ def test_vector_application_rejects_in_attention_variants():
     for variant in ("RMHA4", "RoPE", "RopeOne"):
         with pytest.raises(GraphError):
             apply_vector_encoding(x, make_spec(variant, max_len=4, d=8))
-
-
-def test_mode_must_match_variant():
-    x = nm.tensor(np.zeros((1, 4, 8)))
-    with pytest.raises(GraphError):
-        apply_vector_encoding(x, make_spec("Learnt", max_len=4, d=8), mode="concat")
 
 
 def test_all_learnable_vector_variants_pass_gradient_check():

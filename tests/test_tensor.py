@@ -107,20 +107,16 @@ def _case_dot_last(rng):
     return [("a", a), ("b", b)], lambda: weighted_sum(nm.dot_last(a, b), rng.child(0))
 
 
-def _case_einsum_scores(rng):
-    q = nm.parameter(rng.normal((2, 2, 3, 2)))
-    t = nm.parameter(rng.normal((3, 3, 2)))
-    return [("q", q), ("t", t)], lambda: weighted_sum(
-        nm.einsum2("bhid,ijd->bhij", q, t), rng.child(0)
-    )
+def _case_offset_take(rng):
+    x = nm.parameter(rng.normal((2, 2, 3, 4)))
+    idx = rng.integers(0, 4, (3, 7))  # 7 columns over 4 buckets: buckets repeat
+    return [("x", x)], lambda: weighted_sum(nm.offset_take(x, idx), rng.child(0))
 
 
-def _case_einsum_values(rng):
-    w = nm.parameter(rng.normal((2, 2, 3, 3)))
-    t = nm.parameter(rng.normal((3, 3, 2)))
-    return [("w", w), ("t", t)], lambda: weighted_sum(
-        nm.einsum2("bhij,ijd->bhid", w, t), rng.child(0)
-    )
+def _case_offset_sum(rng):
+    w = nm.parameter(rng.normal((2, 2, 3, 7)))
+    idx = rng.integers(0, 4, (3, 7))
+    return [("w", w)], lambda: weighted_sum(nm.offset_sum(w, idx, 4), rng.child(0))
 
 
 def _case_softmax(rng):
@@ -213,8 +209,8 @@ OP_CASES = {
     "gather": _case_gather,
     "mask_fill": _case_mask_fill,
     "dot_last": _case_dot_last,
-    "einsum_scores": _case_einsum_scores,
-    "einsum_values": _case_einsum_values,
+    "offset_take": _case_offset_take,
+    "offset_sum": _case_offset_sum,
     "softmax": _case_softmax,
     "sigmoid": _case_sigmoid,
     "log": _case_log,
@@ -330,6 +326,42 @@ def test_backward_twice_accumulates():
     np.testing.assert_allclose(x.adjoint, 2.0 * first)
 
 
+def test_backward_keeps_adjoints_on_leaves_only():
+    x = nm.parameter(np.array([1.0, -2.0]))
+    w = nm.parameter(np.array([0.5, 3.0]))
+    product = nm.mul(x, w)
+    act = nm.sigmoid(product)
+    loss = nm.sum_all(act)
+    loss.backward()
+    assert product.adjoint is None and act.adjoint is None and loss.adjoint is None
+    s = 1.0 / (1.0 + np.exp(-x.values * w.values))
+    np.testing.assert_allclose(x.adjoint, s * (1.0 - s) * w.values, atol=1e-15)
+    np.testing.assert_allclose(w.adjoint, s * (1.0 - s) * x.values, atol=1e-15)
+
+
+def test_offset_sum_matches_loop_and_inverts_offset_take():
+    rng = nm.Rng(12)
+    idx = rng.integers(0, 3, (4, 6))
+    w = rng.normal((2, 4, 6))
+    summed = nm.offset_sum(nm.tensor(w), idx, 3).values
+    expected = np.zeros((2, 4, 3))
+    for i in range(4):
+        for j in range(6):
+            expected[:, i, idx[i, j]] += w[:, i, j]
+    np.testing.assert_allclose(summed, expected, atol=1e-14)
+    taken = nm.offset_take(nm.tensor(expected), idx).values
+    for i in range(4):
+        for j in range(6):
+            np.testing.assert_array_equal(taken[:, i, j], expected[:, i, idx[i, j]])
+
+
+def test_offset_ops_reject_mismatched_index_rows():
+    with pytest.raises(ShapeMismatchError):
+        nm.offset_take(nm.tensor(np.zeros((2, 3, 4))), np.zeros((5, 6), dtype=int))
+    with pytest.raises(ShapeMismatchError):
+        nm.offset_sum(nm.tensor(np.zeros((2, 3, 6))), np.zeros((3, 5), dtype=int), 4)
+
+
 def test_constant_leaves_have_no_adjoint():
     x = nm.parameter(np.array([1.0, 2.0]))
     c = nm.constant(np.array([5.0, 6.0]))
@@ -389,10 +421,3 @@ def test_strict_mode_raises_on_nan():
         assert "log" in str(err.value)
     finally:
         nm.set_strict(previous)
-
-
-def test_einsum2_rejects_unrecoverable_labels():
-    a = nm.tensor(np.zeros((2, 3)))
-    b = nm.tensor(np.zeros((4, 5)))
-    with pytest.raises(GraphError):
-        nm.einsum2("ax,yz->az", a, b)  # x summed out of a alone
