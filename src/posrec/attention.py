@@ -9,40 +9,18 @@ out as zeros, never NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numeric as nm
-from .encodings import EncodingSpec, relative_index_matrix, rope_rotate
-from .errors import UserError
+from .encodings import relative_index_matrix, rope_rotate
 from .numeric import Rng, TensorNode
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 ACTIVATIONS = ("leaky", "silu")
-
-
-@dataclass
-class BlockConfig:
-    model_dim: int
-    heads: int
-    ff_hidden: int
-    dropout: float = 0.0
-    activation: str = "leaky"
-    block_index: int = 0
-
-    def __post_init__(self):
-        if self.model_dim % self.heads:
-            raise UserError(
-                f"model_dim {self.model_dim} not divisible by heads {self.heads}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise UserError(f"activation '{self.activation}' not one of {ACTIVATIONS}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise UserError(f"dropout {self.dropout} outside [0, 1)")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
 
 
 def scaled_dot_attention(q, k, v, keep_mask, return_weights: bool = False):
@@ -100,25 +78,18 @@ class TransformerBlock:
 
     x -> x + drop(attn(LN(x)))  -> h + drop(W2 act(W1 LN(h) + b1) + b2)
 
-    Relative bias tables are shared across blocks, so they are passed in by
-    the model rather than owned here.
+    Sizes, dropout, activation and encoding come from the model's (already
+    validated) config.  Relative bias tables are shared across blocks, so
+    they are passed in by the model rather than owned here.
     """
 
-    def __init__(self, cfg: BlockConfig, spec: EncodingSpec, rng: Rng,
+    def __init__(self, config: ModelConfig, block_index: int, rng: Rng,
                  rel_tables: tuple[TensorNode, TensorNode] | None = None):
-        d = cfg.model_dim
-        if spec.rope_active(cfg.block_index) and cfg.head_dim % 2:
-            raise UserError(
-                f"rotation needs an even head dim, got {cfg.head_dim} "
-                f"(model_dim {d} / heads {cfg.heads})"
-            )
-        if spec.is_relative and rel_tables is None:
-            raise UserError("relative encoding requires shared bias tables")
-        self.cfg = cfg
-        self.spec = spec
+        self.config = config
+        self.block_index = block_index
         self.rel_tables = rel_tables
-        g = cfg.ff_hidden
-        pre = f"block{cfg.block_index}."
+        d, g = config.d, config.g
+        pre = f"block{block_index}."
         self.ln1_gain = nm.parameter(np.ones(d), name=pre + "ln1_gain")
         self.ln1_bias = nm.parameter(np.zeros(d), name=pre + "ln1_bias")
         self.w_query = nm.parameter(_xavier(rng, d, d), name=pre + "w_query")
@@ -147,7 +118,7 @@ class TransformerBlock:
         return [(getattr(self, n).name, getattr(self, n)) for n in names]
 
     def _split_heads(self, x: TensorNode, B: int, L: int) -> TensorNode:
-        h, d_h = self.cfg.heads, self.cfg.head_dim
+        h, d_h = self.config.heads, self.config.head_dim
         return nm.transpose(nm.reshape(x, (B, L, h, d_h)), (0, 2, 1, 3))
 
     def __call__(self, x: TensorNode, keep_mask, rng: Rng | None = None,
@@ -156,7 +127,7 @@ class TransformerBlock:
         (default: all L).  Keys and values always cover every position; the
         queries, attention rows, residuals and feed-forward only the query rows.
         """
-        cfg = self.cfg
+        cfg, encoding = self.config, self.config.encoding
         B, L, d = x.shape
         normed = nm.layer_norm(x, self.ln1_gain, self.ln1_bias)
         k = self._split_heads(nm.add(nm.matmul(normed, self.w_key), self.b_key), B, L)
@@ -166,13 +137,13 @@ class TransformerBlock:
             keep_mask = keep_mask[..., query_positions, :]
         L_q = x.shape[1]
         q = self._split_heads(nm.add(nm.matmul(normed, self.w_query), self.b_query), B, L_q)
-        if self.spec.rope_active(cfg.block_index):
-            q = rope_rotate(q, base=self.spec.rope_base, positions=query_positions)
-            k = rope_rotate(k, base=self.spec.rope_base)
-        if self.spec.is_relative:
+        if encoding.rope_active(self.block_index):
+            q = rope_rotate(q, base=encoding.rope_base, positions=query_positions)
+            k = rope_rotate(k, base=encoding.rope_base)
+        if encoding.is_relative:
             a_k, a_v = self.rel_tables
             attended = relative_attention(
-                q, k, v, a_k, a_v, keep_mask, use_value_bias=self.spec.use_value_bias,
+                q, k, v, a_k, a_v, keep_mask, use_value_bias=encoding.use_value_bias,
                 query_positions=query_positions,
             )
         else:

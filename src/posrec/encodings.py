@@ -15,11 +15,15 @@ Ten variants, referred to everywhere by these exact names:
 
 The first seven act on the input embeddings (vector encodings); the last
 three act inside attention and are applied by the attention module.
+
+EncodingConfig names the variant and its options; ModelConfig holds it and
+validates it against the model's sizes.  EncodingTables holds the tables a
+vector variant trains, built by the model at its d and max_len.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,52 +132,28 @@ def relative_bias_tables(clip: int, head_dim: int) -> tuple[TensorNode, TensorNo
     Zero-initialized, so relative attention starts out identical to standard
     attention and the offsets are introduced by training.
     """
-    if clip < 1:
-        raise UserError(f"relative clip distance must be >= 1, got {clip}")
     rows = 2 * clip + 1
     a_k = nm.parameter(np.zeros((rows, head_dim)), name="rel_key_table")
     a_v = nm.parameter(np.zeros((rows, head_dim)), name="rel_value_table")
     return a_k, a_v
 
 
-@dataclass
-class EncodingSpec:
-    """One variant plus exactly the tables and options that variant demands.
+@dataclass(frozen=True)
+class EncodingConfig:
+    """Which variant a model uses, and the options of that variant.
 
-    Parameter fields stay None until initialize(rng) runs; afterwards the
-    fields demanded by the variant are populated and all others remain None.
+    Holds no dimensions and no tables: the model supplies d and max_len and
+    owns the parameters (EncodingTables).  An unset `projection_activation`
+    follows the model's feed-forward activation; ModelConfig resolves it and
+    validates every field.
     """
 
-    variant: str
-    max_len: int
-    model_dim: int
+    variant: str = "None"
     clip_distance: int = 4
     rope_base: float = 10000.0
     use_value_bias: bool = True
-    projection_activation: str = "leaky"
-    abs_table: np.ndarray | None = field(default=None, repr=False)
-    position_table: TensorNode | None = field(default=None, repr=False)
-    angle_table: TensorNode | None = field(default=None, repr=False)
-    projection_weight: TensorNode | None = field(default=None, repr=False)
-    projection_bias: TensorNode | None = field(default=None, repr=False)
+    projection_activation: str | None = None
 
-    def __post_init__(self):
-        check_variant(self.variant)
-        if self.max_len < 1:
-            raise UserError(f"max_len must be >= 1, got {self.max_len}")
-        if self.model_dim < 1:
-            raise UserError(f"model_dim must be >= 1, got {self.model_dim}")
-        if self.variant in ("Abs", "AbsCon", "Rotatory", "RotatoryCon") and self.model_dim % 2:
-            raise UserError(f"variant {self.variant} needs an even model_dim, got {self.model_dim}")
-        if self.variant == "RMHA4" and self.clip_distance < 1:
-            raise UserError(f"clip_distance must be >= 1, got {self.clip_distance}")
-        if self.projection_activation not in PROJECTION_ACTIVATIONS:
-            raise UserError(
-                f"projection activation '{self.projection_activation}' not one of "
-                + ", ".join(PROJECTION_ACTIVATIONS)
-            )
-
-    # variant predicates -----------------------------------------------------
     @property
     def is_vector(self) -> bool:
         return self.variant in VECTOR_VARIANTS
@@ -189,24 +169,50 @@ class EncodingSpec:
     def rope_active(self, block_index: int) -> bool:
         return self.variant == "RoPE" or (self.variant == "RopeOne" and block_index == 0)
 
-    # parameters ---------------------------------------------------------------
-    def initialize(self, rng: Rng) -> "EncodingSpec":
-        """Create the tables this variant trains (or caches, for Abs)."""
-        L, d = self.max_len, self.model_dim
-        if self.variant in ("Abs", "AbsCon"):
-            self.abs_table = sinusoidal_table(L, d)
-        if self.variant in ("Learnt", "LearntCon"):
-            self.position_table = nm.parameter(rng.normal((L, d), scale=0.02), name="position_table")
-        if self.variant in ("Rotatory", "RotatoryCon"):
-            # U[0, 1) angle entries sweep the full circle at the base frequency
-            self.angle_table = nm.parameter(rng.uniform((L, d // 2)), name="angle_table")
+    def as_dict(self) -> dict:
+        """The variant plus exactly the options it reads."""
+        cfg = {"variant": self.variant}
+        if self.is_relative:
+            cfg["clip_distance"] = self.clip_distance
+            cfg["use_value_bias"] = self.use_value_bias
+        if self.variant in ("RoPE", "RopeOne"):
+            cfg["rope_base"] = self.rope_base
         if self.is_concat:
+            cfg["projection_activation"] = self.projection_activation
+        return cfg
+
+
+@dataclass
+class EncodingTables:
+    """The tables a vector variant trains (or caches, for Abs).
+
+    Fields its variant does not use stay None.
+    """
+
+    abs_table: np.ndarray | None = None
+    position_table: TensorNode | None = None
+    angle_table: TensorNode | None = None
+    projection_weight: TensorNode | None = None
+    projection_bias: TensorNode | None = None
+
+    @classmethod
+    def create(cls, encoding: EncodingConfig, d: int, max_len: int, rng: Rng) -> "EncodingTables":
+        tables = cls()
+        if encoding.variant in ("Abs", "AbsCon"):
+            tables.abs_table = sinusoidal_table(max_len, d)
+        if encoding.variant in ("Learnt", "LearntCon"):
+            tables.position_table = nm.parameter(rng.normal((max_len, d), scale=0.02),
+                                                 name="position_table")
+        if encoding.variant in ("Rotatory", "RotatoryCon"):
+            # U[0, 1) angle entries sweep the full circle at the base frequency
+            tables.angle_table = nm.parameter(rng.uniform((max_len, d // 2)), name="angle_table")
+        if encoding.is_concat:
             limit = np.sqrt(6.0 / (3.0 * d))
-            self.projection_weight = nm.parameter(
+            tables.projection_weight = nm.parameter(
                 rng.uniform((d, 2 * d), -limit, limit), name="projection_weight"
             )
-            self.projection_bias = nm.parameter(np.zeros(d), name="projection_bias")
-        return self
+            tables.projection_bias = nm.parameter(np.zeros(d), name="projection_bias")
+        return tables
 
     def parameters(self) -> list[tuple[str, TensorNode]]:
         out = []
@@ -216,49 +222,38 @@ class EncodingSpec:
                 out.append((name, node))
         return out
 
-    def clamped_tables(self) -> list[TensorNode]:
+    def clamped(self) -> list[TensorNode]:
         """Vector-encoding tables subject to the max-norm clamp."""
         return [t for t in (self.position_table, self.angle_table) if t is not None]
 
-    def config_dict(self) -> dict:
-        cfg = {"variant": self.variant, "max_len": self.max_len, "model_dim": self.model_dim}
-        if self.variant == "RMHA4":
-            cfg["clip_distance"] = self.clip_distance
-            cfg["use_value_bias"] = self.use_value_bias
-        if self.variant in ("RoPE", "RopeOne"):
-            cfg["rope_base"] = self.rope_base
-        if self.is_concat:
-            cfg["projection_activation"] = self.projection_activation
-        return cfg
-
-    def encoding_rows(self, length: int) -> TensorNode:
+    def rows(self, length: int) -> TensorNode:
         """The [length, d] table this vector variant adds or concatenates."""
-        if self.variant in ("Abs", "AbsCon"):
+        if self.abs_table is not None:
             table = nm.constant(self.abs_table)
-        elif self.variant in ("Learnt", "LearntCon"):
+        elif self.position_table is not None:
             table = self.position_table
-        elif self.variant in ("Rotatory", "RotatoryCon"):
-            table = rotatory_table(self.angle_table, self.model_dim)
+        elif self.angle_table is not None:
+            table = rotatory_table(self.angle_table, 2 * self.angle_table.shape[1])
         else:
-            raise GraphError(f"variant {self.variant} has no encoding rows")
-        if table is None:
-            raise GraphError(f"variant {self.variant} used before initialize()")
-        if length > self.max_len:
-            raise GraphError(f"sequence length {length} exceeds max_len {self.max_len}")
-        if length == self.max_len:
+            raise GraphError("no encoding rows: the variant has no position table")
+        max_len = table.shape[0]
+        if length > max_len:
+            raise GraphError(f"sequence length {length} exceeds max_len {max_len}")
+        if length == max_len:
             return table
         return nm.gather(table, np.arange(length))
 
 
-def _projection_activation(spec: EncodingSpec, x: TensorNode) -> TensorNode:
-    if spec.projection_activation == "leaky":
+def _projection_activation(name: str, x: TensorNode) -> TensorNode:
+    if name == "leaky":
         return nm.leaky_relu(x)
-    if spec.projection_activation == "silu":
+    if name == "silu":
         return nm.silu(x)
     return x
 
 
-def apply_vector_encoding(x: TensorNode, spec: EncodingSpec) -> TensorNode:
+def apply_vector_encoding(x: TensorNode, encoding: EncodingConfig,
+                          tables: EncodingTables) -> TensorNode:
     """Combine input embeddings [B, L, d] with the variant's position rows.
 
     Plain variants add the rows; the Con variants project
@@ -267,18 +262,18 @@ def apply_vector_encoding(x: TensorNode, spec: EncodingSpec) -> TensorNode:
     projected once per position rather than once per sequence.
     The None variant returns x unchanged; in-attention variants are rejected.
     """
-    if spec.variant == "None":
+    if encoding.variant == "None":
         return x
-    if not spec.is_vector:
-        raise GraphError(f"variant {spec.variant} is applied inside attention, not on embeddings")
+    if not encoding.is_vector:
+        raise GraphError(f"variant {encoding.variant} is applied inside attention, not on embeddings")
     B, L, d = x.shape
-    if d != spec.model_dim:
-        raise GraphError(f"input dim {d} does not match encoding dim {spec.model_dim}")
-    rows = spec.encoding_rows(L)
-    if not spec.is_concat:
+    rows = tables.rows(L)
+    if rows.shape[-1] != d:
+        raise GraphError(f"input dim {d} does not match encoding dim {rows.shape[-1]}")
+    if not encoding.is_concat:
         return nm.add(x, rows)
-    w_t = nm.transpose(spec.projection_weight, (1, 0))  # [2d, d]: W_x^T over W_r^T
+    w_t = nm.transpose(tables.projection_weight, (1, 0))  # [2d, d]: W_x^T over W_r^T
     w_x_t, w_r_t = nm.gather(w_t, np.arange(d)), nm.gather(w_t, np.arange(d, 2 * d))
-    position_term = nm.add(nm.matmul(rows, w_r_t), spec.projection_bias)  # [L, d]
+    position_term = nm.add(nm.matmul(rows, w_r_t), tables.projection_bias)  # [L, d]
     projected = nm.add(nm.matmul(x, w_x_t), position_term)
-    return _projection_activation(spec, projected)
+    return _projection_activation(encoding.projection_activation, projected)

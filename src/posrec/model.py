@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import numeric as nm
-from .attention import BlockConfig, TransformerBlock, causal_keep_mask
+from .attention import ACTIVATIONS, TransformerBlock, causal_keep_mask
 from .data import InteractionDataset, leave_one_out
-from .encodings import EncodingSpec, apply_vector_encoding
+from .encodings import (PROJECTION_ACTIVATIONS, EncodingConfig, EncodingTables,
+                        apply_vector_encoding, check_variant, relative_bias_tables)
 from .errors import GraphError, TrainingDiverged, UserError
 from .metrics import evaluate
 from .numeric import AdamState, Rng, TensorNode, adam_step
@@ -37,13 +38,14 @@ HISTORY_COLUMNS = ("epoch", "split", "loss", "Hit@10", "NDCG")
 
 @dataclass
 class ModelConfig:
-    """Hyperparameters for one training run.
+    """Hyperparameters for one training run, validated here and only here.
 
-    `encoding` accepts either a variant name or a ready EncodingSpec; names
-    are expanded against this config's dimensions, and the concat projection
-    inherits `activation`.  `nmax` is the per-row norm bound on embedding and
-    vector-encoding tables (None or NaN disables it).  `lr == 0` turns the
-    run into a dry run: forward and backward execute, parameters never move.
+    `encoding` accepts a variant name or an EncodingConfig; a name becomes
+    an EncodingConfig with that variant's defaults, and an unset concat
+    projection activation follows `activation`.  `nmax` is the per-row norm
+    bound on embedding and vector-encoding tables (None or NaN disables it).
+    `lr == 0` turns the run into a dry run: forward and backward execute,
+    parameters never move.
     """
 
     d: int = 90
@@ -53,7 +55,7 @@ class ModelConfig:
     dropout: float = 0.0
     max_len: int = 50
     activation: str = "leaky"
-    encoding: str | EncodingSpec = "None"
+    encoding: str | EncodingConfig = field(default_factory=EncodingConfig)
     lr: float = 1e-4
     nmax: float | None = None
     l2_weight: float = 0.0
@@ -66,8 +68,14 @@ class ModelConfig:
     def __post_init__(self):
         if self.d < 1 or self.g < 1 or self.blocks < 1 or self.heads < 1:
             raise UserError("d, g, blocks and heads must all be positive")
+        if self.d % self.heads:
+            raise UserError(f"d {self.d} not divisible by heads {self.heads}")
         if self.max_len < 2:
             raise UserError(f"max_len must be at least 2, got {self.max_len}")
+        if self.activation not in ACTIVATIONS:
+            raise UserError(f"activation '{self.activation}' not one of {', '.join(ACTIVATIONS)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise UserError(f"dropout {self.dropout} outside [0, 1)")
         if self.epochs < 1 or self.extra_epochs < 0:
             raise UserError("epochs must be >= 1 and extra_epochs >= 0")
         if self.batch_size < 1:
@@ -84,67 +92,51 @@ class ModelConfig:
             elif self.nmax <= 0:
                 raise UserError(f"nmax must be positive or None, got {self.nmax}")
         if isinstance(self.encoding, str):
-            self.encoding = EncodingSpec(
-                variant=self.encoding,
-                max_len=self.max_len,
-                model_dim=self.d,
-                projection_activation=self.activation,
-            )
-        else:
-            if self.encoding.model_dim != self.d or self.encoding.max_len != self.max_len:
-                raise UserError(
-                    "encoding spec dimensions "
-                    f"({self.encoding.max_len}, {self.encoding.model_dim}) "
-                    f"do not match the model ({self.max_len}, {self.d})"
-                )
+            self.encoding = EncodingConfig(variant=self.encoding)
+        if self.encoding.projection_activation is None:
+            self.encoding = replace(self.encoding, projection_activation=self.activation)
+        enc = self.encoding
+        check_variant(enc.variant)
+        if enc.variant in ("Abs", "AbsCon", "Rotatory", "RotatoryCon") and self.d % 2:
+            raise UserError(f"variant {enc.variant} needs an even d, got {self.d}")
+        if enc.variant in ("RoPE", "RopeOne") and self.head_dim % 2:
+            raise UserError(f"variant {enc.variant} needs an even head dim, got "
+                            f"{self.head_dim} (d {self.d} / heads {self.heads})")
+        if enc.is_relative and enc.clip_distance < 1:
+            raise UserError(f"clip_distance must be >= 1, got {enc.clip_distance}")
+        if enc.projection_activation not in PROJECTION_ACTIVATIONS:
+            raise UserError(f"projection activation '{enc.projection_activation}' not one of "
+                            + ", ".join(PROJECTION_ACTIVATIONS))
+
+    @property
+    def head_dim(self) -> int:
+        return self.d // self.heads
 
     @property
     def total_epochs(self) -> int:
         return self.epochs + self.extra_epochs
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "g": self.g,
-            "blocks": self.blocks,
-            "heads": self.heads,
-            "dropout": self.dropout,
-            "max_len": self.max_len,
-            "activation": self.activation,
-            "encoding": self.encoding.config_dict(),
-            "lr": self.lr,
-            "nmax": self.nmax,
-            "l2_weight": self.l2_weight,
-            "epochs": self.epochs,
-            "extra_epochs": self.extra_epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "eval_negatives": self.eval_negatives,
-        }
+        """The stored form: the encoding mapping also carries max_len and
+        model_dim, so fingerprints and checkpoints keep their format."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["encoding"] = {**self.encoding.as_dict(),
+                           "max_len": self.max_len, "model_dim": self.d}
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         data = dict(data)
-        enc = data.pop("encoding", "None")
-        if isinstance(enc, dict):
-            enc = EncodingSpec(
-                variant=enc["variant"],
-                max_len=enc.get("max_len", data.get("max_len", 50)),
-                model_dim=enc.get("model_dim", data.get("d", 90)),
-                clip_distance=enc.get("clip_distance", 4),
-                rope_base=enc.get("rope_base", 10000.0),
-                use_value_bias=enc.get("use_value_bias", True),
-                projection_activation=enc.get("projection_activation", "leaky"),
-            )
-        known = {
-            "d", "g", "blocks", "heads", "dropout", "max_len", "activation",
-            "lr", "nmax", "l2_weight", "epochs", "extra_epochs", "batch_size",
-            "seed", "eval_negatives",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise UserError(f"unknown model config keys: {', '.join(sorted(unknown))}")
-        return cls(encoding=enc, **data)
+        if isinstance(data.get("encoding"), dict):
+            enc = {k: v for k, v in data["encoding"].items() if k not in ("max_len", "model_dim")}
+            unknown = set(enc) - {f.name for f in fields(EncodingConfig)}
+            if unknown:
+                raise UserError(f"unknown encoding keys: {', '.join(sorted(unknown))}")
+            data["encoding"] = EncodingConfig(**enc)
+        return cls(**data)
 
 
 @dataclass
@@ -212,27 +204,22 @@ def score(hidden: TensorNode, target_emb: TensorNode) -> TensorNode:
     return nm.sigmoid(nm.dot_last(hidden, target_emb))
 
 
-def bce_loss(batch: SequenceBatch, y_pos: TensorNode, y_neg: TensorNode,
-             reduction: str = "sum") -> TensorNode:
+def bce_loss(batch: SequenceBatch, y_pos: TensorNode, y_neg: TensorNode) -> TensorNode:
     """Masked binary cross-entropy over (positive, negative) target pairs.
 
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs.  "sum"
-    totals over unpadded positions; "mean" divides by their count, which
-    keeps the gradient scale comparable across batch sizes.
+    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs.  The total
+    over unpadded positions is divided by their count, which keeps the
+    gradient scale comparable across batch sizes.
     """
-    if reduction not in ("sum", "mean"):
-        raise GraphError(f"unknown reduction '{reduction}'")
     mask = nm.constant(batch.mask.astype(np.float64))
     pos_term = nm.log(nm.clip(y_pos, LOSS_EPS, 1.0 - LOSS_EPS))
     neg_flip = nm.add_const(nm.scale(y_neg, -1.0), 1.0)
     neg_term = nm.log(nm.clip(neg_flip, LOSS_EPS, 1.0 - LOSS_EPS))
     total = nm.sum_all(nm.mul(mask, nm.add(pos_term, neg_term)))
-    if reduction == "mean":
-        positions = batch.positions
-        if positions == 0:
-            raise GraphError("mean reduction over a fully padded batch")
-        return nm.scale(total, -1.0 / positions)
-    return nm.scale(total, -1.0)
+    positions = batch.positions
+    if positions == 0:
+        raise GraphError("loss over a fully padded batch")
+    return nm.scale(total, -1.0 / positions)
 
 
 def apply_max_norm(tables: list[TensorNode], nmax: float | None) -> None:
@@ -259,18 +246,9 @@ class Model:
             raise UserError("model needs at least one item")
         self.config = config
         self.num_items = num_items
-        base = config.encoding
-        self.spec = EncodingSpec(
-            variant=base.variant,
-            max_len=base.max_len,
-            model_dim=base.model_dim,
-            clip_distance=base.clip_distance,
-            rope_base=base.rope_base,
-            use_value_bias=base.use_value_bias,
-            projection_activation=base.projection_activation,
-        ).initialize(rng.child(1))
-
         d = config.d
+        self.encoding_tables = EncodingTables.create(config.encoding, d, config.max_len,
+                                                     rng.child(1))
         table = rng.child(0).normal((num_items + 1, d), scale=0.02)
         table[0] = 0.0  # padding row
         self.item_table = nm.parameter(table, name="item_table")
@@ -294,18 +272,12 @@ class Model:
             )
             self.fuse_bias = nm.parameter(np.zeros(d), name="fuse_bias")
 
-        block_cfgs = [
-            BlockConfig(d, config.heads, config.g, dropout=config.dropout,
-                        activation=config.activation, block_index=i)
-            for i in range(config.blocks)
-        ]
         self.rel_tables = None
-        if self.spec.is_relative:
-            from .encodings import relative_bias_tables
-            self.rel_tables = relative_bias_tables(base.clip_distance, block_cfgs[0].head_dim)
+        if config.encoding.is_relative:
+            self.rel_tables = relative_bias_tables(config.encoding.clip_distance, config.head_dim)
         self.blocks = [
-            TransformerBlock(cfg, self.spec, rng.child(10 + i), rel_tables=self.rel_tables)
-            for i, cfg in enumerate(block_cfgs)
+            TransformerBlock(config, i, rng.child(10 + i), rel_tables=self.rel_tables)
+            for i in range(config.blocks)
         ]
         self.final_gain = nm.parameter(np.ones(d), name="final_gain")
         self.final_bias = nm.parameter(np.zeros(d), name="final_bias")
@@ -314,7 +286,7 @@ class Model:
         out = [("item_table", self.item_table)]
         if self.fuse_weight is not None:
             out += [("fuse_weight", self.fuse_weight), ("fuse_bias", self.fuse_bias)]
-        out += self.spec.parameters()
+        out += self.encoding_tables.parameters()
         if self.rel_tables is not None:
             out += [(t.name, t) for t in self.rel_tables]
         for block in self.blocks:
@@ -323,7 +295,7 @@ class Model:
         return out
 
     def clamped_tables(self) -> list[TensorNode]:
-        return [self.item_table] + self.spec.clamped_tables()
+        return [self.item_table] + self.encoding_tables.clamped()
 
     def _embed(self, inputs: np.ndarray, rng: Rng | None, train: bool) -> TensorNode:
         """[B, L, d] block input: item embeddings, attributes, vector encoding."""
@@ -333,8 +305,9 @@ class Model:
             attrs = nm.gather(self.attribute_table, ids)
             fused = nm.matmul(nm.concat([x, attrs]), nm.transpose(self.fuse_weight, (1, 0)))
             x = nm.add(fused, self.fuse_bias)
-        if self.spec.is_vector or self.spec.variant == "None":
-            x = apply_vector_encoding(x, self.spec)
+        encoding = self.config.encoding
+        if encoding.is_vector or encoding.variant == "None":
+            x = apply_vector_encoding(x, encoding, self.encoding_tables)
         return nm.dropout(x, self.config.dropout, rng.child(0) if rng else None, train)
 
     def hidden_states(self, inputs: np.ndarray, mask: np.ndarray,
@@ -421,7 +394,7 @@ def _loss_and_gradients(model: Model, batch: SequenceBatch, drop_rng: Rng) -> fl
     hidden = model.hidden_states(batch.inputs, batch.mask, rng=drop_rng, train=True)
     y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
     y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-    loss = bce_loss(batch, y_pos, y_neg, reduction="mean")
+    loss = bce_loss(batch, y_pos, y_neg)
     value = loss.item()
     if np.isfinite(value):
         loss.backward()

@@ -203,18 +203,6 @@ def add_const(x, c: float):
     return _make("add_const", x.values + c, (x,), push)
 
 
-def pow_const(x, p: float):
-    p = float(p)
-    with np.errstate(invalid="ignore"):
-        out = x.values**p
-
-    def push(g):
-        with np.errstate(invalid="ignore"):
-            return (g * p * x.values ** (p - 1.0),)
-
-    return _make("pow_const", out, (x,), push)
-
-
 def matmul(a, b):
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
@@ -250,10 +238,8 @@ def reshape(x, shape):
     return _make("reshape", x.values.reshape(shape), (x,), push)
 
 
-def concat(nodes, axis: int = -1):
-    """Concatenate along the last axis (the only one the model needs)."""
-    if axis != -1:
-        raise GraphError("concat supports only the last axis")
+def concat(nodes):
+    """Concatenate along the last axis."""
     nodes = list(nodes)
     sizes = [n.shape[-1] for n in nodes]
     out = np.concatenate([n.values for n in nodes], axis=-1)
@@ -361,10 +347,6 @@ def sum_all(x):
         return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=False),)
 
     return _make("sum_all", out, (x,), push)
-
-
-def mean_all(x):
-    return scale(sum_all(x), 1.0 / x.values.size)
 
 
 # ---------------------------------------------------------------------------

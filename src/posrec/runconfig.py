@@ -16,7 +16,7 @@ import yaml
 
 from . import synth
 from .data import InteractionDataset, load_attributes, load_interactions
-from .encodings import EncodingSpec, check_variant
+from .encodings import EncodingConfig
 from .errors import UserError
 from .model import ModelConfig
 from .presets import get_preset
@@ -25,8 +25,7 @@ TOP_KEYS = {"preset", "data", "model", "encoding", "sweep", "out"}
 DATA_KEYS = {"path", "attributes", "min_interactions", "synth"}
 SYNTH_KEYS = {"profile", "users", "items", "seq_len", "seed", "shift"}
 MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {"encoding"}
-ENCODING_KEYS = {"variant", "clip_distance", "rope_base", "use_value_bias",
-                 "projection_activation"}
+ENCODING_KEYS = {f.name for f in dataclasses.fields(EncodingConfig)}
 SWEEP_KEYS = {"seeds", "jobs"}
 
 
@@ -115,8 +114,7 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def build_model_config(rc: RunConfig, overrides: dict | None = None) -> ModelConfig:
-    """preset < file < flags; the encoding spec is built against the
-    resolved d / max_len so dimension checks cannot disagree."""
+    """preset < file < flags; ModelConfig fills in and checks the rest."""
     kwargs: dict = {}
     if rc.preset:
         kwargs.update(get_preset(rc.preset))
@@ -131,13 +129,7 @@ def build_model_config(rc: RunConfig, overrides: dict | None = None) -> ModelCon
         else:
             kwargs[key] = value
 
-    variant = check_variant(str(enc.pop("variant", "None")))
-    d = int(kwargs.get("d", 90))
-    max_len = int(kwargs.get("max_len", 50))
-    enc.setdefault("projection_activation", kwargs.get("activation", "leaky"))
-    kwargs["encoding"] = EncodingSpec(variant=variant, max_len=max_len,
-                                      model_dim=d, **enc)
-    return ModelConfig(**kwargs)
+    return ModelConfig(encoding=EncodingConfig(**enc), **kwargs)
 
 
 def resolve_dataset(data_section: dict, path_override: str | None = None) -> InteractionDataset:

@@ -15,6 +15,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,21 +101,6 @@ def aggregate(records: list[RunRecord], fingerprint: str = "") -> SweepSummary:
         ci=(low, high),
         ci_length=length,
     )
-
-
-def avg_dev(groups: dict[str, list[SweepSummary]]) -> dict[str, dict[str, float]]:
-    """Unweighted per-encoding averages of deviation, runs and CI length."""
-    out = {}
-    for encoding, summaries in groups.items():
-        if not summaries:
-            raise UserError(f"encoding group '{encoding}' has no summaries")
-        out[encoding] = {
-            "avg_dev_hit": float(np.mean([s.hit_dev for s in summaries])),
-            "avg_dev_ndcg": float(np.mean([s.ndcg_dev for s in summaries])),
-            "avg_runs": float(np.mean([s.runs for s in summaries])),
-            "avg_ci_length": float(np.mean([s.ci_length for s in summaries])),
-        }
-    return out
 
 
 @dataclass
@@ -298,29 +284,20 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     if progress and done:
         progress(f"resuming: {len(done)} of {len(seeds)} seeds already recorded")
 
-    def record_row(seed, status, hit, ndcg, error):
-        row = {"seed": seed, "fingerprint": fingerprint, "status": status,
-               "hit": hit, "ndcg": ndcg}
-        if error:
-            row["error"] = error
-        done[seed] = row
-        if ledger_path is not None:
-            with open(ledger_path, "a", newline="\n") as fh:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-                fh.flush()
-
     tasks = [(config, dataset, seed, out_dir) for seed in pending]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for seed, status, hit, ndcg, error in pool.map(_worker, tasks):
-                record_row(seed, status, hit, ndcg, error)
-                if progress:
-                    progress(f"seed {seed}: {status}" +
-                             (f"  Hit@10 {hit:.2f}" if status == "ok" else f"  {error}"))
-    else:
-        for task in tasks:
-            seed, status, hit, ndcg, error = _worker(task)
-            record_row(seed, status, hit, ndcg, error)
+    parallel = jobs > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        # both maps yield in submission order, so the ledger's rows do too
+        for seed, status, hit, ndcg, error in (pool.map if parallel else map)(_worker, tasks):
+            row = {"seed": seed, "fingerprint": fingerprint, "status": status,
+                   "hit": hit, "ndcg": ndcg}
+            if error:
+                row["error"] = error
+            done[seed] = row
+            if ledger_path is not None:
+                with open(ledger_path, "a", newline="\n") as fh:
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    fh.flush()
             if progress:
                 progress(f"seed {seed}: {status}" +
                          (f"  Hit@10 {hit:.2f}" if status == "ok" else f"  {error}"))

@@ -52,7 +52,7 @@ def _conditioned_model(variant, seed):
     model = Model(9, cfg, Rng(seed))
     rng = Rng(1000 + seed)
     model.item_table.values = rng.child(0).normal(model.item_table.values.shape, scale=0.4)
-    pos = model.spec.position_table
+    pos = model.encoding_tables.position_table
     if pos is not None:
         pos.values = rng.child(1).normal(pos.values.shape, scale=0.4)
     return model
@@ -78,7 +78,7 @@ def test_criterion_01_gradient_suite():
                 hidden = model.hidden_states(batch.inputs, batch.mask)
                 y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
                 y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-                return bce_loss(batch, y_pos, y_neg, reduction="mean")
+                return bce_loss(batch, y_pos, y_neg)
 
             # floor 1e-6: entries seven orders below the loss scale sit at
             # central-difference roundoff and carry no comparable signal

@@ -5,14 +5,14 @@ import pytest
 
 from posrec import numeric as nm
 from posrec.attention import (
-    BlockConfig,
     TransformerBlock,
     causal_keep_mask,
     relative_attention,
     scaled_dot_attention,
 )
-from posrec.encodings import EncodingSpec, relative_bias_tables
+from posrec.encodings import relative_bias_tables
 from posrec.errors import UserError
+from posrec.model import ModelConfig
 
 
 def full_mask(B, L):
@@ -170,11 +170,12 @@ def test_all_masked_query_rows_produce_zeros():
 
 
 def make_block(variant="None", d=8, heads=2, L=6, dropout=0.0, seed=11, block_index=0):
-    spec = EncodingSpec(variant, max_len=L, model_dim=d).initialize(nm.Rng(seed, 1))
-    cfg = BlockConfig(d, heads, ff_hidden=2 * d, dropout=dropout,
-                      activation="leaky", block_index=block_index)
-    rel = relative_bias_tables(spec.clip_distance, cfg.head_dim) if variant == "RMHA4" else None
-    return TransformerBlock(cfg, spec, nm.Rng(seed, 2), rel_tables=rel)
+    config = ModelConfig(d=d, g=2 * d, heads=heads, max_len=L, dropout=dropout,
+                         activation="leaky", encoding=variant)
+    rel = None
+    if variant == "RMHA4":
+        rel = relative_bias_tables(config.encoding.clip_distance, config.head_dim)
+    return TransformerBlock(config, block_index, nm.Rng(seed, 2), rel_tables=rel)
 
 
 def test_block_preserves_shape_for_every_variant():
@@ -260,13 +261,11 @@ def test_block_gradients_match_finite_differences():
 
 
 def test_block_config_validation():
-    with pytest.raises(UserError):
-        BlockConfig(9, 2, 18)  # not divisible
-    with pytest.raises(UserError):
-        BlockConfig(8, 2, 16, activation="relu")
-    spec = EncodingSpec("RoPE", max_len=4, model_dim=6)
-    with pytest.raises(UserError):
-        TransformerBlock(BlockConfig(6, 2, 12), spec, nm.Rng(1))  # head dim 3 is odd
-    spec = EncodingSpec("RMHA4", max_len=4, model_dim=6)
-    with pytest.raises(UserError):
-        TransformerBlock(BlockConfig(6, 2, 12), spec, nm.Rng(1))  # missing shared tables
+    # a block reads its sizes from ModelConfig, which rejects what no block can run
+    for bad in (dict(d=9, heads=2),                     # not divisible
+                dict(activation="relu"),
+                dict(dropout=1.0),
+                dict(d=6, heads=2, encoding="RoPE"),     # head dim 3 is odd
+                dict(d=6, heads=2, encoding="RopeOne")):
+        with pytest.raises(UserError):
+            ModelConfig(**bad)

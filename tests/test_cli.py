@@ -5,6 +5,7 @@ import math
 import os
 
 import pytest
+import yaml
 
 from posrec import cli
 from posrec.data import read_stats_tsv
@@ -73,9 +74,9 @@ def test_encoding_spec_gets_resolved_dims():
         "encoding": {"variant": "RMHA4", "clip_distance": 3},
     })
     cfg = build_model_config(rc)
-    spec = cfg.encoding
-    assert spec.model_dim == 16 and spec.max_len == 9
-    assert spec.clip_distance == 3
+    stored = cfg.as_dict()["encoding"]
+    assert stored["model_dim"] == 16 and stored["max_len"] == 9
+    assert stored["clip_distance"] == 3 == cfg.encoding.clip_distance
 
 
 def test_projection_activation_follows_model_activation():
@@ -311,6 +312,22 @@ def test_bad_encoding_flag_lists_variants(work, capsys):
     for name in ("None", "Abs", "AbsCon", "Learnt", "LearntCon", "Rotatory",
                  "RotatoryCon", "RMHA4", "RoPE", "RopeOne"):
         assert name in err
+
+
+@pytest.mark.parametrize("bad", [{"activation": "identity"}, {"d": 10, "heads": 3},
+                                 {"dropout": 1.0}, {"d": 6, "heads": 2}],
+                         ids=["activation", "heads", "dropout", "rope-head-dim"])
+def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
+    raw = yaml.safe_load(open(work["cfg"]).read())
+    raw["model"].update(bad)
+    if bad.get("heads") == 2:
+        raw["encoding"] = "RoPE"  # head dim 3 is odd
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(run), "--quiet"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_bad_nmax_flag(work, capsys):

@@ -7,7 +7,8 @@ import pytest
 from posrec import numeric as nm
 from posrec.encodings import (
     VARIANTS,
-    EncodingSpec,
+    EncodingConfig,
+    EncodingTables,
     apply_vector_encoding,
     relative_bias_tables,
     relative_index_matrix,
@@ -16,10 +17,13 @@ from posrec.encodings import (
     sinusoidal_table,
 )
 from posrec.errors import GraphError, UserError
+from posrec.model import ModelConfig
 
 
-def make_spec(variant, max_len=6, d=8, **kw):
-    return EncodingSpec(variant, max_len=max_len, model_dim=d, **kw).initialize(nm.Rng(3, 1))
+def make_encoding(variant, max_len=6, d=8, projection_activation="leaky", **kw):
+    """(config, tables) for one variant, built as the model builds them."""
+    encoding = EncodingConfig(variant, projection_activation=projection_activation, **kw)
+    return encoding, EncodingTables.create(encoding, d, max_len, nm.Rng(3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -94,44 +98,44 @@ def test_rotatory_rejects_mismatched_dim():
 
 
 def test_none_variant_returns_input_unchanged():
-    spec = make_spec("None")
+    encoding, tables = make_encoding("None")
     x = nm.tensor(nm.Rng(1).normal((2, 6, 8)))
-    assert apply_vector_encoding(x, spec) is x
+    assert apply_vector_encoding(x, encoding, tables) is x
 
 
 def test_add_mode_on_zero_input_reproduces_table_rows():
-    spec = make_spec("Abs", max_len=6, d=8)
+    encoding, tables = make_encoding("Abs", max_len=6, d=8)
     x = nm.tensor(np.zeros((3, 6, 8)))
-    out = apply_vector_encoding(x, spec)
+    out = apply_vector_encoding(x, encoding, tables)
     for b in range(3):
-        np.testing.assert_allclose(out.values[b], spec.abs_table, atol=1e-15)
+        np.testing.assert_allclose(out.values[b], tables.abs_table, atol=1e-15)
 
 
 def test_concat_identity_projection_recovers_input():
     # W = [I | 0], b = 0, identity activation: the projection returns x
-    spec = make_spec("LearntCon", max_len=5, d=6, projection_activation="identity")
+    encoding, tables = make_encoding("LearntCon", max_len=5, d=6, projection_activation="identity")
     eye = np.concatenate([np.eye(6), np.zeros((6, 6))], axis=1)
-    spec.projection_weight.values = eye
-    spec.projection_bias.values = np.zeros(6)
+    tables.projection_weight.values = eye
+    tables.projection_bias.values = np.zeros(6)
     x = nm.tensor(nm.Rng(4).normal((2, 5, 6)))
-    out = apply_vector_encoding(x, spec)
+    out = apply_vector_encoding(x, encoding, tables)
     np.testing.assert_allclose(out.values, x.values, atol=1e-12)
 
 
 def test_concat_projection_approaches_plain_projection_as_pe_columns_shrink():
     rng = nm.Rng(9)
-    spec = make_spec("RotatoryCon", max_len=4, d=6)
-    w_x = spec.projection_weight.values[:, :6].copy()
-    w_pe = spec.projection_weight.values[:, 6:].copy()
-    bias = spec.projection_bias.values.copy()
+    encoding, tables = make_encoding("RotatoryCon", max_len=4, d=6)
+    w_x = tables.projection_weight.values[:, :6].copy()
+    w_pe = tables.projection_weight.values[:, 6:].copy()
+    bias = tables.projection_bias.values.copy()
     x = nm.tensor(rng.normal((2, 4, 6)))
     z = x.values @ w_x.T + bias
     plain = np.where(z > 0, z, 0.01 * z)  # leaky_relu
 
     gaps = []
     for s in [1.0, 0.3, 0.1, 0.03, 0.01, 0.001]:
-        spec.projection_weight.values = np.concatenate([w_x, s * w_pe], axis=1)
-        out = apply_vector_encoding(x, spec).values
+        tables.projection_weight.values = np.concatenate([w_x, s * w_pe], axis=1)
+        out = apply_vector_encoding(x, encoding, tables).values
         gaps.append(float(np.abs(out - plain).max()))
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))  # monotone shrinking
     assert gaps[-1] < 1e-2 * gaps[0] + 1e-12
@@ -141,7 +145,7 @@ def test_vector_application_rejects_in_attention_variants():
     x = nm.tensor(np.zeros((1, 4, 8)))
     for variant in ("RMHA4", "RoPE", "RopeOne"):
         with pytest.raises(GraphError):
-            apply_vector_encoding(x, make_spec(variant, max_len=4, d=8))
+            apply_vector_encoding(x, *make_encoding(variant, max_len=4, d=8))
 
 
 def test_all_learnable_vector_variants_pass_gradient_check():
@@ -149,13 +153,14 @@ def test_all_learnable_vector_variants_pass_gradient_check():
     x_values = rng.normal((2, 4, 6))
     weights = rng.normal((2, 4, 6))
     for variant in ("Learnt", "LearntCon", "AbsCon", "Rotatory", "RotatoryCon"):
-        spec = EncodingSpec(variant, max_len=4, model_dim=6).initialize(nm.Rng(7, 2))
+        encoding = EncodingConfig(variant, projection_activation="leaky")
+        tables = EncodingTables.create(encoding, 6, 4, nm.Rng(7, 2))
 
         def build():
-            out = apply_vector_encoding(nm.tensor(x_values), spec)
+            out = apply_vector_encoding(nm.tensor(x_values), encoding, tables)
             return nm.sum_all(nm.mul(out, nm.constant(weights)))
 
-        report = nm.check_gradients(build, spec.parameters(), h=1e-5)
+        report = nm.check_gradients(build, tables.parameters(), h=1e-5)
         assert report.max_rel_err < 1e-4, f"{variant}: {report.max_rel_err:.2e}"
 
 
@@ -217,34 +222,35 @@ def test_relative_index_matrix_clamps_far_offsets():
 
 def test_relative_clip_must_be_positive():
     with pytest.raises(UserError):
-        relative_bias_tables(0, 8)
+        ModelConfig(d=8, heads=2, encoding=EncodingConfig("RMHA4", clip_distance=0))
+    ModelConfig(d=8, heads=2, encoding=EncodingConfig("RoPE", clip_distance=0))  # RMHA4 only
 
 
 # ---------------------------------------------------------------------------
-# spec population rules
+# table population rules
 
 
 def test_spec_populates_exactly_the_fields_its_variant_demands():
-    spec = make_spec("Learnt")
-    assert spec.position_table is not None
-    assert spec.angle_table is None and spec.projection_weight is None
+    _, tables = make_encoding("Learnt")
+    assert tables.position_table is not None
+    assert tables.angle_table is None and tables.projection_weight is None
 
-    spec = make_spec("RotatoryCon")
-    assert spec.angle_table is not None
-    assert spec.projection_weight is not None and spec.projection_bias is not None
-    assert spec.position_table is None
+    _, tables = make_encoding("RotatoryCon")
+    assert tables.angle_table is not None
+    assert tables.projection_weight is not None and tables.projection_bias is not None
+    assert tables.position_table is None
 
-    spec = make_spec("Abs")
-    assert spec.abs_table is not None
-    assert not spec.parameters()
+    _, tables = make_encoding("Abs")
+    assert tables.abs_table is not None
+    assert not tables.parameters()
 
-    spec = make_spec("RMHA4")
-    assert not spec.parameters()  # bias tables are owned by the model
+    _, tables = make_encoding("RMHA4")
+    assert not tables.parameters()  # bias tables are owned by the model
 
 
 def test_unknown_variant_error_lists_all_ten_names():
     with pytest.raises(UserError) as err:
-        EncodingSpec("Rotary", max_len=4, model_dim=8)
+        ModelConfig(encoding="Rotary")
     msg = str(err.value)
     for name in VARIANTS:
         assert name in msg
@@ -252,4 +258,4 @@ def test_unknown_variant_error_lists_all_ten_names():
 
 def test_rotatory_requires_even_dim():
     with pytest.raises(UserError):
-        EncodingSpec("Rotatory", max_len=4, model_dim=7)
+        ModelConfig(d=7, heads=1, encoding="Rotatory")

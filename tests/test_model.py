@@ -1,5 +1,6 @@
 """Batch construction, loss, clamp, and the training loop contract."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from posrec import synth
 from posrec.data import load_interactions
-from posrec.encodings import VARIANTS, EncodingSpec
+from posrec.encodings import VARIANTS, EncodingConfig
 from posrec.errors import GraphError, TrainingDiverged, UserError
 from posrec.model import (
     Model,
@@ -121,6 +122,10 @@ def test_bce_half_half_is_two_log_two():
     half = nm.constant(np.full((1, 3), 0.5))
     loss = bce_loss(batch, half, half)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+    # a mean over unpadded positions: three of them give the same value
+    three = SequenceBatch.stack([batch] * 3)
+    loss = bce_loss(three, nm.constant(np.full((3, 3), 0.5)), nm.constant(np.full((3, 3), 0.5)))
+    assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
 def test_bce_perfect_predictions_nearly_zero():
@@ -150,16 +155,6 @@ def test_fully_padded_row_contributes_exactly_zero():
     assert padded == lone
 
 
-def test_bce_mean_is_sum_over_positions():
-    batch = one_position_batch()
-    y = nm.constant(np.full((1, 3), 0.3))
-    total = bce_loss(batch, y, y, reduction="sum").item()
-    mean = bce_loss(batch, y, y, reduction="mean").item()
-    assert mean == pytest.approx(total / batch.positions, abs=1e-15)
-    with pytest.raises(GraphError):
-        bce_loss(batch, y, y, reduction="median")
-
-
 def test_loss_invariant_to_user_order_in_batch():
     ds = tiny_ds()
     rows = [build_sequences(ds.sequences[u], ds.num_items, 6, Rng(3).child(u))
@@ -172,7 +167,7 @@ def test_loss_invariant_to_user_order_in_batch():
         hidden = model.hidden_states(batch.inputs, batch.mask)
         y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
         y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-        return bce_loss(batch, y_pos, y_neg, reduction="mean").item()
+        return bce_loss(batch, y_pos, y_neg).item()
 
     assert loss_of([0, 1, 2, 3]) == pytest.approx(loss_of([2, 0, 3, 1]), rel=1e-12)
 
@@ -222,23 +217,30 @@ def test_nan_nmax_means_disabled():
 
 def test_config_validation():
     for bad in (dict(max_len=1), dict(epochs=0), dict(batch_size=0),
-                dict(lr=-1e-4), dict(l2_weight=-0.1), dict(eval_negatives=-1)):
+                dict(lr=-1e-4), dict(l2_weight=-0.1), dict(eval_negatives=-1),
+                dict(activation="identity"), dict(d=10, heads=3), dict(dropout=1.0),
+                dict(d=6, heads=2, encoding="RoPE"),  # head dim 3 is odd
+                dict(d=9, heads=3, encoding="Abs"),  # d must be even
+                dict(encoding=EncodingConfig("LearntCon", projection_activation="relu"))):
         with pytest.raises(UserError):
             tiny_cfg(**bad)
 
 
 def test_config_round_trips_through_dict():
-    cfg = tiny_cfg(encoding="RMHA4", nmax=1e-4, extra_epochs=3)
-    again = ModelConfig.from_dict(cfg.as_dict())
-    assert again.as_dict() == cfg.as_dict()
-    assert again.nmax == 1e-4 and again.encoding.variant == "RMHA4"
+    for variant in VARIANTS:
+        for activation in ("leaky", "silu"):
+            cfg = tiny_cfg(encoding=variant, activation=activation, nmax=1e-4, extra_epochs=3)
+            assert cfg.encoding.projection_activation == activation
+            again = ModelConfig.from_dict(cfg.as_dict())
+            assert again == cfg, (variant, activation)
+            assert again.nmax == 1e-4 and again.encoding.variant == variant
 
 
-def test_config_rejects_unknown_keys_and_mismatched_spec():
+def test_config_rejects_unknown_keys():
     with pytest.raises(UserError):
         ModelConfig.from_dict({"d": 8, "momentum": 0.9})
     with pytest.raises(UserError):
-        tiny_cfg(encoding=EncodingSpec(variant="Learnt", max_len=6, model_dim=16))
+        ModelConfig.from_dict({"encoding": {"variant": "RoPE", "base": 500.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +398,31 @@ def test_checkpoint_round_trip(tmp_path):
                                result.model.final_hidden([ctx]), atol=1e-15)
 
 
+# metadata of a checkpoint written by format 1's first writer: a silu
+# RotatoryCon model, whose concat projection inherits the activation
+STORED_META = (
+    '{"config": {"activation": "silu", "batch_size": 8, "blocks": 2, "d": 8, '
+    '"dropout": 0.2, "encoding": {"max_len": 6, "model_dim": 8, '
+    '"projection_activation": "silu", "variant": "RotatoryCon"}, "epochs": 4, '
+    '"eval_negatives": 20, "extra_epochs": 0, "g": 16, "heads": 2, "l2_weight": 0.0, '
+    '"lr": 0.003, "max_len": 6, "nmax": null, "seed": 3}, "format_version": 1, '
+    '"has_attributes": false, "num_items": 30}'
+)
+
+
+def test_checkpoint_metadata_keeps_the_stored_format(tmp_path):
+    config = ModelConfig.from_dict(json.loads(STORED_META)["config"])
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(Model(30, config, Rng(config.seed)), path)
+    with np.load(path, allow_pickle=False) as archive:
+        assert str(archive["__meta__"]) == STORED_META
+        names = [k[len("param:"):] for k in archive.files if k.startswith("param:")]
+    assert load_checkpoint(path).config == config
+    assert [n for n in names if not n.startswith("block")] == [
+        "item_table", "angle_table", "projection_weight", "projection_bias",
+        "final_gain", "final_bias"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.npz"
     path.write_text("not a checkpoint")
@@ -424,7 +451,7 @@ def full_loss_builder(model, batch):
         hidden = model.hidden_states(batch.inputs, batch.mask)
         y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
         y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-        return bce_loss(batch, y_pos, y_neg, reduction="mean")
+        return bce_loss(batch, y_pos, y_neg)
     return build
 
 
@@ -437,7 +464,7 @@ def condition_for_fd(model, rng):
     """
     table = model.item_table
     table.values = rng.child(0).normal(table.values.shape, scale=0.4)
-    pos = model.spec.position_table
+    pos = model.encoding_tables.position_table
     if pos is not None:
         pos.values = rng.child(1).normal(pos.values.shape, scale=0.4)
 

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from posrec import synth
+from posrec.encodings import VARIANTS, EncodingConfig
 from posrec.errors import TrainingDiverged, UserError
 from posrec.model import ModelConfig
 from posrec.stability import (
     RESULTS_COLUMNS,
     RunRecord,
     aggregate,
-    avg_dev,
     ci_from_moments,
     config_fingerprint,
     read_summary_tsv,
@@ -114,20 +114,6 @@ def test_aggregate_is_permutation_invariant():
 def test_aggregate_rejects_empty():
     with pytest.raises(UserError):
         aggregate([])
-
-
-def test_avg_dev_groups():
-    g = {
-        "None": [summary_with(1.0), summary_with(3.0)],
-        "RMHA4": [summary_with(0.5, runs=3)],
-    }
-    out = avg_dev(g)
-    assert out["None"]["avg_dev_hit"] == pytest.approx(2.0, rel=1e-12)
-    assert out["None"]["avg_runs"] == 5.0
-    assert out["RMHA4"]["avg_dev_hit"] == pytest.approx(0.5, rel=1e-12)
-    assert out["RMHA4"]["avg_runs"] == 3.0
-    with pytest.raises(UserError):
-        avg_dev({"empty": []})
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +303,40 @@ def test_sweep_all_failed_raises(tmp_path, monkeypatch):
 
 def test_sweep_parallel_matches_serial(tmp_path):
     ds, cfg = tiny_dataset(), tiny_config()
-    s1 = sweep(cfg, ds, [1, 2], jobs=1, out_dir=str(tmp_path / "a"))
-    s2 = sweep(cfg, ds, [1, 2], jobs=2, out_dir=str(tmp_path / "b"))
+    seeds = [3, 1, 2]
+    s1 = sweep(cfg, ds, seeds, jobs=1, out_dir=str(tmp_path / "a"))
+    s2 = sweep(cfg, ds, seeds, jobs=2, out_dir=str(tmp_path / "b"))
     assert s1.hit_mean == s2.hit_mean
     assert s1.ndcg_mean == s2.ndcg_mean
     assert s1.ci == s2.ci
+    files = ["runs.jsonl", "results.tsv"] + [f"seed_{s}/history.tsv" for s in seeds]
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    rows = [json.loads(line) for line in (tmp_path / "b" / "runs.jsonl").read_text().splitlines()]
+    assert [r["seed"] for r in rows] == seeds  # ledger rows follow submission order
+
+
+# config_fingerprint of the stored config format, one config per variant; if
+# these move, every existing ledger row stops matching its sweep
+PINNED_FINGERPRINTS = {
+    "None": "92502ecfc244296d",
+    "Abs": "81a05c115c1afe18",
+    "AbsCon": "da2dc77c4fe47dcd",
+    "Learnt": "cdddaf54a9e93eb2",
+    "LearntCon": "3c89aa69ae28a0f1",
+    "Rotatory": "67703a07c8fe851f",
+    "RotatoryCon": "8d331498ca868f63",
+    "RMHA4": "e16da675b19bd56d",
+    "RoPE": "3aa0d7cd4b88dd82",
+    "RopeOne": "36f7d4307c865c82",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_config_fingerprint_is_pinned(variant):
+    config = ModelConfig(d=12, g=20, blocks=2, heads=2, max_len=7, activation="silu",
+                         encoding=EncodingConfig(variant, clip_distance=3), seed=5)
+    assert config_fingerprint(config) == PINNED_FINGERPRINTS[variant]
 
 
 def test_sweep_without_out_dir(tmp_path):
