@@ -20,9 +20,9 @@ import sys
 import traceback
 
 from . import stability, synth
-from .data import (format_stats_table, load_attributes, load_interactions,
-                   leave_one_out, save_cache, save_interactions, stats,
-                   subset, write_stats_tsv)
+from .data import (atomic_write, format_stats_table, load_attributes,
+                   load_interactions, leave_one_out, save_cache, save_interactions,
+                   stats, subset, write_stats_tsv)
 from .errors import PosrecError, UserError
 from .metrics import evaluate
 from .model import (TEST_EVAL_STREAM, load_checkpoint, save_checkpoint, train,
@@ -72,7 +72,7 @@ def _echo_config(config_path: str | None, run_dir: str) -> None:
 
 
 def _write_resolved(run_dir: str, payload: dict) -> None:
-    with open(os.path.join(run_dir, "resolved.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(run_dir, "resolved.json")) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

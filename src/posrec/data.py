@@ -9,6 +9,8 @@ fewer than min_interactions rows after filtering are dropped (and counted).
 from __future__ import annotations
 
 import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +164,23 @@ def load_interactions(path: str, min_interactions: int = DEFAULT_MIN_INTERACTION
     if not rows:
         raise UserError(f"{path} contains no interaction rows")
     return _assemble(rows, min_interactions, source=path)
+
+
+@contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Write `path` through a sibling temporary file that replaces it only
+    once the block finishes, so `path` is either its old self, absent, or
+    complete; never partly written.  Text mode is UTF-8 with "\\n" newlines.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with (open(tmp, "wb") if binary else
+              open(tmp, "w", encoding="utf-8", newline="\n")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def save_interactions(ds: InteractionDataset, path: str) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numeric as nm
 from .attention import ACTIVATIONS, TransformerBlock, causal_keep_mask
-from .data import InteractionDataset, leave_one_out
+from .data import InteractionDataset, atomic_write, leave_one_out
 from .encodings import (PROJECTION_ACTIVATIONS, EncodingConfig, EncodingTables,
                         apply_vector_encoding, check_variant, relative_bias_tables)
 from .errors import GraphError, TrainingDiverged, UserError
@@ -32,6 +32,9 @@ EVAL_SCHEDULE_FACTOR = 1.3
 LOSS_EPS = 1e-7
 # train() ranks the test split on Rng(seed).child(TEST_EVAL_STREAM)
 TEST_EVAL_STREAM = 5
+# training and final_hidden run a batch in blocks of rows whose largest
+# activation stays under this many bytes, so the working set fits in cache
+ROW_BLOCK_BYTES = 4 << 20
 
 HISTORY_COLUMNS = ("epoch", "split", "loss", "Hit@10", "NDCG")
 
@@ -42,7 +45,8 @@ class ModelConfig:
 
     `encoding` accepts a variant name or an EncodingConfig; a name becomes
     an EncodingConfig with that variant's defaults, and an unset concat
-    projection activation follows `activation`.  `nmax` is the per-row norm
+    projection activation follows `activation`.  Options the variant does
+    not read are reset to their defaults.  `nmax` is the per-row norm
     bound on embedding and vector-encoding tables (None or NaN disables it).
     `lr == 0` turns the run into a dry run: forward and backward execute,
     parameters never move.
@@ -107,6 +111,11 @@ class ModelConfig:
         if enc.projection_activation not in PROJECTION_ACTIVATIONS:
             raise UserError(f"projection activation '{enc.projection_activation}' not one of "
                             + ", ".join(PROJECTION_ACTIVATIONS))
+        # options the variant does not read go back to their defaults (the
+        # projection activation to `activation`), so from_dict(as_dict())
+        # gives back an equal config
+        self.encoding = EncodingConfig(**{"projection_activation": self.activation,
+                                          **enc.as_dict()})
 
     @property
     def head_dim(self) -> int:
@@ -157,6 +166,17 @@ class SequenceBatch:
     def positions(self) -> int:
         return int(self.mask.sum())
 
+    def rows(self, start: int, stop: int) -> "SequenceBatch":
+        return SequenceBatch(self.inputs[start:stop], self.positives[start:stop],
+                             self.negatives[start:stop], self.mask[start:stop])
+
+
+def block_rows(config: ModelConfig) -> int:
+    """Rows per block: the widest float64 activation of one row, [max_len,
+    max(g, d, heads * max_len)], times this stays within ROW_BLOCK_BYTES."""
+    widest = max(config.g, config.d, config.heads * config.max_len)
+    return max(1, ROW_BLOCK_BYTES // (8 * config.max_len * widest))
+
 
 def _sample_negatives(count: int, num_items: int, forbidden: np.ndarray, rng: Rng) -> np.ndarray:
     """Uniform item ids avoiding `forbidden` (sorted unique), via rejection."""
@@ -204,19 +224,23 @@ def score(hidden: TensorNode, target_emb: TensorNode) -> TensorNode:
     return nm.sigmoid(nm.dot_last(hidden, target_emb))
 
 
-def bce_loss(batch: SequenceBatch, y_pos: TensorNode, y_neg: TensorNode) -> TensorNode:
+def bce_loss(batch: SequenceBatch, y_pos: TensorNode, y_neg: TensorNode,
+             positions: int | None = None) -> TensorNode:
     """Masked binary cross-entropy over (positive, negative) target pairs.
 
     Predictions are clamped to [1e-7, 1 - 1e-7] before the logs.  The total
-    over unpadded positions is divided by their count, which keeps the
-    gradient scale comparable across batch sizes.
+    over unpadded positions is divided by `positions` (default: their count
+    in `batch`), which keeps the gradient scale comparable across batch
+    sizes; a row block passes its whole batch's count, so the blocks' losses
+    sum to the batch's.
     """
     mask = nm.constant(batch.mask.astype(np.float64))
     pos_term = nm.log(nm.clip(y_pos, LOSS_EPS, 1.0 - LOSS_EPS))
     neg_flip = nm.add_const(nm.scale(y_neg, -1.0), 1.0)
     neg_term = nm.log(nm.clip(neg_flip, LOSS_EPS, 1.0 - LOSS_EPS))
     total = nm.sum_all(nm.mul(mask, nm.add(pos_term, neg_term)))
-    positions = batch.positions
+    if positions is None:
+        positions = batch.positions
     if positions == 0:
         raise GraphError("loss over a fully padded batch")
     return nm.scale(total, -1.0 / positions)
@@ -323,9 +347,11 @@ class Model:
         """Graph-free [B, d] hidden state at each context's last position.
 
         Contexts are dataset item-id sequences; longer ones keep their most
-        recent max_len events.  Ranking reads only the last position, so the
-        last block runs its queries, feed-forward and the final layer norm
-        for that row alone; it equals hidden_states(...)[:, -1] up to rounding.
+        recent max_len events.  They run in blocks of block_rows(config)
+        rows, so the activations stay cache-sized however many are passed.
+        Ranking reads only the last position, so the last block runs its
+        queries, feed-forward and the final layer norm for that row alone; it
+        equals hidden_states(...)[:, -1] up to rounding.
         """
         max_len = self.config.max_len
         batch = len(contexts)
@@ -337,14 +363,18 @@ class Model:
                 raise UserError("cannot score an empty context")
             inputs[b, max_len - ctx.size:] = ctx + 1
             mask[b, max_len - ctx.size:] = True
+        rows = block_rows(self.config)
         with nm.no_graph():
-            x = self._embed(inputs, None, False)
-            keep = causal_keep_mask(mask)
-            for block in self.blocks[:-1]:
-                x = block(x, keep)
-            x = self.blocks[-1](x, keep, query_positions=[max_len - 1])
-            hidden = nm.layer_norm(x, self.final_gain, self.final_bias)
-        return hidden.values[:, 0, :]
+            return np.concatenate([self._last_hidden(inputs[s:s + rows], mask[s:s + rows])
+                                   for s in range(0, max(batch, 1), rows)])
+
+    def _last_hidden(self, inputs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        x = self._embed(inputs, None, False)
+        keep = causal_keep_mask(mask)
+        for block in self.blocks[:-1]:
+            x = block(x, keep)
+        x = self.blocks[-1](x, keep, query_positions=[self.config.max_len - 1])
+        return nm.layer_norm(x, self.final_gain, self.final_bias).values[:, 0, :]
 
     def snapshot(self) -> dict:
         return {name: node.values.copy() for name, node in self.parameters()}
@@ -371,7 +401,7 @@ def write_history_tsv(history: list[MetricRecord], path: str) -> None:
     lines = ["\t".join(HISTORY_COLUMNS)]
     for r in history:
         lines.append(f"{r.epoch}\t{r.split}\t{_fmt(r.loss)}\t{_fmt(r.hit)}\t{_fmt(r.ndcg)}")
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -389,12 +419,36 @@ class TrainResult:
 
 def _loss_and_gradients(model: Model, batch: SequenceBatch, drop_rng: Rng) -> float:
     """Mean batch loss; when finite, its gradient is added to the parameters'
-    adjoints.  The step's graph is freed on return, before evaluation or the
-    next batch's forward pass."""
-    hidden = model.hidden_states(batch.inputs, batch.mask, rng=drop_rng, train=True)
-    y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
-    y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-    loss = bce_loss(batch, y_pos, y_neg)
+    adjoints.
+
+    The batch runs in blocks of block_rows(config) rows, one forward pass,
+    loss and backward() each; a batch that fits one block is not split.  Each
+    block's masked sum is divided by the whole batch's position count and
+    its dropout masks are its rows of the whole batch's draws
+    (Rng.skip_rows), so the summed losses and the accumulated adjoints equal
+    those of one pass over the batch up to rounding.  A non-finite block
+    loss is returned at once, with the adjoints of the blocks before it left
+    in place.
+    """
+    rows = block_rows(model.config)
+    total = 0.0
+    for start in range(0, batch.inputs.shape[0], rows):
+        value = _block_loss_and_gradients(model, batch.rows(start, start + rows),
+                                          drop_rng.skip_rows(start), batch.positions)
+        if not np.isfinite(value):
+            return value
+        total += value
+    return total
+
+
+def _block_loss_and_gradients(model: Model, part: SequenceBatch, drop_rng: Rng,
+                              positions: int) -> float:
+    """One row block's share of the batch loss, backpropagated when finite.
+    Its graph is freed on return, before the next block's forward pass."""
+    hidden = model.hidden_states(part.inputs, part.mask, rng=drop_rng, train=True)
+    y_pos = score(hidden, nm.gather(model.item_table, part.positives))
+    y_neg = score(hidden, nm.gather(model.item_table, part.negatives))
+    loss = bce_loss(part, y_pos, y_neg, positions)
     value = loss.item()
     if np.isfinite(value):
         loss.backward()
@@ -519,7 +573,8 @@ def save_checkpoint(model: Model, path: str) -> None:
     arrays = {f"param:{name}": node.values for name, node in model.parameters()}
     if model.attribute_table is not None:
         arrays["attributes"] = model.attribute_table.values[1:]
-    np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def load_checkpoint(path: str) -> Model:

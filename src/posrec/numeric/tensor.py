@@ -213,7 +213,12 @@ def matmul(a, b):
 
     def push(g):
         ga = _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape)
+        if b.values.ndim == 2 and a.values.ndim > 2:
+            # a shared weight: one [k, M] @ [M, n] product over every batch row
+            k, n = b.shape
+            gb = a.values.reshape(-1, k).T @ g.reshape(-1, n)
+        else:
+            gb = _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _make("matmul", out, (a, b), push)
@@ -409,11 +414,11 @@ def cos(x):
 
 
 def leaky_relu(x, slope: float = 0.01):
-    v = x.values
-    out = np.where(v > 0, v, slope * v)
+    factor = np.where(x.values > 0, 1.0, slope)
+    out = x.values * factor
 
     def push(g):
-        return (np.where(v > 0, g, slope * g),)
+        return (g * factor,)
 
     return _make("leaky_relu", out, (x,), push)
 
@@ -474,12 +479,11 @@ def dropout(x, p: float, rng, train: bool):
         return x
     if not 0.0 <= p < 1.0:
         raise GraphError(f"dropout rate {p} outside [0, 1)")
-    keep = rng.uniform(x.shape) >= p
-    factor = 1.0 / (1.0 - p)
-    out = x.values * keep * factor
+    keep = (rng.uniform(x.shape) >= p) * (1.0 / (1.0 - p))
+    out = x.values * keep
 
     def push(g):
-        return (g * keep * factor,)
+        return (g * keep,)
 
     return _make("dropout", out, (x,), push)
 

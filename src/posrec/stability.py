@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import InteractionDataset
+from .data import InteractionDataset, atomic_write
 from .errors import TrainingDiverged, UserError
 from .model import ModelConfig, save_checkpoint, train, write_history_tsv
 
@@ -161,7 +161,7 @@ def write_summary_tsv(summary: SweepSummary, config: ModelConfig, path: str) -> 
         f"({summary.ci[0]:.2f}, {summary.ci[1]:.2f})",
         f"{summary.ci_length:.2f}",
     )
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\t".join(RESULTS_COLUMNS) + "\n")
         fh.write("\t".join(row) + "\n")
 

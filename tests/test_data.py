@@ -6,6 +6,7 @@ import pytest
 from posrec import synth
 from posrec.data import (
     InteractionDataset,
+    atomic_write,
     format_stats_table,
     leave_one_out,
     load_attributes,
@@ -342,3 +343,22 @@ def test_positional_bayes_predictor_beats_popularity():
             pop_hits += top_item == seq[t]
     assert bayes_hits / total == 1.0
     assert pop_hits / total < 0.5
+
+
+def test_failed_atomic_write_leaves_the_old_file_or_none(tmp_path):
+    path = tmp_path / "history.tsv"
+
+    def torn_write():
+        with atomic_write(str(path)) as fh:
+            fh.write("epoch\tsplit\n1\ttr")
+            raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        torn_write()
+    assert list(tmp_path.iterdir()) == []
+    with atomic_write(str(path)) as fh:
+        fh.write("complete\n")
+    with pytest.raises(OSError):
+        torn_write()
+    assert path.read_text() == "complete\n"
+    assert list(tmp_path.iterdir()) == [path]

@@ -10,12 +10,15 @@ from posrec import synth
 from posrec.data import load_interactions
 from posrec.encodings import VARIANTS, EncodingConfig
 from posrec.errors import GraphError, TrainingDiverged, UserError
+from posrec import model as model_module
 from posrec.model import (
     Model,
     ModelConfig,
     SequenceBatch,
+    _loss_and_gradients,
     apply_max_norm,
     bce_loss,
+    block_rows,
     build_sequences,
     load_checkpoint,
     save_checkpoint,
@@ -226,6 +229,11 @@ def test_config_validation():
             tiny_cfg(**bad)
 
 
+# one non-default value of every encoding option
+ENCODING_OPTIONS = dict(clip_distance=7, rope_base=5.0, use_value_bias=False,
+                        projection_activation="identity")
+
+
 def test_config_round_trips_through_dict():
     for variant in VARIANTS:
         for activation in ("leaky", "silu"):
@@ -234,6 +242,16 @@ def test_config_round_trips_through_dict():
             again = ModelConfig.from_dict(cfg.as_dict())
             assert again == cfg, (variant, activation)
             assert again.nmax == 1e-4 and again.encoding.variant == variant
+        for option, value in ENCODING_OPTIONS.items():
+            # an option the variant does not read is reset, so the stored
+            # form and the config cannot disagree
+            cfg = tiny_cfg(encoding=EncodingConfig(variant, **{option: value}),
+                           activation="silu")
+            assert ModelConfig.from_dict(cfg.as_dict()) == cfg, (variant, option)
+            if option not in cfg.encoding.as_dict():
+                value = "silu" if option == "projection_activation" else (
+                    getattr(EncodingConfig(), option))
+            assert getattr(cfg.encoding, option) == value, (variant, option)
 
 
 def test_config_rejects_unknown_keys():
@@ -382,6 +400,80 @@ def test_final_hidden_is_last_row_of_hidden_states(variant, blocks, with_attribu
     inputs, mask = padded_inputs(contexts, model.config.max_len)
     expected = model.hidden_states(inputs, mask).values[:, -1]
     np.testing.assert_allclose(model.final_hidden(contexts), expected, rtol=0, atol=1e-12)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    model = Model(15, tiny_cfg(), Rng(5))
+    path = str(tmp_path / "checkpoint.npz")
+    save_checkpoint(model, path)
+    before = open(path, "rb").read()
+
+    def torn_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError):
+        save_checkpoint(model, path)
+    assert open(path, "rb").read() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+
+
+def set_block_rows(monkeypatch, config, rows):
+    """Patch the byte budget so that block_rows(config) == rows."""
+    widest = max(config.g, config.d, config.heads * config.max_len)
+    monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", rows * 8 * config.max_len * widest)
+    assert block_rows(config) == rows
+
+
+def random_rel_tables(model):
+    if model.rel_tables is not None:  # zero-initialised: make the offsets matter
+        for i, table in enumerate(model.rel_tables):
+            table.values = Rng(6, i).normal(table.shape)
+
+
+@pytest.mark.parametrize("with_attributes", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_row_blocks_give_the_whole_batch_loss_and_gradients(variant, with_attributes,
+                                                            monkeypatch):
+    num_items = 15
+    attributes = Rng(4).normal((num_items, 3)) if with_attributes else None
+    config = tiny_cfg(encoding=variant, dropout=0.3)
+    rng = Rng(8)
+    # 7 rows of 1 to 8 positions (max_len 6: padded, full and cut rows)
+    batch = SequenceBatch.stack([
+        build_sequences(rng.child(u).integers(0, num_items, (2 + u,)), num_items,
+                        config.max_len, rng.child(100 + u))
+        for u in range(7)
+    ])
+
+    def run(rows):
+        set_block_rows(monkeypatch, config, rows)
+        model = Model(num_items, config, Rng(5), attributes=attributes)
+        random_rel_tables(model)
+        loss = _loss_and_gradients(model, batch, Rng(9, 2))
+        return loss, {name: node.adjoint for name, node in model.parameters()}
+
+    whole_loss, whole = run(7)
+    blocked_loss, blocked = run(3)  # blocks of 3, 3 and 1 rows
+    assert blocked_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
+    assert whole.keys() == blocked.keys()
+    for name, adjoint in whole.items():
+        assert (adjoint is None) == (blocked[name] is None), name
+        if adjoint is not None:
+            np.testing.assert_allclose(blocked[name], adjoint, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_final_hidden_equals_one_block(variant, monkeypatch):
+    config = tiny_cfg(encoding=variant)
+    model = Model(15, config, Rng(5))
+    random_rel_tables(model)
+    contexts = [[3], [4, 1, 9], [0, 2, 4, 6, 8, 10], list(range(14, 3, -1)), [7, 7]]
+    set_block_rows(monkeypatch, config, len(contexts))
+    whole = model.final_hidden(contexts)
+    set_block_rows(monkeypatch, config, 2)
+    np.testing.assert_allclose(model.final_hidden(contexts), whole, rtol=0, atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -1,6 +1,8 @@
 """Counter-based RNG: replayability and stream separation."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posrec.numeric import Rng
 
@@ -35,3 +37,16 @@ def test_choice_without_replacement_is_exactly_k_distinct():
     draw = r.choice(pool, size=15, replace=False)
     assert len(draw) == 15 and len(set(draw.tolist())) == 15
     assert set(draw.tolist()) <= set(pool.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, 9), n=st.integers(1, 6),
+       row_shape=st.lists(st.integers(1, 5), max_size=2), stream=st.integers(0, 3))
+def test_skip_rows_draws_the_rows_of_the_whole_draw(start, n, row_shape, stream):
+    shape = (start + n, *row_shape)
+    part = (n, *row_shape)
+    whole = Rng(5, stream).uniform(shape)
+    assert np.array_equal(Rng(5, stream).skip_rows(start).uniform(part), whole[start:])
+    # children inherit the row offset
+    kid = Rng(5, stream).child(2).uniform(shape)
+    assert np.array_equal(Rng(5, stream).skip_rows(start).child(2).uniform(part), kid[start:])

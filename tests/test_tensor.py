@@ -311,6 +311,34 @@ def test_dropout_train_mode_preserves_expectation():
     assert abs(float(y.values.mean()) - 1.0) < 4.5 * sigma
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# signed zeros, infinities and NaN on both the forward and the adjoint side
+SPECIAL = np.array([-np.inf, -2.5, -0.0, 0.0, 1e-300, 3.0, np.inf, np.nan])
+SPECIAL_GRAD = np.array([1.0, -0.0, np.inf, -np.inf, np.nan, 2.0, -3.0, 0.0])
+
+
+def test_leaky_relu_matches_its_select_form_bitwise():
+    out = nm.leaky_relu(nm.parameter(SPECIAL), 0.01)
+    assert same_bits(out.values, np.where(SPECIAL > 0, SPECIAL, 0.01 * SPECIAL))
+    (grad,) = out.op_record.push_grads(SPECIAL_GRAD)
+    assert same_bits(grad, np.where(SPECIAL > 0, SPECIAL_GRAD, 0.01 * SPECIAL_GRAD))
+
+
+@np.errstate(invalid="ignore")  # inf * 0 at dropped entries
+def test_dropout_matches_mask_times_factor_bitwise():
+    x = np.tile(SPECIAL, 4)
+    g = np.tile(SPECIAL_GRAD, 4)
+    keep = nm.Rng(3, 1).uniform(x.shape) >= 0.3
+    assert 0 < keep.sum() < keep.size
+    out = nm.dropout(nm.parameter(x), 0.3, nm.Rng(3, 1), train=True)
+    assert same_bits(out.values, x * keep * (1.0 / 0.7))
+    (grad,) = out.op_record.push_grads(g)
+    assert same_bits(grad, g * keep * (1.0 / 0.7))
+
+
 def test_backward_twice_accumulates():
     x = nm.parameter(np.array([3.0]))
     loss = nm.sum_all(nm.mul(x, x))
