@@ -54,13 +54,13 @@ def relative_attention(q, k, v, a_k, a_v, keep_mask, use_value_bias: bool = True
         idx = idx[query_positions]
     scores = nm.add(
         nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))),
-        nm.offset_take(nm.matmul(q, nm.transpose(a_k, (1, 0))), idx),
+        nm.offset_take(nm.linear(q, nm.transpose(a_k, (1, 0))), idx),
     )
     scores = nm.scale(scores, 1.0 / np.sqrt(d_h))
     weights = nm.softmax_last(nm.mask_fill(scores, keep_mask))
     out = nm.matmul(weights, v)
     if use_value_bias:
-        out = nm.add(out, nm.matmul(nm.offset_sum(weights, idx, buckets), a_v))
+        out = nm.add(out, nm.linear(nm.offset_sum(weights, idx, buckets), a_v))
     return (out, weights) if return_weights else out
 
 
@@ -130,13 +130,13 @@ class TransformerBlock:
         cfg, encoding = self.config, self.config.encoding
         B, L, d = x.shape
         normed = nm.layer_norm(x, self.ln1_gain, self.ln1_bias)
-        k = self._split_heads(nm.add(nm.matmul(normed, self.w_key), self.b_key), B, L)
-        v = self._split_heads(nm.add(nm.matmul(normed, self.w_value), self.b_value), B, L)
+        k = self._split_heads(nm.linear(normed, self.w_key, self.b_key), B, L)
+        v = self._split_heads(nm.linear(normed, self.w_value, self.b_value), B, L)
         if query_positions is not None:  # rebinding frees the full-length rows
             x, normed = _rows(x, query_positions), _rows(normed, query_positions)
             keep_mask = keep_mask[..., query_positions, :]
         L_q = x.shape[1]
-        q = self._split_heads(nm.add(nm.matmul(normed, self.w_query), self.b_query), B, L_q)
+        q = self._split_heads(nm.linear(normed, self.w_query, self.b_query), B, L_q)
         if encoding.rope_active(self.block_index):
             q = rope_rotate(q, base=encoding.rope_base, positions=query_positions)
             k = rope_rotate(k, base=encoding.rope_base)
@@ -149,13 +149,13 @@ class TransformerBlock:
         else:
             attended = scaled_dot_attention(q, k, v, keep_mask)
         merged = nm.reshape(nm.transpose(attended, (0, 2, 1, 3)), (B, L_q, d))
-        attn_out = nm.add(nm.matmul(merged, self.w_out), self.b_out)
+        attn_out = nm.linear(merged, self.w_out, self.b_out)
         attn_out = nm.dropout(attn_out, cfg.dropout, rng.child(0) if rng else None, train)
         x = nm.add(x, attn_out)
 
         normed = nm.layer_norm(x, self.ln2_gain, self.ln2_bias)
-        hidden = _activation(cfg.activation, nm.add(nm.matmul(normed, self.w_ff1), self.b_ff1))
-        ff_out = nm.add(nm.matmul(hidden, self.w_ff2), self.b_ff2)
+        hidden = _activation(cfg.activation, nm.linear(normed, self.w_ff1, self.b_ff1))
+        ff_out = nm.linear(hidden, self.w_ff2, self.b_ff2)
         ff_out = nm.dropout(ff_out, cfg.dropout, rng.child(1) if rng else None, train)
         return nm.add(x, ff_out)
 

@@ -5,8 +5,9 @@ logs, carve subsets, train, evaluate checkpoints, run multi-seed sweeps,
 and turn a baseline sweep into an encoding recommendation.
 
 Exit codes: 0 success, 1 expected failure (bad flags, bad files, diverged
-training), 2 internal error.  The default output root is $POSREC_OUT, or
-./runs when unset; --out and the config's `out` key override it.
+training), 2 internal error, in a sweep also any seed whose run raised.  The
+default output root is $POSREC_OUT, or ./runs when unset; --out and the
+config's `out` key override it.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def cmd_evaluate(args) -> int:
         out_dir = os.path.dirname(args.out)
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(result.tsv())
     return 0
 
@@ -216,11 +217,15 @@ def cmd_sweep(args) -> int:
                               "dataset": _dataset_info(ds), "seeds": seeds,
                               "jobs": jobs, "run_dir": run_dir})
 
-    stability.sweep(config, ds, seeds, jobs=jobs, out_dir=run_dir,
-                    progress=_progress if not args.quiet else None)
+    summary = stability.sweep(config, ds, seeds, jobs=jobs, out_dir=run_dir,
+                              progress=_progress if not args.quiet else None)
     with open(os.path.join(run_dir, stability.RESULTS_NAME), encoding="utf-8") as fh:
         print(fh.read(), end="")
     print(f"artifacts: {run_dir}")
+    if summary.errored:
+        print(f"error: seed(s) {summary.errored} raised; their errors are in "
+              f"{stability.LEDGER_NAME}, and rerunning the sweep retries them", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -185,7 +185,7 @@ def atomic_write(path: str, binary: bool = False):
 
 def save_interactions(ds: InteractionDataset, path: str) -> None:
     """Write the dataset back out as a TSV using the original ids."""
-    with io.open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for u, (seq, tvals) in enumerate(zip(ds.sequences, ds.times)):
             uid = ds.user_ids[u]
             for item, ts in zip(seq, tvals):
@@ -193,6 +193,7 @@ def save_interactions(ds: InteractionDataset, path: str) -> None:
 
 
 def save_cache(ds: InteractionDataset, path: str) -> None:
+    """Write the dataset as an .npz archive at exactly `path`."""
     lengths = np.array([len(s) for s in ds.sequences], dtype=np.int64)
     payload = {
         "format_version": np.array([CACHE_FORMAT_VERSION]),
@@ -212,7 +213,8 @@ def save_cache(ds: InteractionDataset, path: str) -> None:
         payload["subset_budgets"] = np.array(
             [ds.subset_info.user_budget, ds.subset_info.item_budget]
         )
-    np.savez(path, **payload)
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, **payload)
 
 
 def load_cache(path: str) -> InteractionDataset:
@@ -354,7 +356,7 @@ _STATS_TYPES = {
 
 def write_stats_tsv(values: dict, path: str) -> None:
     keys = list(values)
-    with io.open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\t".join(keys) + "\n")
         fh.write("\t".join(_fmt_stat(values[k]) for k in keys) + "\n")
 

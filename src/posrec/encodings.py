@@ -274,6 +274,6 @@ def apply_vector_encoding(x: TensorNode, encoding: EncodingConfig,
         return nm.add(x, rows)
     w_t = nm.transpose(tables.projection_weight, (1, 0))  # [2d, d]: W_x^T over W_r^T
     w_x_t, w_r_t = nm.gather(w_t, np.arange(d)), nm.gather(w_t, np.arange(d, 2 * d))
-    position_term = nm.add(nm.matmul(rows, w_r_t), tables.projection_bias)  # [L, d]
-    projected = nm.add(nm.matmul(x, w_x_t), position_term)
+    position_term = nm.linear(rows, w_r_t, tables.projection_bias)  # [L, d]
+    projected = nm.linear(x, w_x_t, position_term)
     return _projection_activation(encoding.projection_activation, projected)

@@ -29,14 +29,6 @@ class ShapeMismatchError(PosrecError):
         super().__init__(f"{op}: incompatible shapes {pretty}")
 
 
-class NonFiniteError(PosrecError):
-    """An op produced NaN while strict mode was on."""
-
-    def __init__(self, op):
-        self.op = op
-        super().__init__(f"{op}: produced NaN values (strict mode)")
-
-
 class GraphError(PosrecError):
     """Misuse of the autodiff graph, e.g. backward from a non-scalar."""
 

@@ -327,8 +327,8 @@ class Model:
         x = nm.gather(self.item_table, ids)
         if self.fuse_weight is not None:
             attrs = nm.gather(self.attribute_table, ids)
-            fused = nm.matmul(nm.concat([x, attrs]), nm.transpose(self.fuse_weight, (1, 0)))
-            x = nm.add(fused, self.fuse_bias)
+            x = nm.linear(nm.concat([x, attrs]), nm.transpose(self.fuse_weight, (1, 0)),
+                          self.fuse_bias)
         encoding = self.config.encoding
         if encoding.is_vector or encoding.variant == "None":
             x = apply_vector_encoding(x, encoding, self.encoding_tables)

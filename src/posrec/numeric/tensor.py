@@ -9,7 +9,8 @@ pushed to the parents.
 
 Float64 is the default dtype. Elementwise ops follow standard numpy
 broadcasting; gradients of broadcast inputs are summed back to the input
-shape.
+shape. `matmul` multiplies stacks of matrices with equal leading axes and
+does not broadcast; a product with a shared 2-D weight is `linear`.
 """
 
 from __future__ import annotations
@@ -18,20 +19,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import GraphError, NonFiniteError, ShapeMismatchError
+from ..errors import GraphError, ShapeMismatchError
 
 DEFAULT_DTYPE = np.float64
 
-_strict = False
 _graph_enabled = True
-
-
-def set_strict(flag: bool) -> bool:
-    """Toggle NaN checking on every op output. Returns the previous setting."""
-    global _strict
-    previous = _strict
-    _strict = bool(flag)
-    return previous
 
 
 @contextmanager
@@ -92,26 +84,6 @@ class TensorNode:
         tag = self.name or (self.op_record.op if self.op_record else "leaf")
         return f"TensorNode({tag}, shape={tuple(self.shape)}, grad={self.requires_grad})"
 
-    # operator sugar; the named functions below do the work
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other, self.dtype), -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(values, requires_grad=False, name=None, dtype=None):
     """Wrap array-like data as a leaf node."""
@@ -127,15 +99,7 @@ def constant(values, name=None, dtype=None):
     return tensor(values, requires_grad=False, name=name, dtype=dtype)
 
 
-def _wrap(x, dtype):
-    if isinstance(x, TensorNode):
-        return x
-    return TensorNode(np.asarray(x, dtype=dtype))
-
-
 def _make(op, values, parents, push_grads):
-    if _strict and np.isnan(values).any():
-        raise NonFiniteError(op)
     needs = _graph_enabled and any(p.requires_grad for p in parents)
     if not needs:
         return TensorNode(values)
@@ -158,8 +122,6 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    a = _wrap(a, DEFAULT_DTYPE)
-    b = _wrap(b, a.dtype)
     try:
         out = a.values + b.values
     except ValueError:
@@ -172,8 +134,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a = _wrap(a, DEFAULT_DTYPE)
-    b = _wrap(b, a.dtype)
     try:
         out = a.values * b.values
     except ValueError:
@@ -204,24 +164,41 @@ def add_const(x, c: float):
 
 
 def matmul(a, b):
-    if a.values.ndim < 2 or b.values.ndim < 2:
+    """a @ b over equal leading axes: [..., m, k] @ [..., k, n] -> [..., m, n]."""
+    if (a.values.ndim < 2 or b.values.ndim != a.values.ndim
+            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
         raise ShapeMismatchError("matmul", a.shape, b.shape)
-    try:
-        out = a.values @ b.values
-    except ValueError:
-        raise ShapeMismatchError("matmul", a.shape, b.shape) from None
 
     def push(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape)
-        if b.values.ndim == 2 and a.values.ndim > 2:
-            # a shared weight: one [k, M] @ [M, n] product over every batch row
-            k, n = b.shape
-            gb = a.values.reshape(-1, k).T @ g.reshape(-1, n)
-        else:
-            gb = _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape)
-        return ga, gb
+        return g @ np.swapaxes(b.values, -1, -2), np.swapaxes(a.values, -1, -2) @ g
 
-    return _make("matmul", out, (a, b), push)
+    return _make("matmul", a.values @ b.values, (a, b), push)
+
+
+def linear(x, w, b=None):
+    """x @ w (+ b) for a shared weight w [k, n] and x [..., k].
+
+    One [M, k] @ [k, n] product over every row of x; b, when given, is added
+    in place and broadcasts against the [..., n] output ([n], or [L, n] rows
+    shared by every sequence of a batch).
+    """
+    if w.values.ndim != 2 or x.values.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeMismatchError("linear", x.shape, w.shape)
+    k, n = w.shape
+    out = (x.values.reshape(-1, k) @ w.values).reshape(x.shape[:-1] + (n,))
+    if b is not None:
+        try:
+            out += b.values
+        except ValueError:
+            raise ShapeMismatchError("linear", x.shape, w.shape, b.shape) from None
+
+    def push(g):
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ w.values.T).reshape(x.shape)
+        gw = x.values.reshape(-1, k).T @ g2
+        return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
+
+    return _make("linear", out, (x, w) if b is None else (x, w, b), push)
 
 
 def transpose(x, axes):

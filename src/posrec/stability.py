@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -51,6 +52,7 @@ class SweepSummary:
     runs: int
     ci: tuple[float, float]
     ci_length: float
+    errored: list[int] = field(default_factory=list)  # seeds whose run raised
 
 
 def config_fingerprint(config: ModelConfig, dataset: InteractionDataset | None = None) -> str:
@@ -209,12 +211,16 @@ def _run_seed(config: ModelConfig, dataset: InteractionDataset, seed: int,
 
 
 def _worker(args) -> tuple[int, str, float, float, str]:
+    """One seed's outcome: "ok", "failed" (diverged) or "error" (raised)."""
     config, dataset, seed, out_dir = args
     try:
         record = _run_seed(config, dataset, seed, out_dir)
-        return seed, "ok", record.hit, record.ndcg, ""
     except TrainingDiverged as err:
         return seed, "failed", float("nan"), float("nan"), str(err)
+    except Exception as err:  # one seed's fault must not end the other seeds
+        traceback.print_exc()
+        return seed, "error", float("nan"), float("nan"), f"{type(err).__name__}: {err}"
+    return seed, "ok", record.hit, record.ndcg, ""
 
 
 def _read_ledger(path: str) -> list[dict]:
@@ -260,7 +266,9 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     Every per-seed outcome lands in `out_dir`/runs.jsonl as soon as it
     finishes; rerunning the sweep skips seeds already recorded under the same
     config/dataset fingerprint.  Diverged seeds stay in the ledger as failed
-    and are excluded from the aggregate (`runs` counts successes).
+    and are excluded from the aggregate (`runs` counts successes), as are
+    seeds whose run raised; those are recorded as "error" rows, listed in
+    `errored`, and run again on resume.
     """
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
@@ -277,7 +285,8 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
         os.makedirs(out_dir, exist_ok=True)
         ledger_path = os.path.join(out_dir, LEDGER_NAME)
         for row in _read_ledger(ledger_path):
-            if row.get("fingerprint") == fingerprint and row.get("seed") in seeds:
+            if (row.get("fingerprint") == fingerprint and row.get("seed") in seeds
+                    and row.get("status") != "error"):
                 done[row["seed"]] = row
 
     pending = [s for s in seeds if s not in done]
@@ -310,6 +319,7 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     if not records:
         raise UserError(f"all {len(seeds)} sweep runs failed")
     summary = aggregate(records, fingerprint)
+    summary.errored = [s for s in seeds if done[s]["status"] == "error"]
     if out_dir is not None:
         write_summary_tsv(summary, config, os.path.join(out_dir, RESULTS_NAME))
     return summary

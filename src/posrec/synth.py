@@ -23,11 +23,9 @@ Generation is deterministic given (profile, sizes, seed).
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
-from .data import InteractionDataset, _assemble
+from .data import InteractionDataset, _assemble, atomic_write
 from .errors import UserError
 from .numeric import Rng
 
@@ -79,7 +77,7 @@ def write_dataset(profile: str, users: int, items: int, seq_len: int,
                   seed: int, path: str, shift: int = 7) -> None:
     """Write the generated log as a TSV; byte-identical for identical inputs."""
     seqs = generate_sequences(profile, users, items, seq_len, seed, shift=shift)
-    with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for u, seq in enumerate(seqs):
             for t, item in enumerate(seq):
                 fh.write(f"{u}\t{int(item)}\t{t}\n")

@@ -364,3 +364,23 @@ def test_diverged_training_exits_1(work, tmp_path, capsys):
                    "--quiet", "--lr", "1e200"])
     assert rc == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def test_sweep_with_a_raising_seed_exits_2(work, tmp_path, capsys, monkeypatch):
+    real = cli.stability._run_seed
+
+    def broken(config, dataset, seed, out_dir):
+        if seed == 2:
+            raise RuntimeError("worker lost its scratch file")
+        return real(config, dataset, seed, out_dir)
+
+    monkeypatch.setattr(cli.stability, "_run_seed", broken)
+    sw = tmp_path / "sw"
+    with pytest.warns(RuntimeWarning, match="failed seed"):
+        rc = cli.main(["sweep", "--config", work["cfg"], "--seeds", "1,2,3",
+                       "--out", str(sw), "--quiet"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("Act\tencoding")  # the other seeds' results are shown
+    assert "seed(s) [2] raised" in captured.err and "scratch file" in captured.err
+    assert (sw / "results.tsv").exists()

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from posrec import synth
+from posrec import cli, synth
+from posrec import data as data_module
 from posrec.data import (
     InteractionDataset,
+    SubsetInfo,
     atomic_write,
     format_stats_table,
     leave_one_out,
@@ -20,6 +24,7 @@ from posrec.data import (
     write_stats_tsv,
 )
 from posrec.errors import DataFormatError, UserError
+from posrec.model import Model, ModelConfig, save_checkpoint
 from posrec.numeric import Rng
 
 
@@ -122,16 +127,46 @@ def test_save_and_reload_round_trip(tmp_path):
         assert [ds.item_ids[i] for i in a] == [again.item_ids[i] for i in b]
 
 
-def test_cache_round_trip(tmp_path):
-    ds = synth.build_dataset("positional", users=5, items=20, seq_len=8, seed=4)
-    ds.attributes = Rng(1).normal((20, 3))
+# ids as the log parser yields them: no control characters, no empty id
+ID_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs")), min_size=1, max_size=4)
+
+
+@st.composite
+def datasets(draw):
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    num_items = draw(st.integers(1, 9))
+    item_seed, attribute_width = draw(st.integers(0, 2**16)), draw(st.integers(0, 3))
+    gen = np.random.default_rng(item_seed)
+    return InteractionDataset(
+        sequences=[gen.integers(0, num_items, n) for n in lengths],
+        times=[np.sort(gen.normal(size=n) * 1e9) for n in lengths],
+        num_items=num_items,
+        user_ids=draw(st.lists(ID_TEXT, min_size=len(lengths), max_size=len(lengths), unique=True)),
+        item_ids=draw(st.lists(ID_TEXT, min_size=num_items, max_size=num_items, unique=True)),
+        attributes=gen.normal(size=(num_items, attribute_width)) if attribute_width else None,
+        source=draw(st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=8)),
+        dropped_users=draw(st.integers(0, 5)),
+        min_interactions=draw(st.integers(1, 3)),
+        subset_info=draw(st.none() | st.builds(SubsetInfo, st.integers(1, 99), st.integers(1, 99))),
+    )
+
+
+@given(ds=datasets())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cache_round_trip(tmp_path, ds):
     path = str(tmp_path / "cache.npz")
     save_cache(ds, path)
     again = load_cache(path)
-    assert again.num_items == ds.num_items
-    for a, b in zip(ds.sequences, again.sequences):
-        assert np.array_equal(a, b)
-    assert np.array_equal(again.attributes, ds.attributes)
+    for name in ("num_items", "user_ids", "item_ids", "source", "dropped_users",
+                 "min_interactions", "subset_info"):
+        assert getattr(again, name) == getattr(ds, name), name
+    for got, want in zip((again.sequences, again.times), (ds.sequences, ds.times)):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    if ds.attributes is None:
+        assert again.attributes is None
+    else:
+        assert np.array_equal(again.attributes, ds.attributes)
     assert load_interactions(path).num_users == ds.num_users  # dispatch on suffix
 
 
@@ -177,6 +212,29 @@ def test_leave_one_out_assigns_last_and_second_to_last():
     assert np.array_equal(split.valid[0].context, [0, 1])
     assert split.test[0].target == 3
     assert np.array_equal(split.test[0].context, [0, 1, 2])
+
+
+@given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=8), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_leave_one_out_partitions_every_history_in_order(histories):
+    ds = InteractionDataset(
+        sequences=[np.array(h, dtype=np.int64) for h in histories],
+        times=[np.arange(len(h), dtype=np.float64) for h in histories],
+        num_items=10, user_ids=[str(u) for u in range(len(histories))],
+        item_ids=[str(i) for i in range(10)],
+    )
+    split = leave_one_out(ds)
+    valid = {row.user: row for row in split.valid}
+    assert [row.user for row in split.test] == list(range(len(histories)))
+    assert sorted(valid) == [u for u, h in enumerate(histories) if len(h) >= 3]
+    for u, history in enumerate(histories):
+        train, test = split.train_sequences[u].tolist(), split.test[u]
+        # a 2-item history has no validation row: its first item is test context only
+        held_out = [valid[u].target] if u in valid else history[-2:-1]
+        assert train + held_out + [test.target] == history
+        assert test.context.tolist() == history[:-1]
+        if u in valid:
+            assert valid[u].context.tolist() == train
 
 
 def test_length_two_users_have_no_validation_row():
@@ -362,3 +420,74 @@ def test_failed_atomic_write_leaves_the_old_file_or_none(tmp_path):
         torn_write()
     assert path.read_text() == "complete\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+class TornFile:
+    """An open file whose first write stores half its data and then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        self._fh.write(data[: max(1, len(data) // 2)])
+        raise OSError("disk full")
+
+
+def _inputs(workdir):
+    """A small dataset, its log and a checkpoint over it."""
+    ds = synth.build_dataset("positional", users=6, items=10, seq_len=6, seed=2)
+    log, checkpoint = str(workdir / "log.tsv"), str(workdir / "model.npz")
+    save_interactions(ds, log)
+    config = ModelConfig(d=8, g=8, blocks=1, heads=1, max_len=6)
+    save_checkpoint(Model(ds.num_items, config, Rng(0)), checkpoint)
+    return ds, log, checkpoint
+
+
+def _evaluate_out(inputs, path):
+    _, log, checkpoint = inputs
+    args = cli.build_parser().parse_args(["evaluate", checkpoint, "--data", log,
+                                          "--negatives", "3", "--out", path])
+    args.func(args)
+
+
+# each writer(inputs, path) writes one file through data.atomic_write
+WRITERS = {
+    "save_interactions": lambda inputs, path: save_interactions(inputs[0], path),
+    "save_cache": lambda inputs, path: save_cache(inputs[0], path),
+    "write_stats_tsv": lambda inputs, path: write_stats_tsv(stats(inputs[0]), path),
+    "synth.write_dataset": lambda inputs, path: synth.write_dataset("positional", 5, 20, 8,
+                                                                    seed=4, path=path),
+    "evaluate --out": _evaluate_out,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_torn_write_leaves_the_old_file_or_none(writer, tmp_path, monkeypatch):
+    inputs = _inputs(tmp_path)  # made before any write is torn
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    path = out_dir / "artifact"  # no suffix: the path written is exactly this one
+
+    def torn_write():
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "open", lambda *a, **kw: TornFile(open(*a, **kw)),
+                          raising=False)
+            with pytest.raises(OSError, match="disk full"):
+                WRITERS[writer](inputs, str(path))
+
+    torn_write()
+    assert list(out_dir.iterdir()) == []
+    WRITERS[writer](inputs, str(path))
+    complete = path.read_bytes()
+    torn_write()
+    assert path.read_bytes() == complete
+    assert list(out_dir.iterdir()) == [path]

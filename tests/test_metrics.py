@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posrec import synth
 from posrec.data import EvalRow, leave_one_out
@@ -78,18 +80,22 @@ def test_all_equal_scores_rank_pessimistically():
     assert evaluate(model, rows, 0, Rng(1)).per_user_ranks == [147]  # 146 unseen items tie
 
 
-def test_rank_invariant_to_negative_order():
-    # outside the history the catalogue is exactly twelve negatives; shuffling
-    # which of them holds which embedding reorders them without moving the rank
-    model = fresh_model(num_items=15)
-    rows = [EvalRow(user=0, context=np.array([1, 2]), target=4)]
-    negatives = np.setdiff1d(np.arange(15), [1, 2, 4])
-    gen = np.random.default_rng(3)
-    table = model.item_table.values
+@given(num_items=st.integers(3, 20), model_seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_rank_invariant_to_negative_order(num_items, model_seed, data):
+    # every item outside the history is a negative; shuffling which of them
+    # holds which embedding reorders them without moving the rank
+    items = data.draw(st.permutations(range(num_items)))
+    context_size = data.draw(st.integers(1, min(5, num_items - 2)))
+    context, target = np.array(items[:context_size]), items[context_size]
+    negatives = np.setdiff1d(np.arange(num_items), items[:context_size + 1])
+    model = fresh_model(num_items=num_items, seed=model_seed)
+    rows = [EvalRow(user=0, context=context, target=target)]
     base = evaluate(model, rows, 0, Rng(1)).per_user_ranks
-    for _ in range(5):
-        table[negatives + 1] = table[gen.permutation(negatives) + 1]
-        assert evaluate(model, rows, 0, Rng(1)).per_user_ranks == base
+    shuffled = np.array(data.draw(st.permutations(negatives.tolist())), dtype=np.int64)
+    table = model.item_table.values
+    table[negatives + 1] = table[shuffled + 1]
+    assert evaluate(model, rows, 0, Rng(1)).per_user_ranks == base
 
 
 def oracle_evaluate(model, rows, num_negatives, rng):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posrec import synth
 from posrec.data import load_interactions
@@ -193,13 +195,20 @@ def test_max_norm_none_is_identity():
     np.testing.assert_array_equal(t.values, before)
 
 
-def test_max_norm_is_idempotent():
-    t = nm.parameter(Rng(4).normal((20, 6)))
-    apply_max_norm([t], 0.5)
+@given(rows=st.integers(1, 20), cols=st.integers(1, 8), seed=st.integers(0, 2**16),
+       log_scale=st.floats(-6, 6), nmax=st.floats(1e-6, 1e3))
+@settings(max_examples=80, deadline=None)
+def test_max_norm_is_idempotent(rows, cols, seed, log_scale, nmax):
+    values = Rng(seed).normal((rows, cols)) * 10.0 ** log_scale
+    t = nm.parameter(values)
+    apply_max_norm([t], nmax)
     once = t.values.copy()
-    apply_max_norm([t], 0.5)
+    norms = np.linalg.norm(values, axis=1)
+    unclamped = norms <= nmax  # rows already inside the bound are left as they are
+    np.testing.assert_array_equal(once[unclamped], values[unclamped])
+    assert (np.linalg.norm(once, axis=1) <= nmax * (1 + 1e-12)).all()
+    apply_max_norm([t], nmax)
     np.testing.assert_array_equal(t.values, once)
-    assert (np.linalg.norm(t.values, axis=1) <= 0.5 * (1 + 1e-12)).all()
 
 
 def test_max_norm_rejects_nonpositive():

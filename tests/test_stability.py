@@ -301,6 +301,41 @@ def test_sweep_all_failed_raises(tmp_path, monkeypatch):
             sweep(tiny_config(), tiny_dataset(), [1, 2], out_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_records_a_raising_seed_and_reruns_it_on_resume(tmp_path, monkeypatch, jobs):
+    import posrec.stability as st
+
+    real = st._run_seed
+
+    def broken(config, dataset, seed, out_dir):
+        if seed == 2:
+            raise ValueError("bad batch")
+        if seed == 3:
+            raise TrainingDiverged(1, "loss became NaN")
+        return real(config, dataset, seed, out_dir)
+
+    monkeypatch.setattr(st, "_run_seed", broken)
+    ds, cfg, out = tiny_dataset(), tiny_config(), tmp_path / "sw"
+    ledger = out / "runs.jsonl"
+    with pytest.warns(RuntimeWarning, match="excluding 2 failed seed"):
+        s = sweep(cfg, ds, [1, 2, 3, 4], jobs=jobs, out_dir=str(out))
+    assert s.errored == [2] and s.runs == 2
+    assert [r.seed for r in s.records] == [1, 4]
+    rows = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert [(r["seed"], r["status"]) for r in rows] == [(1, "ok"), (2, "error"), (3, "failed"), (4, "ok")]
+    assert rows[1]["error"] == "ValueError: bad batch"
+
+    monkeypatch.setattr(st, "_run_seed", real)
+    with pytest.warns(RuntimeWarning, match="excluding 1 failed seed"):
+        resumed = sweep(cfg, ds, [1, 2, 3, 4], jobs=jobs, out_dir=str(out))
+    rows = [json.loads(line) for line in ledger.read_text().splitlines()]
+    # the raising seed runs again; the diverged one stays recorded as failed
+    assert [(r["seed"], r["status"]) for r in rows[4:]] == [(2, "ok")]
+    assert resumed.errored == [] and [r.seed for r in resumed.records] == [1, 2, 4]
+    fresh = sweep(cfg, ds, [1, 2, 4], out_dir=str(tmp_path / "fresh"))
+    assert resumed.hit_mean == fresh.hit_mean and resumed.ndcg_mean == fresh.ndcg_mean
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     ds, cfg = tiny_dataset(), tiny_config()
     seeds = [3, 1, 2]
