@@ -2,9 +2,10 @@
 
 Standard attention, its relative-bias variant (key/value offset tables), and
 the query/key pair rotation are all wired through one block so every encoding
-variant runs through identical plumbing. Masks are boolean keep-matrices;
-disallowed scores become -inf before the softmax and fully masked rows come
-out as zeros, never NaN.
+variant runs through identical plumbing. Each attention call is one
+`numeric.attend` node; RoPE rotates q and k before it. Masks are boolean
+keep-matrices; disallowed keys get weight 0 and fully masked rows come out as
+zeros, never NaN.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ if TYPE_CHECKING:
 ACTIVATIONS = ("leaky", "silu")
 
 
-def scaled_dot_attention(q, k, v, keep_mask, return_weights: bool = False):
-    """softmax(QK^T / sqrt(d_h)) V with boolean keep mask, all [B, h, L, d_h]."""
-    d_h = q.shape[-1]
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d_h))
-    weights = nm.softmax_last(nm.mask_fill(scores, keep_mask))
-    out = nm.matmul(weights, v)
-    return (out, weights) if return_weights else out
+def scaled_dot_attention(q, k, v, keep_mask):
+    """softmax(QK^T / sqrt(d_h)) V with boolean keep mask: q [B, h, L_q, d_h],
+    k and v [B, h, L, d_h]."""
+    return nm.attend(q, k, v, keep_mask)
 
 
 def relative_attention(q, k, v, a_k, a_v, keep_mask, use_value_bias: bool = True,
-                       return_weights: bool = False, query_positions=None):
+                       query_positions=None):
     """Attention with trainable biases indexed by the clamped offset j - i.
 
     a_k rows enter the pre-softmax scores through a dot with the query;
@@ -47,21 +45,10 @@ def relative_attention(q, k, v, a_k, a_v, keep_mask, use_value_bias: bool = True
     row i's attention weights into the buckets of its keys, [B, h, L_q, C],
     and multiplies that by a_v.
     """
-    d_h = q.shape[-1]
-    buckets = a_k.shape[0]
-    idx = relative_index_matrix(k.shape[-2], (buckets - 1) // 2)
+    idx = relative_index_matrix(k.shape[-2], (a_k.shape[0] - 1) // 2)
     if query_positions is not None:
         idx = idx[query_positions]
-    scores = nm.add(
-        nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))),
-        nm.offset_take(nm.linear(q, nm.transpose(a_k, (1, 0))), idx),
-    )
-    scores = nm.scale(scores, 1.0 / np.sqrt(d_h))
-    weights = nm.softmax_last(nm.mask_fill(scores, keep_mask))
-    out = nm.matmul(weights, v)
-    if use_value_bias:
-        out = nm.add(out, nm.linear(nm.offset_sum(weights, idx, buckets), a_v))
-    return (out, weights) if return_weights else out
+    return nm.attend(q, k, v, keep_mask, a_k, a_v if use_value_bias else None, idx)
 
 
 def _activation(name: str, x: TensorNode) -> TensorNode:

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import os
-import shutil
 import sys
 import traceback
 
@@ -69,7 +68,9 @@ def _resolve_out(flag_value: str | None, config_value: str | None, name: str) ->
 def _echo_config(config_path: str | None, run_dir: str) -> None:
     # byte-for-byte copy, so the run records exactly what was asked for
     if config_path:
-        shutil.copyfile(config_path, os.path.join(run_dir, "config.yaml"))
+        with open(config_path, "rb") as src, \
+                atomic_write(os.path.join(run_dir, "config.yaml"), binary=True) as fh:
+            fh.write(src.read())
 
 
 def _write_resolved(run_dir: str, payload: dict) -> None:

@@ -101,6 +101,8 @@ def _parse_rows(path: str, text: str):
             raise DataFormatError(path, line_no, f"expected 3 columns, got {len(fields)}")
         if line_no == 1 and _is_header(fields):
             continue
+        if "\x00" in fields[0] or "\x00" in fields[1]:  # .npz caches drop trailing NULs
+            raise DataFormatError(path, line_no, "NUL character in a user or item id")
         try:
             ts = float(fields[2])
         except ValueError:

@@ -603,5 +603,7 @@ def load_checkpoint(path: str) -> Model:
                     f"checkpoint parameter '{name}' has shape {stored.shape}, "
                     f"expected {node.values.shape}"
                 )
+            if not np.isfinite(stored).all():  # a NaN target score would rank first
+                raise UserError(f"checkpoint parameter '{name}' holds non-finite values")
             node.values = stored.astype(np.float64)
     return model

@@ -7,6 +7,7 @@ from .tensor import (
     TensorNode,
     add,
     add_const,
+    attend,
     backward,
     clip,
     concat,
@@ -20,12 +21,8 @@ from .tensor import (
     leaky_relu,
     linear,
     log,
-    mask_fill,
-    matmul,
     mul,
     no_graph,
-    offset_sum,
-    offset_take,
     pair_swap,
     parameter,
     reshape,
@@ -33,7 +30,6 @@ from .tensor import (
     sigmoid,
     silu,
     sin,
-    softmax_last,
     sum_all,
     tensor,
     transpose,

@@ -9,8 +9,8 @@ pushed to the parents.
 
 Float64 is the default dtype. Elementwise ops follow standard numpy
 broadcasting; gradients of broadcast inputs are summed back to the input
-shape. `matmul` multiplies stacks of matrices with equal leading axes and
-does not broadcast; a product with a shared 2-D weight is `linear`.
+shape. A product with a shared 2-D weight is `linear`; the attention
+products, mask and softmax are one `attend` node per call.
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _rows_at(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x [..., k] @ w [k, n] as one [M, k] @ [k, n] product."""
+    return (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+
+
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
 
@@ -163,18 +168,6 @@ def add_const(x, c: float):
     return _make("add_const", x.values + c, (x,), push)
 
 
-def matmul(a, b):
-    """a @ b over equal leading axes: [..., m, k] @ [..., k, n] -> [..., m, n]."""
-    if (a.values.ndim < 2 or b.values.ndim != a.values.ndim
-            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]):
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
-
-    def push(g):
-        return g @ np.swapaxes(b.values, -1, -2), np.swapaxes(a.values, -1, -2) @ g
-
-    return _make("matmul", a.values @ b.values, (a, b), push)
-
-
 def linear(x, w, b=None):
     """x @ w (+ b) for a shared weight w [k, n] and x [..., k].
 
@@ -185,7 +178,7 @@ def linear(x, w, b=None):
     if w.values.ndim != 2 or x.values.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeMismatchError("linear", x.shape, w.shape)
     k, n = w.shape
-    out = (x.values.reshape(-1, k) @ w.values).reshape(x.shape[:-1] + (n,))
+    out = _rows_at(x.values, w.values)
     if b is not None:
         try:
             out += b.values
@@ -248,17 +241,6 @@ def gather(table, ids):
     return _make("gather", out, (table,), push)
 
 
-def mask_fill(x, keep, fill=-np.inf):
-    """Keep entries where the boolean mask is true, write `fill` elsewhere."""
-    keepb = np.asarray(keep, dtype=bool)
-    out = np.where(keepb, x.values, x.dtype.type(fill))
-
-    def push(g):
-        return (np.where(keepb, g, 0.0),)
-
-    return _make("mask_fill", out, (x,), push)
-
-
 def dot_last(a, b):
     """Rowwise dot product over the last axis."""
     if a.shape != b.shape:
@@ -269,57 +251,6 @@ def dot_last(a, b):
         return g[..., None] * b.values, g[..., None] * a.values
 
     return _make("dot_last", out, (a, b), push)
-
-
-def _take_offsets(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """x[..., i, idx[i, j]] for every row i and column j of idx."""
-    return x[..., np.arange(idx.shape[0])[:, None], idx]
-
-
-def _sum_offsets(w: np.ndarray, idx: np.ndarray, buckets: int) -> np.ndarray:
-    """out[..., i, c] = sum of w[..., i, j] over the j with idx[i, j] == c.
-
-    One batched product over the rows i of idx: [L_q, N, L] @ [L_q, L, C]
-    against a one-hot of idx, with the leading axes of w folded into N.
-    """
-    rows, cols = idx.shape
-    one_hot = (idx[..., None] == np.arange(buckets)).astype(w.dtype)
-    by_row = np.moveaxis(w, -2, 0).reshape(rows, -1, cols)
-    summed = (by_row @ one_hot).reshape((rows,) + w.shape[:-2] + (buckets,))
-    return np.moveaxis(summed, 0, -2)
-
-
-def offset_take(x, idx):
-    """out[..., i, j] = x[..., i, idx[i, j]]: row i's bucket idx[i, j] at column j.
-
-    x is [..., L_q, C] and idx an integer [L_q, L] array of buckets in [0, C).
-    The adjoint is offset_sum.
-    """
-    idx = np.asarray(idx)
-    if idx.ndim != 2 or x.values.ndim < 2 or x.shape[-2] != idx.shape[0]:
-        raise ShapeMismatchError("offset_take", x.shape, idx.shape)
-    buckets = x.shape[-1]
-
-    def push(g):
-        return (_sum_offsets(g, idx, buckets),)
-
-    return _make("offset_take", _take_offsets(x.values, idx), (x,), push)
-
-
-def offset_sum(w, idx, buckets: int):
-    """out[..., i, c] = sum of w[..., i, j] over the columns j with idx[i, j] == c.
-
-    w is [..., L_q, L] and idx an integer [L_q, L] array of buckets in
-    [0, buckets); the output is [..., L_q, buckets].  The adjoint is offset_take.
-    """
-    idx = np.asarray(idx)
-    if idx.ndim != 2 or w.shape[-2:] != idx.shape:
-        raise ShapeMismatchError("offset_sum", w.shape, idx.shape)
-
-    def push(g):
-        return (_take_offsets(g, idx),)
-
-    return _make("offset_sum", _sum_offsets(w.values, idx, buckets), (w,), push)
 
 
 def sum_all(x):
@@ -333,24 +264,6 @@ def sum_all(x):
 
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def softmax_last(x):
-    """Softmax over the last axis; rows that are entirely -inf come out zero."""
-    v = x.values
-    rowmax = np.max(v, axis=-1, keepdims=True)
-    dead = ~np.isfinite(rowmax)
-    with np.errstate(invalid="ignore", over="ignore"):
-        e = np.exp(v - np.where(dead, 0.0, rowmax))
-    e = np.where(np.isfinite(e), e, 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    out = e / np.where(denom == 0.0, 1.0, denom)
-
-    def push(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return _make("softmax", out, (x,), push)
 
 
 def sigmoid(x):
@@ -500,6 +413,95 @@ def pair_swap(x):
         return (gx,)
 
     return _make("pair_swap", out, (x,), push)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def _take_offsets(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x[..., i, idx[i, j]] for every row i and column j of idx."""
+    return x[..., np.arange(idx.shape[0])[:, None], idx]
+
+
+def _sum_offsets(w: np.ndarray, idx: np.ndarray, buckets: int) -> np.ndarray:
+    """out[..., i, c] = sum of w[..., i, j] over the j with idx[i, j] == c.
+
+    One batched product over the rows i of idx: [L_q, N, L] @ [L_q, L, C]
+    against a one-hot of idx, with the leading axes of w folded into N.
+    """
+    rows, cols = idx.shape
+    one_hot = (idx[..., None] == np.arange(buckets)).astype(w.dtype)
+    by_row = np.moveaxis(w, -2, 0).reshape(rows, -1, cols)
+    summed = (by_row @ one_hot).reshape((rows,) + w.shape[:-2] + (buckets,))
+    return np.moveaxis(summed, 0, -2)
+
+
+def attend(q, k, v, keep, a_k=None, a_v=None, idx=None):
+    """softmax(S) @ v as one node, S = (q k^T + q a_k^T read at idx) / sqrt(d_h).
+
+    q is [..., L_q, d_h], k [..., L, d_h] and v [..., L, d_v] over equal
+    leading axes; keep is a boolean array broadcasting to [..., L_q, L].  The
+    optional offset tables a_k [C, d_h] and a_v [C, d_v] need idx, an integer
+    [L_q, L] array of buckets in [0, C): score (i, j) adds q_i . a_k[idx[i, j]],
+    and output row i adds the sum of its weights per bucket times a_v.
+
+    Dropped keys get weight 0.  A row with no kept key comes out as zeros,
+    never NaN, and so does any weight whose exponential is not finite.  Only
+    P = softmax(S) is kept for the adjoint (plus its [..., L_q, C] bucket sums
+    when a_v is given), which is dS = P * (dP - rowsum(dP * P)) (Dao et al.
+    2022, FlashAttention, App. B).
+    """
+    if (min(q.values.ndim, k.values.ndim) < 2 or k.shape[:-2] != q.shape[:-2]
+            or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]):
+        raise ShapeMismatchError("attend", q.shape, k.shape, v.shape)
+    L_q, d_h = q.shape[-2:]
+    L, d_v = v.shape[-2:]
+    tables = [t for t in (a_k, a_v) if t is not None]
+    if tables:
+        idx = np.asarray(idx)
+        C = tables[0].shape[0]
+        if (idx.shape != (L_q, L) or (a_k is not None and a_k.shape != (C, d_h))
+                or (a_v is not None and a_v.shape != (C, d_v))):
+            raise ShapeMismatchError("attend", q.shape, idx.shape, *(t.shape for t in tables))
+    c = 1.0 / np.sqrt(d_h)
+
+    p = q.values @ np.swapaxes(k.values, -1, -2)
+    if a_k is not None:
+        p += _take_offsets(_rows_at(q.values, a_k.values.T), idx)
+    p *= c
+    np.copyto(p, -np.inf, where=~np.asarray(keep, dtype=bool))
+    top = p.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", over="ignore"):
+        p -= np.where(np.isfinite(top), top, 0.0)
+        np.exp(p, out=p)
+    np.copyto(p, 0.0, where=~np.isfinite(p))
+    denom = p.sum(axis=-1, keepdims=True)
+    p /= np.where(denom == 0.0, 1.0, denom)
+    out = p @ v.values
+    if a_v is not None:
+        sums = _sum_offsets(p, idx, C)
+        out += _rows_at(sums, a_v.values)
+
+    def push(g):
+        dv = np.swapaxes(p, -1, -2) @ g
+        ds = g @ np.swapaxes(v.values, -1, -2)  # dP, turned into dS in place
+        if a_v is not None:
+            ds += _take_offsets(_rows_at(g, a_v.values.T), idx)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= c
+        dq = ds @ k.values
+        grads = [dq, np.swapaxes(ds, -1, -2) @ q.values, dv]
+        if a_k is not None:
+            by_bucket = _sum_offsets(ds, idx, C)
+            dq += _rows_at(by_bucket, a_k.values)
+            grads.append(by_bucket.reshape(-1, C).T @ q.values.reshape(-1, d_h))
+        if a_v is not None:
+            grads.append(sums.reshape(-1, C).T @ g.reshape(-1, d_v))
+        return grads
+
+    return _make("attend", out, (q, k, v, *tables), push)
 
 
 # ---------------------------------------------------------------------------

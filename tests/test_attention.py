@@ -63,12 +63,20 @@ def loop_relative(q, k, v, a_k, a_v, clip, keep):
     return out
 
 
+def attention_weights(q, k, keep):
+    """P itself: attention over the identity values returns its weights."""
+    L = k.shape[-2]
+    eye = nm.constant(np.broadcast_to(np.eye(L), k.shape[:-2] + (L, L)))
+    return scaled_dot_attention(q, k, eye, keep)
+
+
 def test_single_token_attention_weight_is_one():
     rng = nm.Rng(1)
     q = nm.tensor(rng.normal((1, 1, 1, 4)))
     k = nm.tensor(rng.normal((1, 1, 1, 4)))
     v = nm.tensor(rng.normal((1, 1, 1, 4)))
-    out, w = scaled_dot_attention(q, k, v, full_mask(1, 1), return_weights=True)
+    w = attention_weights(q, k, full_mask(1, 1))
+    out = scaled_dot_attention(q, k, v, full_mask(1, 1))
     np.testing.assert_allclose(w.values, [[[[1.0]]]], atol=1e-15)
     np.testing.assert_allclose(out.values, v.values, atol=1e-15)
 
@@ -78,9 +86,26 @@ def test_equal_keys_give_uniform_weights():
     L = 5
     q = nm.tensor(rng.normal((1, 1, L, 4)))
     k = nm.tensor(np.tile(rng.normal((1, 1, 1, 4)), (1, 1, L, 1)))
-    v = nm.tensor(rng.normal((1, 1, L, 4)))
-    _, w = scaled_dot_attention(q, k, v, full_mask(1, L), return_weights=True)
+    w = attention_weights(q, k, full_mask(1, L))
     np.testing.assert_allclose(w.values, 1.0 / L, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["plain", "relative", "relative_no_value_bias"])
+def test_each_attention_call_is_one_attend_node(variant):
+    rng = nm.Rng(24)
+    L, d_h = 5, 4
+    q, k, v = (nm.parameter(rng.normal((2, 2, L, d_h))) for _ in range(3))
+    a_k, a_v = (nm.parameter(rng.normal((5, d_h))) for _ in range(2))
+    keep = np.tril(np.ones((L, L), dtype=bool))[None, None]
+    if variant == "plain":
+        out, parents = scaled_dot_attention(q, k, v, keep), (q, k, v)
+    else:
+        use_value_bias = variant == "relative"
+        out = relative_attention(q, k, v, a_k, a_v, keep, use_value_bias=use_value_bias)
+        parents = (q, k, v, a_k, a_v) if use_value_bias else (q, k, v, a_k)
+    assert out.op_record.op == "attend"
+    assert len(out.op_record.parents) == len(parents)
+    assert all(got is want for got, want in zip(out.op_record.parents, parents))
 
 
 def test_attention_matches_double_loop_oracle():

@@ -1,5 +1,7 @@
 """Loader semantics, splits, subsets, stats, and the synthetic profiles."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,6 +101,15 @@ def test_bad_row_reports_line_number(tmp_path):
 def test_bad_timestamp_reports_line_number(tmp_path):
     path = write(tmp_path, "log.tsv", "u\ta\t1\nu\tb\tlater\n")
     with pytest.raises(DataFormatError) as err:
+        load_interactions(path)
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("row", ["u\ta\x00\t2", "u\x00\tb\t2", "u\tb\x00c\t2"])
+def test_nul_in_an_id_reports_line_number(tmp_path, row):
+    # a .npz cache drops trailing NULs, so "a" and "a\0" would become one item
+    path = write(tmp_path, "log.tsv", f"u\ta\t1\n{row}\nu\tc\t3\n")
+    with pytest.raises(DataFormatError, match="NUL") as err:
         load_interactions(path)
     assert err.value.line_no == 2
 
@@ -459,8 +470,14 @@ def _evaluate_out(inputs, path):
     args.func(args)
 
 
+def _echo_config(inputs, path):
+    _, log, _ = inputs  # any file serves as the config the run was given
+    cli._echo_config(log, os.path.dirname(path))  # copies it to <run_dir>/config.yaml
+
+
 # each writer(inputs, path) writes one file through data.atomic_write
 WRITERS = {
+    "config.yaml": _echo_config,
     "save_interactions": lambda inputs, path: save_interactions(inputs[0], path),
     "save_cache": lambda inputs, path: save_cache(inputs[0], path),
     "write_stats_tsv": lambda inputs, path: write_stats_tsv(stats(inputs[0]), path),
@@ -475,7 +492,9 @@ def test_torn_write_leaves_the_old_file_or_none(writer, tmp_path, monkeypatch):
     inputs = _inputs(tmp_path)  # made before any write is torn
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    path = out_dir / "artifact"  # no suffix: the path written is exactly this one
+    # the name _echo_config gives its copy; every other writer writes exactly
+    # the path it is given (np.savez gets a handle, so it adds no suffix)
+    path = out_dir / "config.yaml"
 
     def torn_write():
         with monkeypatch.context() as patch:

@@ -543,6 +543,18 @@ def test_checkpoint_missing_parameter_detected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_with_non_finite_parameter_is_rejected(tmp_path, bad):
+    # a NaN item score would rank first and report a perfect Hit@10
+    ds = tiny_ds()
+    model = Model(ds.num_items, tiny_cfg(), Rng(1))
+    model.item_table.values[3, 0] = bad
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(model, path)
+    with pytest.raises(UserError, match="item_table"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # gradients through the whole model
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from posrec import numeric as nm
 from posrec.errors import GraphError, ShapeMismatchError
+from posrec.numeric.tensor import _sum_offsets, _take_offsets
 
 H = 1e-5
 TOL = 1e-4
@@ -52,18 +53,6 @@ def _case_scale(rng):
 def _case_add_const(rng):
     x = nm.parameter(rng.normal((2, 3)))
     return [("x", x)], lambda: weighted_sum(nm.add_const(x, 1.7), rng.child(0))
-
-
-def _case_matmul(rng):
-    a = nm.parameter(rng.normal((3, 4)))
-    b = nm.parameter(rng.normal((4, 2)))
-    return [("a", a), ("b", b)], lambda: weighted_sum(nm.matmul(a, b), rng.child(0))
-
-
-def _case_matmul_batched(rng):
-    a = nm.parameter(rng.normal((2, 2, 3)))
-    b = nm.parameter(rng.normal((2, 3, 2)))
-    return [("a", a), ("b", b)], lambda: weighted_sum(nm.matmul(a, b), rng.child(0))
 
 
 def _case_linear(rng):
@@ -108,35 +97,50 @@ def _case_gather(rng):
     return [("t", t)], lambda: weighted_sum(nm.gather(t, ids), rng.child(0))
 
 
-def _case_mask_fill(rng):
-    x = nm.parameter(rng.normal((3, 4)))
-    keep = rng.uniform((3, 4)) > 0.3
-    return [("x", x)], lambda: weighted_sum(
-        nm.softmax_last(nm.mask_fill(x, keep)), rng.child(0)
-    )
-
-
 def _case_dot_last(rng):
     a = nm.parameter(rng.normal((2, 3, 4)))
     b = nm.parameter(rng.normal((2, 3, 4)))
     return [("a", a), ("b", b)], lambda: weighted_sum(nm.dot_last(a, b), rng.child(0))
 
 
-def _case_offset_take(rng):
-    x = nm.parameter(rng.normal((2, 2, 3, 4)))
-    idx = rng.integers(0, 4, (3, 7))  # 7 columns over 4 buckets: buckets repeat
-    return [("x", x)], lambda: weighted_sum(nm.offset_take(x, idx), rng.child(0))
+def _attend_case(rng, keep=None, key_bias=False, value_bias=False, L_q=3, L=4):
+    """attend over [2, 2] leading axes; idx puts several keys of a row in one bucket."""
+    q = nm.parameter(rng.normal((2, 2, L_q, 3)))
+    k = nm.parameter(rng.normal((2, 2, L, 3)))
+    v = nm.parameter(rng.normal((2, 2, L, 2)))
+    a_k = nm.parameter(rng.normal((3, 3))) if key_bias else None
+    a_v = nm.parameter(rng.normal((3, 2))) if value_bias else None
+    idx = rng.integers(0, 3, (L_q, L)) if key_bias or value_bias else None
+    keep = np.ones((L_q, L), dtype=bool) if keep is None else keep
+    params = [(name, t) for name, t in (("q", q), ("k", k), ("v", v), ("a_k", a_k), ("a_v", a_v))
+              if t is not None]
+    return params, lambda: weighted_sum(nm.attend(q, k, v, keep, a_k, a_v, idx), rng.child(0))
 
 
-def _case_offset_sum(rng):
-    w = nm.parameter(rng.normal((2, 2, 3, 7)))
-    idx = rng.integers(0, 4, (3, 7))
-    return [("w", w)], lambda: weighted_sum(nm.offset_sum(w, idx, 4), rng.child(0))
+def _case_attend(rng):
+    return _attend_case(rng)
 
 
-def _case_softmax(rng):
-    x = nm.parameter(rng.normal((3, 5)))
-    return [("x", x)], lambda: weighted_sum(nm.softmax_last(x), rng.child(0))
+def _case_attend_masked(rng):
+    keep = rng.uniform((2, 1, 3, 4)) > 0.4  # per sequence, shared by the heads
+    keep[:, :, 0, 1:] = True
+    keep[:, :, 0, 0] = False  # a partly masked row
+    keep[0, :, 1, :] = False  # a fully masked row
+    return _attend_case(rng, keep=keep)
+
+
+def _case_attend_key_bias(rng):
+    return _attend_case(rng, key_bias=True)
+
+
+def _case_attend_both_biases(rng):
+    return _attend_case(rng, key_bias=True, value_bias=True)
+
+
+def _case_attend_query_rows(rng):
+    # query rows 1 and 3 of a causal block of 4 keys
+    keep = np.tril(np.ones((4, 4), dtype=bool))[[1, 3]]
+    return _attend_case(rng, keep=keep, key_bias=True, value_bias=True, L_q=2)
 
 
 def _case_sigmoid(rng):
@@ -215,8 +219,11 @@ OP_CASES = {
     "mul": _case_mul,
     "scale": _case_scale,
     "add_const": _case_add_const,
-    "matmul": _case_matmul,
-    "matmul_batched": _case_matmul_batched,
+    "attend": _case_attend,
+    "attend_masked": _case_attend_masked,
+    "attend_key_bias": _case_attend_key_bias,
+    "attend_both_biases": _case_attend_both_biases,
+    "attend_query_rows": _case_attend_query_rows,
     "linear": _case_linear,
     "linear_bias": _case_linear_bias,
     "linear_row_bias": _case_linear_row_bias,
@@ -224,11 +231,7 @@ OP_CASES = {
     "reshape": _case_reshape,
     "concat": _case_concat,
     "gather": _case_gather,
-    "mask_fill": _case_mask_fill,
     "dot_last": _case_dot_last,
-    "offset_take": _case_offset_take,
-    "offset_sum": _case_offset_sum,
-    "softmax": _case_softmax,
     "sigmoid": _case_sigmoid,
     "log": _case_log,
     "sin": _case_sin,
@@ -244,7 +247,7 @@ OP_CASES = {
 }
 
 # the OP_CASES key of each op whose case is not named after it
-CASE_OF_OP = {"softmax_last": "softmax", "interleave_last": "interleave", "sum_all": "mean_all"}
+CASE_OF_OP = {"interleave_last": "interleave", "sum_all": "mean_all"}
 
 
 def test_every_public_op_has_a_gradient_case():
@@ -254,7 +257,7 @@ def test_every_public_op_has_a_gradient_case():
         if callable(fn) and getattr(fn, "__module__", "") == "posrec.numeric.tensor"
         and not isinstance(fn, type) and not name.startswith("_")
     } - {"backward", "no_graph", "tensor", "parameter", "constant"}
-    assert "linear" in ops and "matmul" in ops
+    assert "linear" in ops and "attend" in ops
     assert sorted(op for op in ops if CASE_OF_OP.get(op, op) not in OP_CASES) == []
 
 
@@ -277,7 +280,7 @@ def test_three_op_composite_matches_finite_differences():
     b = nm.parameter(rng.normal((4, 2)))
 
     def build():
-        return nm.sum_all(nm.sigmoid(nm.matmul(a, b)))
+        return nm.sum_all(nm.sigmoid(nm.linear(a, b)))
 
     report = nm.check_gradients(build, [("a", a), ("b", b)], h=H)
     assert report.max_rel_err < TOL
@@ -287,9 +290,17 @@ def test_three_op_composite_matches_finite_differences():
 # frozen expected values
 
 
+def attention_weights(logits, keep=True):
+    """softmax(logits) over the last axis, read through attend: with d_h = L,
+    q = logits * sqrt(L) and k = v = eye(L), the output is P."""
+    L = logits.shape[-1]
+    eye = nm.tensor(np.eye(L))
+    return nm.attend(nm.tensor(logits * np.sqrt(L)), eye, eye, keep).values
+
+
 def test_softmax_uniform_logits():
-    y = nm.softmax_last(nm.tensor(np.zeros((2, 3))))
-    np.testing.assert_allclose(y.values, np.full((2, 3), 1.0 / 3.0), atol=1e-15)
+    y = attention_weights(np.zeros((2, 3)))
+    np.testing.assert_allclose(y, np.full((2, 3), 1.0 / 3.0), atol=1e-15)
 
 
 def test_sigmoid_at_zero():
@@ -317,19 +328,26 @@ def test_sigmoid_derivative_at_zero():
 def test_softmax_rows_are_distributions(rows):
     width = len(rows[0])
     rows = [r[:width] + [0.0] * (width - len(r)) for r in rows]
-    y = nm.softmax_last(nm.tensor(np.array(rows))).values
+    y = attention_weights(np.array(rows))
     assert (y >= 0).all()
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_all_masked_softmax_rows_are_zero_not_nan():
-    x = nm.tensor(np.ones((2, 4)))
     keep = np.zeros((2, 4), dtype=bool)
     keep[0, :2] = True
-    y = nm.softmax_last(nm.mask_fill(x, keep))
-    assert not np.isnan(y.values).any()
-    np.testing.assert_allclose(y.values[1], 0.0)
-    np.testing.assert_allclose(y.values[0, :2], 0.5, atol=1e-15)
+    y = attention_weights(np.ones((2, 4)), keep)
+    assert not np.isnan(y).any()
+    np.testing.assert_allclose(y[1], 0.0)
+    np.testing.assert_allclose(y[0], [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+
+
+@np.errstate(invalid="ignore")  # the infinite logit turns its score row NaN: inf * 0 in q @ eye
+def test_non_finite_scores_give_zero_weights_not_nan():
+    y = attention_weights(np.array([[0.0, 1.0, 2.0], [0.0, np.inf, 1.0]]))
+    assert np.isfinite(y).all()
+    np.testing.assert_allclose(y[0], np.exp([0.0, 1.0, 2.0]) / np.exp([0.0, 1.0, 2.0]).sum())
+    np.testing.assert_allclose(y[1], 0.0)
 
 
 def test_dropout_eval_mode_is_identity():
@@ -402,23 +420,28 @@ def test_offset_sum_matches_loop_and_inverts_offset_take():
     rng = nm.Rng(12)
     idx = rng.integers(0, 3, (4, 6))
     w = rng.normal((2, 4, 6))
-    summed = nm.offset_sum(nm.tensor(w), idx, 3).values
+    summed = _sum_offsets(w, idx, 3)
     expected = np.zeros((2, 4, 3))
     for i in range(4):
         for j in range(6):
             expected[:, i, idx[i, j]] += w[:, i, j]
     np.testing.assert_allclose(summed, expected, atol=1e-14)
-    taken = nm.offset_take(nm.tensor(expected), idx).values
+    taken = _take_offsets(expected, idx)
     for i in range(4):
         for j in range(6):
             np.testing.assert_array_equal(taken[:, i, j], expected[:, i, idx[i, j]])
 
 
 def test_offset_ops_reject_mismatched_index_rows():
+    # attend's offset terms need one bucket per (query row, key) pair
+    q, k = nm.tensor(np.zeros((2, 3, 4))), nm.tensor(np.zeros((2, 6, 4)))
+    table = nm.tensor(np.zeros((5, 4)))
+    with pytest.raises(ShapeMismatchError, match="attend"):
+        nm.attend(q, k, k, True, a_k=table, idx=np.zeros((5, 6), dtype=int))
     with pytest.raises(ShapeMismatchError):
-        nm.offset_take(nm.tensor(np.zeros((2, 3, 4))), np.zeros((5, 6), dtype=int))
+        nm.attend(q, k, k, True, a_v=table, idx=np.zeros((3, 5), dtype=int))
     with pytest.raises(ShapeMismatchError):
-        nm.offset_sum(nm.tensor(np.zeros((2, 3, 6))), np.zeros((3, 5), dtype=int), 4)
+        nm.attend(q, k, k, True, a_k=table)  # no idx
 
 
 def test_constant_leaves_have_no_adjoint():
@@ -441,7 +464,7 @@ def test_forward_backward_deterministic_given_seed_and_stream():
         rng = nm.Rng(5, 3)
         a = nm.parameter(rng.normal((8, 8)))
         b = nm.parameter(rng.normal((8, 8)))
-        h = nm.dropout(nm.silu(nm.matmul(a, b)), 0.3, rng.child(1), train=True)
+        h = nm.dropout(nm.silu(nm.linear(a, b)), 0.3, rng.child(1), train=True)
         loss = nm.scale(nm.sum_all(nm.mul(h, h)), 1.0 / h.values.size)
         loss.backward()
         return loss.values.copy(), a.adjoint.copy(), b.adjoint.copy()
@@ -455,24 +478,6 @@ def test_forward_backward_deterministic_given_seed_and_stream():
 
 # ---------------------------------------------------------------------------
 # structured errors
-
-
-def test_matmul_shape_mismatch_names_op_and_shapes():
-    a = nm.tensor(np.zeros((2, 3)))
-    b = nm.tensor(np.zeros((4, 5)))
-    with pytest.raises(ShapeMismatchError) as err:
-        nm.matmul(a, b)
-    msg = str(err.value)
-    assert "matmul" in msg and "(2, 3)" in msg and "(4, 5)" in msg
-
-
-def test_matmul_needs_equal_leading_axes():
-    x = nm.tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ShapeMismatchError):
-        nm.matmul(x, nm.tensor(np.zeros((4, 5))))  # a shared weight goes through linear
-    with pytest.raises(ShapeMismatchError):
-        nm.matmul(x, nm.tensor(np.zeros((1, 4, 5))))
-    assert nm.linear(x, nm.tensor(np.zeros((4, 5)))).shape == (2, 3, 5)
 
 
 def test_backward_from_non_scalar_fails():
