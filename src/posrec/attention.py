@@ -15,13 +15,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numeric as nm
-from .encodings import relative_index_matrix, rope_rotate
+from .encodings import activate, relative_index_matrix, rope_rotate, xavier
 from .numeric import Rng, TensorNode
 
 if TYPE_CHECKING:
     from .model import ModelConfig
-
-ACTIVATIONS = ("leaky", "silu")
 
 
 def scaled_dot_attention(q, k, v, keep_mask):
@@ -51,15 +49,6 @@ def relative_attention(q, k, v, a_k, a_v, keep_mask, use_value_bias: bool = True
     return nm.attend(q, k, v, keep_mask, a_k, a_v if use_value_bias else None, idx)
 
 
-def _activation(name: str, x: TensorNode) -> TensorNode:
-    return nm.leaky_relu(x) if name == "leaky" else nm.silu(x)
-
-
-def _xavier(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform((fan_in, fan_out), -limit, limit)
-
-
 class TransformerBlock:
     """Pre-layer-norm residual block: attention sublayer then feed-forward.
 
@@ -79,19 +68,19 @@ class TransformerBlock:
         pre = f"block{block_index}."
         self.ln1_gain = nm.parameter(np.ones(d), name=pre + "ln1_gain")
         self.ln1_bias = nm.parameter(np.zeros(d), name=pre + "ln1_bias")
-        self.w_query = nm.parameter(_xavier(rng, d, d), name=pre + "w_query")
-        self.w_key = nm.parameter(_xavier(rng, d, d), name=pre + "w_key")
-        self.w_value = nm.parameter(_xavier(rng, d, d), name=pre + "w_value")
-        self.w_out = nm.parameter(_xavier(rng, d, d), name=pre + "w_out")
+        self.w_query = nm.parameter(xavier(rng, (d, d)), name=pre + "w_query")
+        self.w_key = nm.parameter(xavier(rng, (d, d)), name=pre + "w_key")
+        self.w_value = nm.parameter(xavier(rng, (d, d)), name=pre + "w_value")
+        self.w_out = nm.parameter(xavier(rng, (d, d)), name=pre + "w_out")
         self.b_query = nm.parameter(np.zeros(d), name=pre + "b_query")
         self.b_key = nm.parameter(np.zeros(d), name=pre + "b_key")
         self.b_value = nm.parameter(np.zeros(d), name=pre + "b_value")
         self.b_out = nm.parameter(np.zeros(d), name=pre + "b_out")
         self.ln2_gain = nm.parameter(np.ones(d), name=pre + "ln2_gain")
         self.ln2_bias = nm.parameter(np.zeros(d), name=pre + "ln2_bias")
-        self.w_ff1 = nm.parameter(_xavier(rng, d, g), name=pre + "w_ff1")
+        self.w_ff1 = nm.parameter(xavier(rng, (d, g)), name=pre + "w_ff1")
         self.b_ff1 = nm.parameter(np.zeros(g), name=pre + "b_ff1")
-        self.w_ff2 = nm.parameter(_xavier(rng, g, d), name=pre + "w_ff2")
+        self.w_ff2 = nm.parameter(xavier(rng, (g, d)), name=pre + "w_ff2")
         self.b_ff2 = nm.parameter(np.zeros(d), name=pre + "b_ff2")
 
     def parameters(self) -> list[tuple[str, TensorNode]]:
@@ -141,7 +130,7 @@ class TransformerBlock:
         x = nm.add(x, attn_out)
 
         normed = nm.layer_norm(x, self.ln2_gain, self.ln2_bias)
-        hidden = _activation(cfg.activation, nm.linear(normed, self.w_ff1, self.b_ff1))
+        hidden = activate(cfg.activation, nm.linear(normed, self.w_ff1, self.b_ff1))
         ff_out = nm.linear(hidden, self.w_ff2, self.b_ff2)
         ff_out = nm.dropout(ff_out, cfg.dropout, rng.child(1) if rng else None, train)
         return nm.add(x, ff_out)

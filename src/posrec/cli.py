@@ -20,9 +20,8 @@ import sys
 import traceback
 
 from . import stability, synth
-from .data import (atomic_write, format_stats_table, load_attributes,
-                   load_interactions, leave_one_out, save_cache, save_interactions,
-                   stats, subset, write_stats_tsv)
+from .data import (atomic_write, format_stats_table, leave_one_out, save_cache,
+                   save_interactions, stats, subset, write_stats_tsv)
 from .errors import PosrecError, UserError
 from .metrics import evaluate
 from .model import (TEST_EVAL_STREAM, load_checkpoint, save_checkpoint, train,
@@ -104,12 +103,11 @@ def _model_overrides(args) -> dict:
     }
 
 
-def _load_dataset_direct(args):
-    ds = load_interactions(args.data) if args.min_interactions is None else \
-        load_interactions(args.data, min_interactions=args.min_interactions)
-    if getattr(args, "attributes", None):
-        load_attributes(args.attributes, ds)
-    return ds
+def _data_section(args) -> dict:
+    """The `data:` section that a positional path and its flags stand for."""
+    section = {"path": args.data, "min_interactions": args.min_interactions,
+               "attributes": args.attributes}
+    return {k: v for k, v in section.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +115,6 @@ def _load_dataset_direct(args):
 
 
 def cmd_synth(args) -> int:
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     synth.write_dataset(args.profile, args.users, args.items, args.seq_len,
                         seed=args.seed, shift=args.shift, path=args.out)
     print(f"wrote {args.users * args.seq_len} interactions to {args.out}")
@@ -127,23 +122,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    ds = _load_dataset_direct(args)
-    values = stats(ds)
+    values = stats(resolve_dataset(_data_section(args)))
     print(format_stats_table(values))
     if args.out:
-        out_dir = os.path.dirname(args.out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
         write_stats_tsv(values, args.out)
     return 0
 
 
 def cmd_subset(args) -> int:
-    ds = _load_dataset_direct(args)
-    small = subset(ds, args.users, args.items, Rng(args.seed))
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    small = subset(resolve_dataset(_data_section(args)), args.users, args.items, Rng(args.seed))
     if args.out.endswith(".npz"):
         save_cache(small, args.out)
     else:
@@ -190,9 +177,6 @@ def cmd_evaluate(args) -> int:
     result = evaluate(model, rows, args.negatives, rng)
     print(result.tsv(), end="")
     if args.out:
-        out_dir = os.path.dirname(args.out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
         with atomic_write(args.out) as fh:
             fh.write(result.tsv())
     return 0
@@ -206,10 +190,10 @@ def cmd_sweep(args) -> int:
     if args.seeds:
         seeds = _parse_seeds(args.seeds)
     elif rc.sweep.get("seeds"):
-        seeds = [int(s) for s in rc.sweep["seeds"]]
+        seeds = rc.sweep["seeds"]
     else:
         raise UserError("no seeds: pass --seeds or set sweep.seeds in the config")
-    jobs = args.jobs if args.jobs is not None else int(rc.sweep.get("jobs", 1))
+    jobs = args.jobs if args.jobs is not None else rc.sweep.get("jobs", 1)
 
     run_dir = _resolve_out(args.out, rc.out, "sweep")
     os.makedirs(run_dir, exist_ok=True)
@@ -275,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", type=int, required=True)
     p.add_argument("--seq-len", type=int, required=True, dest="seq_len")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shift", type=int, default=7,
+    p.add_argument("--shift", type=int, default=synth.SHIFT,
                    help="offset of the two-back rule in the positional profile")
     p.add_argument("--out", required=True, help="TSV path to write")
     p.set_defaults(func=cmd_synth)

@@ -20,6 +20,9 @@ from .numeric import Rng
 
 DEFAULT_MIN_INTERACTIONS = 2
 CACHE_FORMAT_VERSION = 1
+# arrays every cache holds; attributes and subset budgets are optional
+_CACHE_KEYS = {"format_version", "lengths", "items_flat", "times_flat", "user_ids",
+               "item_ids", "num_items", "dropped_users", "min_interactions", "source"}
 
 
 @dataclass
@@ -172,8 +175,12 @@ def load_interactions(path: str, min_interactions: int = DEFAULT_MIN_INTERACTION
 def atomic_write(path: str, binary: bool = False):
     """Write `path` through a sibling temporary file that replaces it only
     once the block finishes, so `path` is either its old self, absent, or
-    complete; never partly written.  Text mode is UTF-8 with "\\n" newlines.
+    complete; never partly written.  A missing parent directory is created.
+    Text mode is UTF-8 with "\\n" newlines.
     """
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with (open(tmp, "wb") if binary else
@@ -224,6 +231,8 @@ def load_cache(path: str) -> InteractionDataset:
         blob = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as e:
         raise UserError(f"cannot read cache {path}: {e}") from None
+    if not _CACHE_KEYS <= set(getattr(blob, "files", ())):
+        raise UserError(f"{path} is not a dataset cache")
     if int(blob["format_version"][0]) != CACHE_FORMAT_VERSION:
         raise UserError(f"cache {path} has unsupported format version")
     lengths = blob["lengths"]
@@ -255,8 +264,11 @@ def load_attributes(path: str, ds: InteractionDataset) -> np.ndarray:
     sidecar get zero vectors.
     """
     path = str(path)
-    with io.open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with io.open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise UserError(f"cannot read attributes {path}: {e}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise UserError(f"{path} is empty")
@@ -349,13 +361,6 @@ def stats(ds: InteractionDataset) -> dict:
     return out
 
 
-_STATS_TYPES = {
-    "users": int, "items": int, "interactions": int, "density": float,
-    "attribute_dim": int, "dropped_users": int, "source": str,
-    "budget_users": int, "budget_items": int, "budget_density": float,
-}
-
-
 def write_stats_tsv(values: dict, path: str) -> None:
     keys = list(values)
     with atomic_write(path) as fh:
@@ -367,18 +372,6 @@ def _fmt_stat(v) -> str:
     if isinstance(v, float):
         return f"{v:.6e}"
     return str(v)
-
-
-def read_stats_tsv(path: str) -> dict:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) != 2:
-        raise DataFormatError(path, 1, "stats file must have a header and one row")
-    keys = lines[0].split("\t")
-    vals = lines[1].split("\t")
-    if len(keys) != len(vals):
-        raise DataFormatError(path, 2, "column count mismatch")
-    return {k: _STATS_TYPES.get(k, str)(v) for k, v in zip(keys, vals)}
 
 
 def format_stats_table(values: dict) -> str:

@@ -45,15 +45,24 @@ VARIANTS = (
 )
 VECTOR_VARIANTS = ("Abs", "AbsCon", "Learnt", "LearntCon", "Rotatory", "RotatoryCon")
 CON_VARIANTS = ("AbsCon", "LearntCon", "RotatoryCon")
-PROJECTION_ACTIVATIONS = ("leaky", "silu", "identity")
+# feed-forward activations; a Con projection may also use the identity
+ACTIVATIONS = ("leaky", "silu")
+PROJECTION_ACTIVATIONS = ACTIVATIONS + ("identity",)
 
 
-def check_variant(name: str) -> str:
-    if name not in VARIANTS:
-        raise UserError(
-            f"unknown encoding variant '{name}'; valid variants are: " + ", ".join(VARIANTS)
-        )
-    return name
+def activate(name: str, x: TensorNode) -> TensorNode:
+    """The activation `name` (one of PROJECTION_ACTIVATIONS) applied to x."""
+    if name == "leaky":
+        return nm.leaky_relu(x)
+    if name == "silu":
+        return nm.silu(x)
+    return x
+
+
+def xavier(rng: Rng, shape: tuple[int, int]) -> np.ndarray:
+    """Glorot-uniform weights: U(-l, l) with l = sqrt(6 / sum(shape))."""
+    limit = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(shape, -limit, limit)
 
 
 def sinusoidal_table(max_len: int, model_dim: int) -> np.ndarray:
@@ -207,10 +216,8 @@ class EncodingTables:
             # U[0, 1) angle entries sweep the full circle at the base frequency
             tables.angle_table = nm.parameter(rng.uniform((max_len, d // 2)), name="angle_table")
         if encoding.is_concat:
-            limit = np.sqrt(6.0 / (3.0 * d))
-            tables.projection_weight = nm.parameter(
-                rng.uniform((d, 2 * d), -limit, limit), name="projection_weight"
-            )
+            tables.projection_weight = nm.parameter(xavier(rng, (d, 2 * d)),
+                                                    name="projection_weight")
             tables.projection_bias = nm.parameter(np.zeros(d), name="projection_bias")
         return tables
 
@@ -244,14 +251,6 @@ class EncodingTables:
         return nm.gather(table, np.arange(length))
 
 
-def _projection_activation(name: str, x: TensorNode) -> TensorNode:
-    if name == "leaky":
-        return nm.leaky_relu(x)
-    if name == "silu":
-        return nm.silu(x)
-    return x
-
-
 def apply_vector_encoding(x: TensorNode, encoding: EncodingConfig,
                           tables: EncodingTables) -> TensorNode:
     """Combine input embeddings [B, L, d] with the variant's position rows.
@@ -276,4 +275,4 @@ def apply_vector_encoding(x: TensorNode, encoding: EncodingConfig,
     w_x_t, w_r_t = nm.gather(w_t, np.arange(d)), nm.gather(w_t, np.arange(d, 2 * d))
     position_term = nm.linear(rows, w_r_t, tables.projection_bias)  # [L, d]
     projected = nm.linear(x, w_x_t, position_term)
-    return _projection_activation(encoding.projection_activation, projected)
+    return activate(encoding.projection_activation, projected)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+every config reader applies."""
+
+import numbers
 
 
 class PosrecError(Exception):
@@ -42,3 +45,10 @@ class TrainingDiverged(PosrecError):
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg)
+
+
+def require_int(name: str, value) -> int:
+    """`value` as an int; a float, bool or non-number raises UserError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UserError(f"{name} must be an integer, got {value!r}")
+    return int(value)

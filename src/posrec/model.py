@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import numeric as nm
-from .attention import ACTIVATIONS, TransformerBlock, causal_keep_mask
+from .attention import TransformerBlock, causal_keep_mask
 from .data import InteractionDataset, atomic_write, leave_one_out
-from .encodings import (PROJECTION_ACTIVATIONS, EncodingConfig, EncodingTables,
-                        apply_vector_encoding, check_variant, relative_bias_tables)
-from .errors import GraphError, TrainingDiverged, UserError
+from .encodings import (ACTIVATIONS, PROJECTION_ACTIVATIONS, VARIANTS, EncodingConfig,
+                        EncodingTables, apply_vector_encoding, relative_bias_tables, xavier)
+from .errors import GraphError, TrainingDiverged, UserError, require_int
 from .metrics import evaluate
 from .numeric import AdamState, Rng, TensorNode, adam_step
 
@@ -70,6 +71,17 @@ class ModelConfig:
     eval_negatives: int = 100
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int":  # annotations are strings under `from __future__`
+                setattr(self, f.name, require_int(f.name, getattr(self, f.name)))
+        for name in ("dropout", "lr", "l2_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise UserError(f"{name} must be a finite number, got {value!r}")
+        if self.nmax is not None and (isinstance(self.nmax, bool)
+                                      or not isinstance(self.nmax, numbers.Real)):
+            raise UserError(f"nmax must be a number or None, got {self.nmax!r}")
         if self.d < 1 or self.g < 1 or self.blocks < 1 or self.heads < 1:
             raise UserError("d, g, blocks and heads must all be positive")
         if self.d % self.heads:
@@ -100,13 +112,15 @@ class ModelConfig:
         if self.encoding.projection_activation is None:
             self.encoding = replace(self.encoding, projection_activation=self.activation)
         enc = self.encoding
-        check_variant(enc.variant)
+        if enc.variant not in VARIANTS:
+            raise UserError(f"unknown encoding variant '{enc.variant}'; valid variants are: "
+                            + ", ".join(VARIANTS))
         if enc.variant in ("Abs", "AbsCon", "Rotatory", "RotatoryCon") and self.d % 2:
             raise UserError(f"variant {enc.variant} needs an even d, got {self.d}")
         if enc.variant in ("RoPE", "RopeOne") and self.head_dim % 2:
             raise UserError(f"variant {enc.variant} needs an even head dim, got "
                             f"{self.head_dim} (d {self.d} / heads {self.heads})")
-        if enc.is_relative and enc.clip_distance < 1:
+        if enc.is_relative and require_int("clip_distance", enc.clip_distance) < 1:
             raise UserError(f"clip_distance must be >= 1, got {enc.clip_distance}")
         if enc.projection_activation not in PROJECTION_ACTIVATIONS:
             raise UserError(f"projection activation '{enc.projection_activation}' not one of "
@@ -193,6 +207,17 @@ def _sample_negatives(count: int, num_items: int, forbidden: np.ndarray, rng: Rn
     return out
 
 
+def left_pad(sequences, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """[N, max_len] model ids (dataset id + 1) of N item-id sequences, each
+    keeping its most recent max_len items and left-padded with 0, plus the
+    bool mask that is True at real positions."""
+    ids = np.zeros((len(sequences), max_len), dtype=np.int64)
+    for row, seq in enumerate(sequences):
+        seq = np.asarray(seq, dtype=np.int64)[-max_len:]
+        ids[row, max_len - seq.size:] = seq + 1
+    return ids, ids > 0
+
+
 def build_sequences(history, num_items: int, max_len: int, rng: Rng,
                     exclude=None) -> SequenceBatch | None:
     """One user's training row: inputs are the history minus its last item,
@@ -208,15 +233,8 @@ def build_sequences(history, num_items: int, max_len: int, rng: Rng,
     forbidden = history if exclude is None else np.asarray(list(exclude), dtype=np.int64)
     negatives = _sample_negatives(inputs.size, num_items, np.unique(forbidden), rng)
 
-    n = inputs.size
-    def pad(vals):
-        row = np.zeros((1, max_len), dtype=np.int64)
-        row[0, max_len - n:] = vals + 1
-        return row
-
-    mask = np.zeros((1, max_len), dtype=bool)
-    mask[0, max_len - n:] = True
-    return SequenceBatch(pad(inputs), pad(positives), pad(negatives), mask)
+    ids, mask = left_pad((inputs, positives, negatives), max_len)
+    return SequenceBatch(ids[0:1], ids[1:2], ids[2:3], mask[0:1])
 
 
 def score(hidden: TensorNode, target_emb: TensorNode) -> TensorNode:
@@ -289,10 +307,8 @@ class Model:
             rows = np.zeros((num_items + 1, attributes.shape[1]))
             rows[1:] = attributes
             self.attribute_table = nm.constant(rows, name="attribute_table")
-            fan_in = d + attributes.shape[1]
-            limit = math.sqrt(6.0 / (fan_in + d))
             self.fuse_weight = nm.parameter(
-                rng.child(2).uniform((d, fan_in), -limit, limit), name="fuse_weight"
+                xavier(rng.child(2), (d, d + attributes.shape[1])), name="fuse_weight"
             )
             self.fuse_bias = nm.parameter(np.zeros(d), name="fuse_bias")
 
@@ -334,47 +350,39 @@ class Model:
             x = apply_vector_encoding(x, encoding, self.encoding_tables)
         return nm.dropout(x, self.config.dropout, rng.child(0) if rng else None, train)
 
-    def hidden_states(self, inputs: np.ndarray, mask: np.ndarray,
-                      rng: Rng | None = None, train: bool = False) -> TensorNode:
-        """[B, L, d] hidden states for inputs already in model id space."""
+    def hidden_states(self, inputs: np.ndarray, mask: np.ndarray, rng: Rng | None = None,
+                      train: bool = False, query_positions=None) -> TensorNode:
+        """[B, L_q, d] hidden states for inputs already in model id space, at
+        the positions `query_positions` (default: all L).  Every block but the
+        last runs all L positions, since later blocks attend to them; the last
+        block and the final layer norm run the query positions only.
+        """
         x = self._embed(inputs, rng, train)
         keep = causal_keep_mask(mask)
+        last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            x = block(x, keep, rng.child(i + 1) if rng else None, train)
+            x = block(x, keep, rng.child(i + 1) if rng else None, train,
+                      query_positions if i == last else None)
         return nm.layer_norm(x, self.final_gain, self.final_bias)
 
     def final_hidden(self, contexts) -> np.ndarray:
         """Graph-free [B, d] hidden state at each context's last position.
 
-        Contexts are dataset item-id sequences; longer ones keep their most
-        recent max_len events.  They run in blocks of block_rows(config)
-        rows, so the activations stay cache-sized however many are passed.
-        Ranking reads only the last position, so the last block runs its
-        queries, feed-forward and the final layer norm for that row alone; it
-        equals hidden_states(...)[:, -1] up to rounding.
+        Contexts are dataset item-id sequences, left-padded by left_pad.  They
+        run through hidden_states in blocks of block_rows(config) rows, so the
+        activations stay cache-sized however many are passed.  Ranking reads
+        only the last position, so that is the one query position asked for.
         """
-        max_len = self.config.max_len
-        batch = len(contexts)
-        inputs = np.zeros((batch, max_len), dtype=np.int64)
-        mask = np.zeros((batch, max_len), dtype=bool)
-        for b, ctx in enumerate(contexts):
-            ctx = np.asarray(ctx, dtype=np.int64)[-max_len:]
-            if ctx.size == 0:
-                raise UserError("cannot score an empty context")
-            inputs[b, max_len - ctx.size:] = ctx + 1
-            mask[b, max_len - ctx.size:] = True
+        ids, mask = left_pad(contexts, self.config.max_len)
+        if not mask[:, -1].all():
+            raise UserError("cannot score an empty context")
         rows = block_rows(self.config)
+        last = [self.config.max_len - 1]
         with nm.no_graph():
-            return np.concatenate([self._last_hidden(inputs[s:s + rows], mask[s:s + rows])
-                                   for s in range(0, max(batch, 1), rows)])
-
-    def _last_hidden(self, inputs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        x = self._embed(inputs, None, False)
-        keep = causal_keep_mask(mask)
-        for block in self.blocks[:-1]:
-            x = block(x, keep)
-        x = self.blocks[-1](x, keep, query_positions=[self.config.max_len - 1])
-        return nm.layer_norm(x, self.final_gain, self.final_bias).values[:, 0, :]
+            return np.concatenate([
+                self.hidden_states(ids[s:s + rows], mask[s:s + rows], None, False, last).values[:, 0]
+                for s in range(0, max(len(ids), 1), rows)
+            ])
 
     def snapshot(self) -> dict:
         return {name: node.values.copy() for name, node in self.parameters()}

@@ -7,7 +7,7 @@ topological order and accumulates adjoints into the leaves, so calling it
 twice doubles them; intermediate adjoints are dropped as soon as they are
 pushed to the parents.
 
-Float64 is the default dtype. Elementwise ops follow standard numpy
+Leaves are float64. Elementwise ops follow standard numpy
 broadcasting; gradients of broadcast inputs are summed back to the input
 shape. A product with a shared 2-D weight is `linear`; the attention
 products, mask and softmax are one `attend` node per call.
@@ -20,8 +20,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..errors import GraphError, ShapeMismatchError
-
-DEFAULT_DTYPE = np.float64
 
 _graph_enabled = True
 
@@ -85,18 +83,17 @@ class TensorNode:
         return f"TensorNode({tag}, shape={tuple(self.shape)}, grad={self.requires_grad})"
 
 
-def tensor(values, requires_grad=False, name=None, dtype=None):
-    """Wrap array-like data as a leaf node."""
-    arr = np.asarray(values, dtype=dtype or DEFAULT_DTYPE)
-    return TensorNode(arr, requires_grad=requires_grad, name=name)
+def tensor(values, requires_grad=False, name=None):
+    """Wrap array-like data as a float64 leaf node."""
+    return TensorNode(np.asarray(values, dtype=np.float64), requires_grad=requires_grad, name=name)
 
 
-def parameter(values, name=None, dtype=None):
-    return tensor(values, requires_grad=True, name=name, dtype=dtype)
+def parameter(values, name=None):
+    return tensor(values, requires_grad=True, name=name)
 
 
-def constant(values, name=None, dtype=None):
-    return tensor(values, requires_grad=False, name=name, dtype=dtype)
+def constant(values, name=None):
+    return tensor(values, requires_grad=False, name=name)
 
 
 def _make(op, values, parents, push_grads):
@@ -266,12 +263,16 @@ def sum_all(x):
 # nonlinearities
 
 
-def sigmoid(x):
-    v = x.values
+def _logistic(v: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-v)) without overflow for large |v|."""
     with np.errstate(over="ignore", invalid="ignore"):
         # the unselected where-branch may evaluate to inf/inf; NaN inputs
         # still propagate, since NaN >= 0 picks the exp(v) branch
-        out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
+        return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
+
+
+def sigmoid(x):
+    out = _logistic(x.values)
 
     def push(g):
         return (g * out * (1.0 - out),)
@@ -315,8 +316,7 @@ def leaky_relu(x, slope: float = 0.01):
 
 def silu(x):
     v = x.values
-    with np.errstate(over="ignore"):
-        s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
+    s = _logistic(v)
     out = v * s
 
     def push(g):

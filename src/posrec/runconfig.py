@@ -17,7 +17,7 @@ import yaml
 from . import synth
 from .data import InteractionDataset, load_attributes, load_interactions
 from .encodings import EncodingConfig
-from .errors import UserError
+from .errors import UserError, require_int
 from .model import ModelConfig
 from .presets import get_preset
 
@@ -83,8 +83,12 @@ def parse_run_config(raw, source_path: str | None = None) -> RunConfig:
 
     sweep = _require_mapping("section 'sweep'", raw.get("sweep") or {})
     _check_keys("section 'sweep'", sweep, SWEEP_KEYS)
-    if "seeds" in sweep and not isinstance(sweep["seeds"], list):
+    if not isinstance(sweep.get("seeds", []), list):
         raise UserError("sweep.seeds must be a list of integers")
+    for seed in sweep.get("seeds", []):
+        require_int("sweep.seeds entry", seed)
+    if "jobs" in sweep:
+        require_int("sweep.jobs", sweep["jobs"])
 
     preset = raw.get("preset")
     if preset is not None:
@@ -139,15 +143,13 @@ def resolve_dataset(data_section: dict, path_override: str | None = None) -> Int
         data.pop("synth", None)
 
     if "synth" in data:
-        sy = dict(data["synth"])
+        sy = {"seed": 0, **data["synth"]}
         for required in ("profile", "users", "items", "seq_len"):
             if required not in sy:
                 raise UserError(f"data.synth needs '{required}'")
-        return synth.build_dataset(
-            str(sy["profile"]), int(sy["users"]), int(sy["items"]),
-            int(sy["seq_len"]), seed=int(sy.get("seed", 0)),
-            shift=int(sy.get("shift", 7)),
-        )
+        counts = {key: require_int(f"data.synth.{key}", value)
+                  for key, value in sy.items() if key != "profile"}
+        return synth.build_dataset(str(sy["profile"]), **counts)
 
     if "path" not in data:
         raise UserError("no data source: give data.path / data.synth in the "
@@ -156,7 +158,8 @@ def resolve_dataset(data_section: dict, path_override: str | None = None) -> Int
     if path.endswith(".npz") and "min_interactions" in data:
         raise UserError("min_interactions applies to raw logs, not .npz caches")
     if "min_interactions" in data:
-        ds = load_interactions(path, min_interactions=int(data["min_interactions"]))
+        ds = load_interactions(path, min_interactions=require_int("data.min_interactions",
+                                                                  data["min_interactions"]))
     else:
         ds = load_interactions(path)
     if "attributes" in data and data["attributes"]:

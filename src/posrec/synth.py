@@ -35,10 +35,12 @@ PROFILES = ("memorizable", "positional", "random")
 # spread keeps each step ambiguous (a four-way hedge) and stops multi-step
 # offsets from concentrating anywhere a position-blind model could exploit
 STEP_OFFSETS = (0, 4, 6, 10)
+# the default base increment of the positional walks
+SHIFT = 7
 
 
 def generate_sequences(profile: str, users: int, items: int, seq_len: int,
-                       seed: int, shift: int = 7) -> list[np.ndarray]:
+                       seed: int, shift: int = SHIFT) -> list[np.ndarray]:
     if profile not in PROFILES:
         raise UserError(f"unknown profile '{profile}'; valid profiles: {', '.join(PROFILES)}")
     if users < 1 or items < 2 or seq_len < 2:
@@ -65,7 +67,7 @@ def generate_sequences(profile: str, users: int, items: int, seq_len: int,
 
 
 def build_dataset(profile: str, users: int, items: int, seq_len: int,
-                  seed: int, shift: int = 7) -> InteractionDataset:
+                  seed: int, shift: int = SHIFT) -> InteractionDataset:
     """In-memory dataset; timestamps are the within-user positions."""
     seqs = generate_sequences(profile, users, items, seq_len, seed, shift=shift)
     rows = [(str(u), str(int(i)), float(t)) for u, seq in enumerate(seqs) for t, i in enumerate(seq)]
@@ -74,7 +76,7 @@ def build_dataset(profile: str, users: int, items: int, seq_len: int,
 
 
 def write_dataset(profile: str, users: int, items: int, seq_len: int,
-                  seed: int, path: str, shift: int = 7) -> None:
+                  seed: int, path: str, shift: int = SHIFT) -> None:
     """Write the generated log as a TSV; byte-identical for identical inputs."""
     seqs = generate_sequences(profile, users, items, seq_len, seed, shift=shift)
     with atomic_write(path) as fh:

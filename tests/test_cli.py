@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from posrec import cli
-from posrec.data import read_stats_tsv
+from posrec.data import save_cache
 from posrec.errors import UserError
 from posrec.runconfig import (RunConfig, build_model_config, load_run_config,
                               parse_run_config, resolve_dataset)
@@ -188,9 +188,10 @@ def test_stats_prints_and_writes(work, tmp_path, capsys):
     assert cli.main(["stats", work["data"], "--out", str(out)]) == 0
     shown = capsys.readouterr().out
     assert "users" in shown and "30" in shown
-    values = read_stats_tsv(str(out))
-    assert values["users"] == 30 and values["items"] == 12
-    assert values["interactions"] == 210
+    header, row = out.read_text().splitlines()
+    values = dict(zip(header.split("\t"), row.split("\t")))
+    assert values["users"] == "30" and values["items"] == "12"
+    assert values["interactions"] == "210"
 
 
 def test_subset_writes_and_reports(work, tmp_path, capsys):
@@ -315,8 +316,10 @@ def test_bad_encoding_flag_lists_variants(work, capsys):
 
 
 @pytest.mark.parametrize("bad", [{"activation": "identity"}, {"d": 10, "heads": 3},
-                                 {"dropout": 1.0}, {"d": 6, "heads": 2}],
-                         ids=["activation", "heads", "dropout", "rope-head-dim"])
+                                 {"dropout": 1.0}, {"d": 6, "heads": 2},
+                                 {"lr": math.nan}, {"d": 8.0}],
+                         ids=["activation", "heads", "dropout", "rope-head-dim",
+                              "lr-nan", "d-float"])
 def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
     raw = yaml.safe_load(open(work["cfg"]).read())
     raw["model"].update(bad)
@@ -328,6 +331,74 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
     assert cli.main(["train", "--config", str(cfg), "--out", str(run), "--quiet"]) == 1
     assert "error:" in capsys.readouterr().err
     assert not run.exists()
+
+
+@pytest.fixture(scope="module")
+def not_data(work):
+    """A dataset cache, a checkpoint (an .npz that is no dataset) and a missing file."""
+    root = work["root"]
+    cache, run = root / "data.npz", root / "checkpoint-run"
+    save_cache(resolve_dataset({"path": work["data"]}), str(cache))
+    assert cli.main(["train", "--config", work["cfg"], "--out", str(run), "--quiet",
+                     "--epochs", "1"]) == 0
+    return {"cache": str(cache), "checkpoint": str(run / "checkpoint.npz"),
+            "missing": str(root / "missing.csv")}
+
+
+def _config_with(work, path, section, key, value):
+    """The work config with section.key set to value; data.synth replaces data.path."""
+    raw = yaml.safe_load(open(work["cfg"]).read())
+    if section == "data.synth":
+        raw["data"] = {"synth": {"profile": "random", "users": 6, "items": 9, "seq_len": 5,
+                                 key: value}}
+    else:
+        raw.setdefault(section, {})[key] = value
+    path.write_text(yaml.safe_dump(raw))
+    return ["--config", str(path)]
+
+
+# case -> (argv built from (files, config_with), text the error message names)
+BAD_DATA = {
+    "stats npz --min-interactions": (
+        lambda f, cfg: ["stats", f["cache"], "--min-interactions", "3"], "min_interactions"),
+    "subset npz --min-interactions": (
+        lambda f, cfg: ["subset", f["cache"], "--users", "5", "--items", "5",
+                        "--min-interactions", "3", "--out", f["out"]], "min_interactions"),
+    "stats --attributes missing": (
+        lambda f, cfg: ["stats", f["data"], "--attributes", f["missing"]], "missing.csv"),
+    "train data.attributes missing": (
+        lambda f, cfg: ["train", *cfg("data", "attributes", f["missing"])], "missing.csv"),
+    "stats checkpoint.npz": (
+        lambda f, cfg: ["stats", f["checkpoint"]], "not a dataset cache"),
+    "train --data checkpoint.npz": (
+        lambda f, cfg: ["train", "--data", f["checkpoint"]], "not a dataset cache"),
+    "sweep.jobs": (
+        lambda f, cfg: ["sweep", *cfg("sweep", "jobs", "two"), "--seeds", "1"], "sweep.jobs"),
+    "sweep.seeds entry": (
+        lambda f, cfg: ["sweep", *cfg("sweep", "seeds", [1, "two"])], "sweep.seeds"),
+    "data.min_interactions": (
+        lambda f, cfg: ["train", *cfg("data", "min_interactions", "three")],
+        "data.min_interactions"),
+    "data.synth.users": (
+        lambda f, cfg: ["train", *cfg("data.synth", "users", 6.5)], "data.synth.users"),
+    "data.synth.seed": (
+        lambda f, cfg: ["train", *cfg("data.synth", "seed", "zero")], "data.synth.seed"),
+    "data.synth.shift": (
+        lambda f, cfg: ["train", *cfg("data.synth", "shift", True)], "data.synth.shift"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATA))
+def test_bad_data_input_exits_1_naming_it(work, not_data, case, tmp_path, capsys):
+    make_argv, named = BAD_DATA[case]
+    files = {**not_data, "data": work["data"], "out": str(tmp_path / "subset.tsv")}
+    argv = make_argv(files, lambda *kv: _config_with(work, tmp_path / "bad.yaml", *kv))
+    if argv[0] in ("train", "sweep"):
+        argv += ["--out", str(tmp_path / "run"), "--quiet"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "subset.tsv").exists()
 
 
 def test_bad_nmax_flag(work, capsys):

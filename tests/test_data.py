@@ -18,7 +18,6 @@ from posrec.data import (
     load_attributes,
     load_cache,
     load_interactions,
-    read_stats_tsv,
     save_cache,
     save_interactions,
     stats,
@@ -330,10 +329,12 @@ def test_stats_tsv_round_trip(tmp_path):
     s = stats(ds)
     path = str(tmp_path / "stats.tsv")
     write_stats_tsv(s, path)
-    back = read_stats_tsv(path)
-    assert back["users"] == s["users"]
-    assert back["interactions"] == s["interactions"]
-    assert abs(back["density"] - s["density"]) < 1e-12
+    with open(path, encoding="utf-8") as fh:
+        header, row = fh.read().splitlines()
+    back = dict(zip(header.split("\t"), row.split("\t")))
+    assert int(back["users"]) == s["users"]
+    assert int(back["interactions"]) == s["interactions"]
+    assert abs(float(back["density"]) - s["density"]) < 1e-12
     assert str(s["users"]) in format_stats_table(s)
 
 
@@ -415,22 +416,23 @@ def test_positional_bayes_predictor_beats_popularity():
 
 
 def test_failed_atomic_write_leaves_the_old_file_or_none(tmp_path):
-    path = tmp_path / "history.tsv"
+    # the second path's folders are missing, and atomic_write creates them
+    for path in (tmp_path / "history.tsv", tmp_path / "missing" / "dir" / "history.tsv"):
 
-    def torn_write():
+        def torn_write():
+            with atomic_write(str(path)) as fh:
+                fh.write("epoch\tsplit\n1\ttr")
+                raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            torn_write()
+        assert list(path.parent.iterdir()) == []
         with atomic_write(str(path)) as fh:
-            fh.write("epoch\tsplit\n1\ttr")
-            raise OSError("disk full")
-
-    with pytest.raises(OSError):
-        torn_write()
-    assert list(tmp_path.iterdir()) == []
-    with atomic_write(str(path)) as fh:
-        fh.write("complete\n")
-    with pytest.raises(OSError):
-        torn_write()
-    assert path.read_text() == "complete\n"
-    assert list(tmp_path.iterdir()) == [path]
+            fh.write("complete\n")
+        with pytest.raises(OSError):
+            torn_write()
+        assert path.read_text() == "complete\n"
+        assert list(path.parent.iterdir()) == [path]
 
 
 class TornFile:

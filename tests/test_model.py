@@ -233,9 +233,17 @@ def test_config_validation():
                 dict(activation="identity"), dict(d=10, heads=3), dict(dropout=1.0),
                 dict(d=6, heads=2, encoding="RoPE"),  # head dim 3 is odd
                 dict(d=9, heads=3, encoding="Abs"),  # d must be even
-                dict(encoding=EncodingConfig("LearntCon", projection_activation="relu"))):
+                dict(encoding=EncodingConfig("LearntCon", projection_activation="relu")),
+                # non-finite rates and non-integer counts
+                dict(lr=float("nan")), dict(lr=float("inf")), dict(l2_weight=float("nan")),
+                dict(dropout=float("nan")), dict(d=24.0), dict(eval_negatives=float("nan")),
+                dict(epochs=True), dict(batch_size="16"), dict(nmax="none"),
+                dict(encoding=EncodingConfig("RMHA4", clip_distance=2.5))):
         with pytest.raises(UserError):
             tiny_cfg(**bad)
+    # integral numpy values are counts too, stored as int
+    cfg = tiny_cfg(d=np.int64(8), epochs=np.int32(2))
+    assert type(cfg.d) is int and type(cfg.epochs) is int and cfg.d == 8
 
 
 # one non-default value of every encoding option
