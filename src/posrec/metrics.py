@@ -1,11 +1,11 @@
 """Hit@10 / NDCG under leave-one-out ranking, sampled or full-catalogue.
 
-Each user's ground-truth next item is ranked by dot product with the model's
-final hidden state (the sigmoid is monotone, so ranks are unaffected by
-skipping it), either against `num_negatives` items sampled outside the
-user's history or, with 0 or a request larger than what is left, against
-every item outside it.  Ties break against the ground truth: a constant
-scorer lands at the bottom, not the top.
+Each user's ground-truth next item is ranked by the logit that
+`model.score` computes in training, the dot product of its embedding with
+the model's final hidden state, either against `num_negatives` items
+sampled outside the user's history or, with 0 or a request larger than
+what is left, against every item outside it.  Ties break against the
+ground truth: a constant scorer lands at the bottom, not the top.
 
 Only the last position's hidden state is ranked, so `Model.final_hidden`
 computes the last block for that one row, and each chunk of users is scored
@@ -77,6 +77,9 @@ def evaluate(model, rows, num_negatives: int | None, rng: Rng, batch_size: int =
     """
     if not rows:
         raise UserError("evaluation split is empty")
+    if num_negatives is not None and num_negatives < 0:
+        raise UserError(f"num_negatives must be >= 0 (0 ranks the full catalogue), "
+                        f"got {num_negatives}")
     ranks = []
     counts = []
     items = model.item_table.values[1:]  # model id i + 1 is dataset item i

@@ -2,11 +2,12 @@
 
 Item embeddings (optionally fused with per-item attribute vectors), a
 positional-encoding stage, a stack of causal transformer blocks, and a final
-layer norm produce one hidden state per position; targets are scored by a
-sigmoid dot product against their embeddings.  Training minimises masked
-binary cross-entropy over (positive, sampled-negative) target pairs with
-Adam, an optional per-row max-norm clamp on the embedding/encoding tables,
-and a logarithmic validation schedule that keeps the best checkpoint.
+layer norm produce one hidden state per position; a target's score is the
+logit given by the dot product of that state with the target's embedding.
+Training minimises masked binary cross-entropy over the logits of
+(positive, sampled-negative) target pairs with Adam, an optional per-row
+max-norm clamp on the embedding/encoding tables, and a logarithmic
+validation schedule that keeps the best checkpoint.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from .attention import TransformerBlock, causal_keep_mask
 from .data import InteractionDataset, atomic_write, leave_one_out
 from .encodings import (ACTIVATIONS, PROJECTION_ACTIVATIONS, VARIANTS, EncodingConfig,
                         EncodingTables, apply_vector_encoding, relative_bias_tables, xavier)
-from .errors import GraphError, TrainingDiverged, UserError, require_int
+from .errors import TrainingDiverged, UserError, require_int
 from .metrics import evaluate
 from .numeric import AdamState, Rng, TensorNode, adam_step
 
 CHECKPOINT_FORMAT_VERSION = 1
 # validation runs at epoch 1, then whenever epoch >= 1.3 * last-evaluated epoch
 EVAL_SCHEDULE_FACTOR = 1.3
-LOSS_EPS = 1e-7
 # train() ranks the test split on Rng(seed).child(TEST_EVAL_STREAM)
 TEST_EVAL_STREAM = 5
 # training and final_hidden run a batch in blocks of rows whose largest
@@ -238,30 +238,29 @@ def build_sequences(history, num_items: int, max_len: int, rng: Rng,
 
 
 def score(hidden: TensorNode, target_emb: TensorNode) -> TensorNode:
-    """Per-position relevance: sigmoid of the hidden/target dot product."""
-    return nm.sigmoid(nm.dot_last(hidden, target_emb))
+    """Per-position logit: the dot product of a hidden state and a target
+    embedding.  Ranking compares the same products; the logistic is applied
+    only inside the loss."""
+    return nm.dot_last(hidden, target_emb)
 
 
-def bce_loss(batch: SequenceBatch, y_pos: TensorNode, y_neg: TensorNode,
+def bce_loss(model: Model, batch: SequenceBatch, rng: Rng | None = None, train: bool = False,
              positions: int | None = None) -> TensorNode:
-    """Masked binary cross-entropy over (positive, negative) target pairs.
+    """The batch's training loss: one forward pass, the logits of its
+    positive and negative targets, and their masked binary cross-entropy
+    (nm.bce).
 
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs.  The total
-    over unpadded positions is divided by `positions` (default: their count
-    in `batch`), which keeps the gradient scale comparable across batch
-    sizes; a row block passes its whole batch's count, so the blocks' losses
-    sum to the batch's.
+    `rng` and `train` drive dropout as in Model.hidden_states.  The masked
+    sum is divided by `positions` (default: the unpadded positions of
+    `batch`), which keeps the gradient scale comparable across batch sizes;
+    a row block passes its whole batch's count, so the blocks' losses sum
+    to the batch's.
     """
-    mask = nm.constant(batch.mask.astype(np.float64))
-    pos_term = nm.log(nm.clip(y_pos, LOSS_EPS, 1.0 - LOSS_EPS))
-    neg_flip = nm.add_const(nm.scale(y_neg, -1.0), 1.0)
-    neg_term = nm.log(nm.clip(neg_flip, LOSS_EPS, 1.0 - LOSS_EPS))
-    total = nm.sum_all(nm.mul(mask, nm.add(pos_term, neg_term)))
-    if positions is None:
-        positions = batch.positions
-    if positions == 0:
-        raise GraphError("loss over a fully padded batch")
-    return nm.scale(total, -1.0 / positions)
+    hidden = model.hidden_states(batch.inputs, batch.mask, rng=rng, train=train)
+    z_pos = score(hidden, nm.gather(model.item_table, batch.positives))
+    z_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
+    return nm.bce(z_pos, z_neg, batch.mask,
+                  batch.positions if positions is None else positions)
 
 
 def apply_max_norm(tables: list[TensorNode], nmax: float | None) -> None:
@@ -453,10 +452,7 @@ def _block_loss_and_gradients(model: Model, part: SequenceBatch, drop_rng: Rng,
                               positions: int) -> float:
     """One row block's share of the batch loss, backpropagated when finite.
     Its graph is freed on return, before the next block's forward pass."""
-    hidden = model.hidden_states(part.inputs, part.mask, rng=drop_rng, train=True)
-    y_pos = score(hidden, nm.gather(model.item_table, part.positives))
-    y_neg = score(hidden, nm.gather(model.item_table, part.negatives))
-    loss = bce_loss(part, y_pos, y_neg, positions)
+    loss = bce_loss(model, part, rng=drop_rng, train=True, positions=positions)
     value = loss.item()
     if np.isfinite(value):
         loss.backward()

@@ -6,10 +6,9 @@ from .rng import Rng
 from .tensor import (
     TensorNode,
     add,
-    add_const,
     attend,
     backward,
-    clip,
+    bce,
     concat,
     constant,
     cos,
@@ -20,17 +19,13 @@ from .tensor import (
     layer_norm,
     leaky_relu,
     linear,
-    log,
     mul,
     no_graph,
     pair_swap,
     parameter,
     reshape,
-    scale,
-    sigmoid,
     silu,
     sin,
-    sum_all,
     tensor,
     transpose,
 )

@@ -10,7 +10,8 @@ pushed to the parents.
 Leaves are float64. Elementwise ops follow standard numpy
 broadcasting; gradients of broadcast inputs are summed back to the input
 shape. A product with a shared 2-D weight is `linear`; the attention
-products, mask and softmax are one `attend` node per call.
+products, mask and softmax are one `attend` node per call; the sampled
+binary cross-entropy of a batch is one `bce` node.
 """
 
 from __future__ import annotations
@@ -147,24 +148,6 @@ def mul(a, b):
     return _make("mul", out, (a, b), push)
 
 
-def scale(x, c: float):
-    c = float(c)
-
-    def push(g):
-        return (g * c,)
-
-    return _make("scale", x.values * c, (x,), push)
-
-
-def add_const(x, c: float):
-    c = float(c)
-
-    def push(g):
-        return (g,)
-
-    return _make("add_const", x.values + c, (x,), push)
-
-
 def linear(x, w, b=None):
     """x @ w (+ b) for a shared weight w [k, n] and x [..., k].
 
@@ -250,15 +233,6 @@ def dot_last(a, b):
     return _make("dot_last", out, (a, b), push)
 
 
-def sum_all(x):
-    out = np.asarray(x.values.sum())
-
-    def push(g):
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=False),)
-
-    return _make("sum_all", out, (x,), push)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -269,25 +243,6 @@ def _logistic(v: np.ndarray) -> np.ndarray:
         # the unselected where-branch may evaluate to inf/inf; NaN inputs
         # still propagate, since NaN >= 0 picks the exp(v) branch
         return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
-
-
-def sigmoid(x):
-    out = _logistic(x.values)
-
-    def push(g):
-        return (g * out * (1.0 - out),)
-
-    return _make("sigmoid", out, (x,), push)
-
-
-def log(x):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.values)
-
-    def push(g):
-        return (g / x.values,)
-
-    return _make("log", out, (x,), push)
 
 
 def sin(x):
@@ -323,18 +278,6 @@ def silu(x):
         return (g * s * (1.0 + v * (1.0 - s)),)
 
     return _make("silu", out, (x,), push)
-
-
-def clip(x, lo: float, hi: float):
-    """Clamp values; gradient passes only through the interior."""
-    v = x.values
-    out = np.clip(v, lo, hi)
-    inside = (v > lo) & (v < hi)
-
-    def push(g):
-        return (np.where(inside, g, 0.0),)
-
-    return _make("clip", out, (x,), push)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
@@ -502,6 +445,43 @@ def attend(q, k, v, keep, a_k=None, a_v=None, idx=None):
         return grads
 
     return _make("attend", out, (q, k, v, *tables), push)
+
+
+# ---------------------------------------------------------------------------
+# loss
+
+# bce clamps each probability into [BCE_EPS, 1 - BCE_EPS] before its log
+BCE_EPS = 1e-7
+
+
+def bce(z_pos, z_neg, mask, count):
+    """Masked binary cross-entropy of (positive, negative) logit pairs.
+
+    -(1/count) * sum of mask * [log clip(s(z_pos)) + log clip(1 - s(z_neg))],
+    with s the logistic and clip into [BCE_EPS, 1 - BCE_EPS]; mask is a 0/1
+    array of z_pos's shape.  A term takes gradient only strictly inside the
+    clip range, d/dz_pos = -mask * (1 - s(z_pos)) / count and d/dz_neg =
+    mask * s(z_neg) / count.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    if z_neg.shape != z_pos.shape or mask.shape != z_pos.shape:
+        raise ShapeMismatchError("bce", z_pos.shape, z_neg.shape, mask.shape)
+    if count == 0:
+        raise GraphError("loss over a fully padded batch")
+    lo, hi = BCE_EPS, 1.0 - BCE_EPS
+    s_pos = _logistic(z_pos.values)
+    s_neg = _logistic(z_neg.values)
+    p_neg = 1.0 - s_neg
+    terms = np.log(np.clip(s_pos, lo, hi)) + np.log(np.clip(p_neg, lo, hi))
+    c = -1.0 / count
+    out = np.asarray((mask * terms).sum()) * c
+
+    def push(g):
+        w = g * c * mask
+        return (np.where((s_pos > lo) & (s_pos < hi), w * (1.0 - s_pos), 0.0),
+                np.where((p_neg > lo) & (p_neg < hi), -w * s_neg, 0.0))
+
+    return _make("bce", out, (z_pos, z_neg), push)
 
 
 # ---------------------------------------------------------------------------

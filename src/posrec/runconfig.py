@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 from dataclasses import dataclass, field
 
 import yaml
@@ -27,6 +28,18 @@ SYNTH_KEYS = {"profile", "users", "items", "seq_len", "seed", "shift"}
 MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {"encoding"}
 ENCODING_KEYS = {f.name for f in dataclasses.fields(EncodingConfig)}
 SWEEP_KEYS = {"seeds", "jobs"}
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader plus the YAML 1.2 float rule, so that `5e-3` and `1e-4`,
+    which YAML 1.1 reads as strings for want of a dot, are floats."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
 
 
 def _check_keys(section: str, mapping: dict, allowed: set) -> None:
@@ -109,7 +122,7 @@ def parse_run_config(raw, source_path: str | None = None) -> RunConfig:
 def load_run_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_ConfigLoader)
     except OSError as err:
         raise UserError(f"cannot read config {path}: {err}") from None
     except yaml.YAMLError as err:

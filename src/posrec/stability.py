@@ -122,6 +122,8 @@ def recommend_encoding(baseline: SweepSummary,
     stable ones get the rotational variant with the concat projection
     (RotatoryCon).  A dev exactly at the threshold counts as stable.
     """
+    if not math.isfinite(threshold):
+        raise UserError(f"threshold must be a finite number, got {threshold}")
     if baseline.runs < 3:
         raise UserError(
             f"insufficient runs: the recommendation needs at least 3 seeds, "
@@ -175,27 +177,34 @@ def read_summary_tsv(path: str) -> dict:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
     except OSError as err:
         raise UserError(f"cannot read sweep results {path}: {err}") from None
-    if len(lines) < 2 or tuple(lines[0].split("\t")) != RESULTS_COLUMNS:
+    if len(lines) < 2 or tuple(lines[0].split("\t")) != RESULTS_COLUMNS \
+            or len(lines[1].split("\t")) != len(RESULTS_COLUMNS):
         raise UserError(f"{path} is not a sweep results table")
-    values = lines[1].split("\t")
-    got = dict(zip(RESULTS_COLUMNS, values))
-    ci = tuple(float(p) for p in got["CI"].strip("()").split(","))
+    got = dict(zip(RESULTS_COLUMNS, lines[1].split("\t")))
+
+    def number(column, parse=float):
+        try:
+            return parse(got[column])
+        except ValueError:
+            raise UserError(f"{path}: column '{column}' holds {got[column]!r}, "
+                            "not a number") from None
+
     summary = SweepSummary(
         fingerprint="",
         records=[],
-        hit_mean=float(got["Hit Mean"]),
-        hit_dev=float(got["Hit Dev"]),
-        ndcg_mean=float(got["NDCG Mean"]),
-        ndcg_dev=float(got["NDCG Dev"]),
-        runs=int(got["runs"]),
-        ci=ci,
-        ci_length=float(got["CI-length"]),
+        hit_mean=number("Hit Mean"),
+        hit_dev=number("Hit Dev"),
+        ndcg_mean=number("NDCG Mean"),
+        ndcg_dev=number("NDCG Dev"),
+        runs=number("runs", int),
+        ci=number("CI", lambda text: tuple(float(p) for p in text.strip("()").split(","))),
+        ci_length=number("CI-length"),
     )
     return {
         "summary": summary,
         "activation": got["Act"],
         "encoding": got["encoding"],
-        "nmax": _parse_nmax(got["nmax"]),
+        "nmax": number("nmax", _parse_nmax),
     }
 
 

@@ -23,7 +23,6 @@ from posrec.model import (
     SequenceBatch,
     bce_loss,
     build_sequences,
-    score,
     train,
     write_history_tsv,
 )
@@ -74,15 +73,9 @@ def test_criterion_01_gradient_suite():
             model = _conditioned_model(variant, seed)
             batch = _tiny_batch(seed)
 
-            def build_loss():
-                hidden = model.hidden_states(batch.inputs, batch.mask)
-                y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
-                y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-                return bce_loss(batch, y_pos, y_neg)
-
             # floor 1e-6: entries seven orders below the loss scale sit at
             # central-difference roundoff and carry no comparable signal
-            report = check_gradients(build_loss, model.parameters(),
+            report = check_gradients(lambda: bce_loss(model, batch), model.parameters(),
                                      h=1e-5, floor=1e-6)
             errs.append(report.max_rel_err)
             assert report.max_rel_err < 1e-4, (variant, seed, report.worst_param)

@@ -156,7 +156,7 @@ def test_relative_attention_gradients_over_shared_buckets(query_positions, use_v
     def build():
         out = relative_attention(q, k, v, a_k, a_v, keep, use_value_bias=use_value_bias,
                                  query_positions=query_positions)
-        return nm.sum_all(nm.mul(out, nm.constant(weights)))
+        return nm.dot_last(nm.reshape(out, (-1,)), nm.constant(weights.ravel()))
 
     params = [("q", q), ("k", k), ("v", v), ("a_k", a_k)]
     if use_value_bias:
@@ -276,7 +276,7 @@ def test_block_gradients_match_finite_differences():
 
         def build():
             out = block(x, mask)
-            return nm.sum_all(nm.mul(out, nm.constant(weights)))
+            return nm.dot_last(nm.reshape(out, (-1,)), nm.constant(weights.ravel()))
 
         params = [("x", x)] + block.parameters()
         if block.rel_tables is not None:

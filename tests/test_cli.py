@@ -7,7 +7,7 @@ import os
 import pytest
 import yaml
 
-from posrec import cli
+from posrec import cli, stability
 from posrec.data import save_cache
 from posrec.errors import UserError
 from posrec.runconfig import (RunConfig, build_model_config, load_run_config,
@@ -89,6 +89,13 @@ def test_nmax_nan_in_yaml_means_unbounded(tmp_path):
     p.write_text("model:\n  nmax: .nan\n")
     cfg = build_model_config(load_run_config(p))
     assert cfg.nmax is None
+
+
+@pytest.mark.parametrize("key, text, value", [("lr", "5e-3", 0.005), ("nmax", "1e-4", 1e-4)])
+def test_yaml_exponent_without_a_dot_is_a_float(tmp_path, key, text, value):
+    p = tmp_path / "c.yaml"
+    p.write_text(f"model:\n  {key}: {text}\n")
+    assert getattr(build_model_config(load_run_config(p)), key) == value
 
 
 def test_override_nmax_none_beats_config():
@@ -335,14 +342,24 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
 
 @pytest.fixture(scope="module")
 def not_data(work):
-    """A dataset cache, a checkpoint (an .npz that is no dataset) and a missing file."""
+    """A dataset cache, a checkpoint (an .npz that is no dataset), a missing
+    file, and two sweep results tables, well formed and with a word for a
+    number."""
     root = work["root"]
     cache, run = root / "data.npz", root / "checkpoint-run"
     save_cache(resolve_dataset({"path": work["data"]}), str(cache))
     assert cli.main(["train", "--config", work["cfg"], "--out", str(run), "--quiet",
                      "--epochs", "1"]) == 0
+    header = "\t".join(stability.RESULTS_COLUMNS)
+    row = ["leaky", "None", "NaN", "50.00", "3.00", "30.00", "2.00", "3",
+           "(45.00, 55.00)", "10.00"]
+    results, bad_results = root / "results.tsv", root / "results-abc.tsv"
+    results.write_text(header + "\n" + "\t".join(row) + "\n")
+    row[4] = "abc"  # Hit Dev
+    bad_results.write_text(header + "\n" + "\t".join(row) + "\n")
     return {"cache": str(cache), "checkpoint": str(run / "checkpoint.npz"),
-            "missing": str(root / "missing.csv")}
+            "missing": str(root / "missing.csv"), "results": str(results),
+            "bad_results": str(bad_results)}
 
 
 def _config_with(work, path, section, key, value):
@@ -385,6 +402,13 @@ BAD_DATA = {
         lambda f, cfg: ["train", *cfg("data.synth", "seed", "zero")], "data.synth.seed"),
     "data.synth.shift": (
         lambda f, cfg: ["train", *cfg("data.synth", "shift", True)], "data.synth.shift"),
+    "evaluate --negatives -3": (
+        lambda f, cfg: ["evaluate", f["checkpoint"], "--data", f["data"], "--negatives", "-3"],
+        "num_negatives must be >= 0"),
+    "recommend-encoding word in Hit Dev": (
+        lambda f, cfg: ["recommend-encoding", f["bad_results"]], "column 'Hit Dev'"),
+    "recommend-encoding --threshold nan": (
+        lambda f, cfg: ["recommend-encoding", f["results"], "--threshold", "nan"], "threshold"),
 }
 
 

@@ -79,10 +79,10 @@ def test_rotatory_pairs_have_unit_norm(max_len, d):
 def test_rotatory_gradient_matches_finite_differences():
     rng = nm.Rng(23)
     angles = nm.parameter(rng.uniform((4, 3)))
-    weights = nm.constant(rng.normal((4, 6)))
+    weights = nm.constant(rng.normal((4 * 6,)))
 
     def build():
-        return nm.sum_all(nm.mul(rotatory_table(angles, 6), weights))
+        return nm.dot_last(nm.reshape(rotatory_table(angles, 6), (-1,)), weights)
 
     report = nm.check_gradients(build, [("angles", angles)], h=1e-6)
     assert report.max_rel_err < 1e-5
@@ -158,7 +158,7 @@ def test_all_learnable_vector_variants_pass_gradient_check():
 
         def build():
             out = apply_vector_encoding(nm.tensor(x_values), encoding, tables)
-            return nm.sum_all(nm.mul(out, nm.constant(weights)))
+            return nm.dot_last(nm.reshape(out, (-1,)), nm.constant(weights.ravel()))
 
         report = nm.check_gradients(build, tables.parameters(), h=1e-5)
         assert report.max_rel_err < 1e-4, f"{variant}: {report.max_rel_err:.2e}"

@@ -103,59 +103,50 @@ def test_score_matches_loop_oracle():
     for b in range(2):
         for l in range(3):
             dot = float(np.dot(h.values[b, l], t.values[b, l]))
-            assert got[b, l] == pytest.approx(1.0 / (1.0 + math.exp(-dot)), abs=1e-12)
+            assert got[b, l] == pytest.approx(dot, abs=1e-12)
 
 
-def test_score_orthogonal_is_half_and_aligned_saturates():
+def test_score_orthogonal_is_zero_and_aligned_is_unbounded():
     h = nm.constant(np.array([[[1.0, 0.0], [30.0, 40.0]]]))
     t = nm.constant(np.array([[[0.0, 1.0], [30.0, 40.0]]]))
     got = score(h, t).values[0]
-    assert got[0] == pytest.approx(0.5, abs=1e-15)
-    assert got[1] > 0.999999
+    assert got[0] == 0.0
+    assert got[1] == 2500.0
 
 
-def one_position_batch():
-    shape = (1, 3)
-    mask = np.zeros(shape, dtype=bool)
-    mask[0, -1] = True
-    z = np.zeros(shape, dtype=np.int64)
-    return SequenceBatch(z, z, z, mask)
+def last_position_mask(rows=1):
+    mask = np.zeros((rows, 3), dtype=bool)
+    mask[:, -1] = True
+    return mask
 
 
 def test_bce_half_half_is_two_log_two():
-    batch = one_position_batch()
-    half = nm.constant(np.full((1, 3), 0.5))
-    loss = bce_loss(batch, half, half)
+    zeros = nm.constant(np.zeros((1, 3)))
+    loss = nm.bce(zeros, zeros, last_position_mask(), 1)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
     # a mean over unpadded positions: three of them give the same value
-    three = SequenceBatch.stack([batch] * 3)
-    loss = bce_loss(three, nm.constant(np.full((3, 3), 0.5)), nm.constant(np.full((3, 3), 0.5)))
+    zeros = nm.constant(np.zeros((3, 3)))
+    loss = nm.bce(zeros, zeros, last_position_mask(3), 3)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
 def test_bce_perfect_predictions_nearly_zero():
-    batch = one_position_batch()
-    loss = bce_loss(batch, nm.constant(np.ones((1, 3))), nm.constant(np.zeros((1, 3))))
-    assert 0.0 <= loss.item() <= 2.1e-7 * batch.positions
+    loss = nm.bce(nm.constant(np.full((1, 3), 40.0)), nm.constant(np.full((1, 3), -40.0)),
+                  last_position_mask(), 1)
+    assert 0.0 <= loss.item() <= 2.1e-7
 
 
 def test_fully_padded_row_contributes_exactly_zero():
     rng = Rng(9)
-    y1 = rng.uniform((1, 4), 0.05, 0.95)
-    y2 = rng.uniform((1, 4), 0.05, 0.95)
+    z1 = rng.uniform((1, 4), -3.0, 3.0)
+    z2 = rng.uniform((1, 4), -3.0, 3.0)
     mask_one = np.array([[False, True, True, True]])
-    z = np.zeros((1, 4), dtype=np.int64)
-    single = SequenceBatch(z, z, z, mask_one)
-    lone = bce_loss(single, nm.constant(y1), nm.constant(y2)).item()
+    lone = nm.bce(nm.constant(z1), nm.constant(z2), mask_one, 3).item()
 
-    both = SequenceBatch(
-        np.concatenate([z, z]), np.concatenate([z, z]), np.concatenate([z, z]),
-        np.concatenate([mask_one, np.zeros((1, 4), dtype=bool)]),
-    )
-    padded = bce_loss(
-        both,
-        nm.constant(np.concatenate([y1, rng.uniform((1, 4))])),
-        nm.constant(np.concatenate([y2, rng.uniform((1, 4))])),
+    padded = nm.bce(
+        nm.constant(np.concatenate([z1, rng.uniform((1, 4), -3.0, 3.0)])),
+        nm.constant(np.concatenate([z2, rng.uniform((1, 4), -3.0, 3.0)])),
+        np.concatenate([mask_one, np.zeros((1, 4), dtype=bool)]), 3,
     ).item()
     assert padded == lone
 
@@ -168,13 +159,29 @@ def test_loss_invariant_to_user_order_in_batch():
     model = Model(ds.num_items, cfg, Rng(0))
 
     def loss_of(order):
-        batch = SequenceBatch.stack([rows[i] for i in order])
-        hidden = model.hidden_states(batch.inputs, batch.mask)
-        y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
-        y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-        return bce_loss(batch, y_pos, y_neg).item()
+        return bce_loss(model, SequenceBatch.stack([rows[i] for i in order])).item()
 
     assert loss_of([0, 1, 2, 3]) == pytest.approx(loss_of([2, 0, 3, 1]), rel=1e-12)
+
+
+def test_training_loss_is_one_bce_node():
+    ds = tiny_ds()
+    rows = [build_sequences(ds.sequences[u], ds.num_items, 6, Rng(3).child(u))
+            for u in range(3)]
+    model = Model(ds.num_items, tiny_cfg(encoding="RMHA4", dropout=0.2), Rng(0))
+    loss = bce_loss(model, SequenceBatch.stack(rows), rng=Rng(4), train=True)
+    ops, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.op_record is None:
+            continue
+        seen.add(id(node))
+        ops.append(node.op_record.op)
+        stack.extend(node.op_record.parents)
+    assert loss.op_record.op == "bce" and ops.count("bce") == 1
+    retired = {"sigmoid", "log", "clip", "scale", "add_const", "sum_all"}
+    assert not retired & set(ops)
+    assert not retired & set(vars(nm))
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +574,6 @@ def test_checkpoint_with_non_finite_parameter_is_rejected(tmp_path, bad):
 # gradients through the whole model
 
 
-def full_loss_builder(model, batch):
-    def build():
-        hidden = model.hidden_states(batch.inputs, batch.mask)
-        y_pos = score(hidden, nm.gather(model.item_table, batch.positives))
-        y_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
-        return bce_loss(batch, y_pos, y_neg)
-    return build
-
-
 def condition_for_fd(model, rng):
     """Redraw the embedding-scale tables at a larger magnitude.
 
@@ -602,6 +600,5 @@ def test_full_model_gradients_match_finite_differences(variant):
     batch = SequenceBatch.stack(rows)
     # floor 1e-6: entries seven orders below the loss scale sit at central-
     # difference roundoff (~eps*f/2h) and carry no signal to compare against
-    report = check_gradients(full_loss_builder(model, batch),
-                             model.parameters(), floor=1e-6)
+    report = check_gradients(lambda: bce_loss(model, batch), model.parameters(), floor=1e-6)
     assert report.max_rel_err < 1e-4, report.worst_param

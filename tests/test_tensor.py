@@ -5,6 +5,8 @@ finite differences (h=1e-5, float64) over randomized shapes and values. The
 checker only calls forward evaluations, so the two routes are independent.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,8 @@ TOL = 1e-4
 
 def weighted_sum(node, rng):
     """Scalar loss with a random downstream weighting so grads are not flat."""
-    w = nm.constant(rng.normal(node.shape))
-    return nm.sum_all(nm.mul(node, w))
+    w = nm.constant(rng.normal((node.values.size,)))
+    return nm.dot_last(nm.reshape(node, (-1,)), w)
 
 
 def away_from(x, points, margin):
@@ -43,16 +45,6 @@ def _case_mul(rng):
     a = nm.parameter(rng.normal((2, 3, 2)))
     b = nm.parameter(rng.normal((3, 1)))
     return [("a", a), ("b", b)], lambda: weighted_sum(nm.mul(a, b), rng.child(0))
-
-
-def _case_scale(rng):
-    x = nm.parameter(rng.normal((5,)))
-    return [("x", x)], lambda: weighted_sum(nm.scale(x, -2.5), rng.child(0))
-
-
-def _case_add_const(rng):
-    x = nm.parameter(rng.normal((2, 3)))
-    return [("x", x)], lambda: weighted_sum(nm.add_const(x, 1.7), rng.child(0))
 
 
 def _case_linear(rng):
@@ -143,16 +135,6 @@ def _case_attend_query_rows(rng):
     return _attend_case(rng, keep=keep, key_bias=True, value_bias=True, L_q=2)
 
 
-def _case_sigmoid(rng):
-    x = nm.parameter(rng.normal((4, 2)))
-    return [("x", x)], lambda: weighted_sum(nm.sigmoid(x), rng.child(0))
-
-
-def _case_log(rng):
-    x = nm.parameter(rng.uniform((3, 3), 0.4, 3.0))
-    return [("x", x)], lambda: weighted_sum(nm.log(x), rng.child(0))
-
-
 def _case_sin(rng):
     x = nm.parameter(rng.normal((2, 5)))
     return [("x", x)], lambda: weighted_sum(nm.sin(x), rng.child(0))
@@ -171,11 +153,6 @@ def _case_leaky(rng):
 def _case_silu(rng):
     x = nm.parameter(rng.normal((3, 4)))
     return [("x", x)], lambda: weighted_sum(nm.silu(x), rng.child(0))
-
-
-def _case_clip(rng):
-    x = nm.parameter(away_from(rng.uniform((3, 4), -2.0, 2.0), [-0.9, 0.9], 0.01))
-    return [("x", x)], lambda: weighted_sum(nm.clip(x, -0.9, 0.9), rng.child(0))
 
 
 def _case_layer_norm(rng):
@@ -209,16 +186,39 @@ def _case_pair_swap(rng):
     return [("x", x)], lambda: weighted_sum(nm.pair_swap(x), rng.child(0))
 
 
-def _case_mean_all(rng):
-    x = nm.parameter(rng.normal((3, 4)))
-    return [("x", x)], lambda: nm.scale(nm.sum_all(nm.mul(x, x)), 1.0 / x.values.size)
+def _bce_case(rng, mask=None):
+    """bce over [3, 4] logits of scale 2, far inside the clip kinks at |z| ~ 16.1."""
+    z_pos, z_neg = (nm.parameter(rng.normal((3, 4), scale=2.0)) for _ in range(2))
+    mask = np.ones((3, 4)) if mask is None else mask
+    count = int(mask.sum()) + 2  # a row block's share of a larger batch
+    return [("z_pos", z_pos), ("z_neg", z_neg)], lambda: nm.bce(z_pos, z_neg, mask, count)
+
+
+def _case_bce(rng):
+    return _bce_case(rng)
+
+
+def _case_bce_masked(rng):
+    mask = (rng.uniform((3, 4)) > 0.4).astype(np.float64)
+    mask[0] = 0.0  # a fully padded row
+    return _bce_case(rng, mask=mask)
+
+
+def _case_bce_saturated(rng):
+    # about a third of the logits lie past the kinks, where the clip leaves
+    # no gradient; the rest stay as drawn
+    params, build = _bce_case(rng)
+    for _, z in params:
+        far = rng.uniform((3, 4)) < 1.0 / 3.0
+        far[0, 0] = True
+        signs = np.where(rng.uniform((3, 4)) < 0.5, -1.0, 1.0)
+        z.values[far] = (signs * rng.uniform((3, 4), 20.0, 40.0))[far]
+    return params, build
 
 
 OP_CASES = {
     "add": _case_add,
     "mul": _case_mul,
-    "scale": _case_scale,
-    "add_const": _case_add_const,
     "attend": _case_attend,
     "attend_masked": _case_attend_masked,
     "attend_key_bias": _case_attend_key_bias,
@@ -232,22 +232,21 @@ OP_CASES = {
     "concat": _case_concat,
     "gather": _case_gather,
     "dot_last": _case_dot_last,
-    "sigmoid": _case_sigmoid,
-    "log": _case_log,
     "sin": _case_sin,
     "cos": _case_cos,
     "leaky_relu": _case_leaky,
     "silu": _case_silu,
-    "clip": _case_clip,
     "layer_norm": _case_layer_norm,
     "dropout": _case_dropout,
     "interleave": _case_interleave,
     "pair_swap": _case_pair_swap,
-    "mean_all": _case_mean_all,
+    "bce": _case_bce,
+    "bce_masked": _case_bce_masked,
+    "bce_saturated": _case_bce_saturated,
 }
 
 # the OP_CASES key of each op whose case is not named after it
-CASE_OF_OP = {"interleave_last": "interleave", "sum_all": "mean_all"}
+CASE_OF_OP = {"interleave_last": "interleave"}
 
 
 def test_every_public_op_has_a_gradient_case():
@@ -280,7 +279,8 @@ def test_three_op_composite_matches_finite_differences():
     b = nm.parameter(rng.normal((4, 2)))
 
     def build():
-        return nm.sum_all(nm.sigmoid(nm.linear(a, b)))
+        z = nm.linear(a, b)  # feeds both sides of the loss: its adjoints add up
+        return nm.bce(z, nm.silu(z), np.ones(z.shape), z.values.size)
 
     report = nm.check_gradients(build, [("a", a), ("b", b)], h=H)
     assert report.max_rel_err < TOL
@@ -303,20 +303,23 @@ def test_softmax_uniform_logits():
     np.testing.assert_allclose(y, np.full((2, 3), 1.0 / 3.0), atol=1e-15)
 
 
-def test_sigmoid_at_zero():
-    assert nm.sigmoid(nm.tensor(np.array(0.0))).item() == 0.5
+def test_bce_at_zero_logits_is_two_log_two():
+    zeros = nm.tensor(np.zeros((2, 3)))
+    loss = nm.bce(zeros, zeros, np.ones((2, 3)), 6).item()
+    assert loss == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
 
 
 def test_backward_of_square_sum():
     x = nm.parameter(np.array([1.0, 2.0]))
-    nm.sum_all(nm.mul(x, x)).backward()
+    nm.dot_last(x, x).backward()
     np.testing.assert_allclose(x.adjoint, [2.0, 4.0], atol=1e-15)
 
 
-def test_sigmoid_derivative_at_zero():
-    w = nm.parameter(np.array(0.0))
-    nm.sigmoid(w).backward()
-    assert abs(float(w.adjoint) - 0.25) < 1e-15
+def test_bce_derivative_at_zero_logits():
+    z_pos, z_neg = nm.parameter(np.zeros((1, 3))), nm.parameter(np.zeros((1, 3)))
+    nm.bce(z_pos, z_neg, np.ones((1, 3)), 4).backward()
+    np.testing.assert_allclose(z_pos.adjoint, -0.5 / 4, atol=1e-15)
+    np.testing.assert_allclose(z_neg.adjoint, 0.5 / 4, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +399,7 @@ def test_dropout_matches_mask_times_factor_bitwise():
 
 def test_backward_twice_accumulates():
     x = nm.parameter(np.array([3.0]))
-    loss = nm.sum_all(nm.mul(x, x))
+    loss = nm.dot_last(x, x)
     loss.backward()
     first = x.adjoint.copy()
     loss.backward()
@@ -407,13 +410,15 @@ def test_backward_keeps_adjoints_on_leaves_only():
     x = nm.parameter(np.array([1.0, -2.0]))
     w = nm.parameter(np.array([0.5, 3.0]))
     product = nm.mul(x, w)
-    act = nm.sigmoid(product)
-    loss = nm.sum_all(act)
+    act = nm.silu(product)
+    loss = nm.dot_last(act, nm.constant(np.ones(2)))
     loss.backward()
     assert product.adjoint is None and act.adjoint is None and loss.adjoint is None
-    s = 1.0 / (1.0 + np.exp(-x.values * w.values))
-    np.testing.assert_allclose(x.adjoint, s * (1.0 - s) * w.values, atol=1e-15)
-    np.testing.assert_allclose(w.adjoint, s * (1.0 - s) * x.values, atol=1e-15)
+    v = x.values * w.values
+    s = 1.0 / (1.0 + np.exp(-v))
+    slope = s * (1.0 + v * (1.0 - s))
+    np.testing.assert_allclose(x.adjoint, slope * w.values, atol=1e-15)
+    np.testing.assert_allclose(w.adjoint, slope * x.values, atol=1e-15)
 
 
 def test_offset_sum_matches_loop_and_inverts_offset_take():
@@ -447,7 +452,7 @@ def test_offset_ops_reject_mismatched_index_rows():
 def test_constant_leaves_have_no_adjoint():
     x = nm.parameter(np.array([1.0, 2.0]))
     c = nm.constant(np.array([5.0, 6.0]))
-    nm.sum_all(nm.mul(x, c)).backward()
+    nm.dot_last(x, c).backward()
     assert c.adjoint is None
     assert x.adjoint is not None
 
@@ -455,7 +460,7 @@ def test_constant_leaves_have_no_adjoint():
 def test_no_graph_builds_plain_nodes():
     x = nm.parameter(np.ones(3))
     with nm.no_graph():
-        y = nm.sum_all(nm.mul(x, x))
+        y = nm.dot_last(x, x)
     assert y.op_record is None and not y.requires_grad
 
 
@@ -465,7 +470,7 @@ def test_forward_backward_deterministic_given_seed_and_stream():
         a = nm.parameter(rng.normal((8, 8)))
         b = nm.parameter(rng.normal((8, 8)))
         h = nm.dropout(nm.silu(nm.linear(a, b)), 0.3, rng.child(1), train=True)
-        loss = nm.scale(nm.sum_all(nm.mul(h, h)), 1.0 / h.values.size)
+        loss = weighted_sum(h, rng.child(2))
         loss.backward()
         return loss.values.copy(), a.adjoint.copy(), b.adjoint.copy()
 
@@ -485,3 +490,13 @@ def test_backward_from_non_scalar_fails():
     with pytest.raises(GraphError):
         nm.mul(x, x).backward()
 
+
+
+def test_bce_rejects_mismatched_shapes_and_an_empty_batch():
+    z = nm.tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeMismatchError, match="bce"):
+        nm.bce(z, nm.tensor(np.zeros((3, 2))), np.ones((2, 3)), 6)
+    with pytest.raises(ShapeMismatchError, match="bce"):
+        nm.bce(z, z, np.ones(3), 6)
+    with pytest.raises(GraphError, match="fully padded"):
+        nm.bce(z, z, np.zeros((2, 3)), 0)
