@@ -7,7 +7,7 @@ Ten variants, referred to everywhere by these exact names:
     AbsCon      fixed sinusoidal table, concatenated then projected
     Learnt      trainable position table, added
     LearntCon   trainable position table, concatenated then projected
-    Rotatory    trainable angle table driving a sin/cos row pattern, added
+    Rotatory    trainable angles rotating unit (sin, cos) pairs, added
     RotatoryCon the same rows, concatenated then projected
     RMHA4       relative attention biases at clamped offsets (in-attention)
     RoPE        query/key pair rotation by position (in-attention)
@@ -15,6 +15,10 @@ Ten variants, referred to everywhere by these exact names:
 
 The first seven act on the input embeddings (vector encodings); the last
 three act inside attention and are applied by the attention module.
+
+Both rotation encodings are the one op `numeric.rotate`: RoPE turns the
+query and key pairs by fixed position angles, and a Rotatory table turns the
+unit pairs (0, 1) by its trainable angles.
 
 EncodingConfig names the variant and its options; ModelConfig holds it and
 validates it against the model's sizes.  EncodingTables holds the tables a
@@ -80,52 +84,34 @@ def sinusoidal_table(max_len: int, model_dim: int) -> np.ndarray:
     return table
 
 
-def rotatory_table(angle_table: TensorNode, model_dim: int) -> TensorNode:
-    """Trainable trig rows: even columns (-1)^i sin, odd columns cos.
+def rotatory_table(angle_table: TensorNode) -> TensorNode:
+    """Trainable trig rows of width d = 2H: even columns (-1)^i sin, odd columns cos.
 
-    angle_table has one column per pair (H = model_dim / 2); each entry is
-    scaled by 2*pi / 10000^(2i/d) so a unit angle entry sweeps the full
-    circle at the lowest frequency. Every (sin, cos) pair has unit norm by
-    construction, whatever the angles are.
+    angle_table [L, H] has one column per (sin, cos) pair; entry i is scaled
+    by 2*pi / 10000^(2i/d), so a unit angle entry sweeps the full circle at
+    the lowest frequency.  The rows are the unit pairs (0, 1) rotated by
+    -(-1)^i times that angle, so every pair has unit norm whatever the angles.
     """
     L, H = angle_table.shape
-    if model_dim != 2 * H:
-        raise GraphError(f"rotatory table with H={H} columns needs model_dim {2 * H}, got {model_dim}")
     i = np.arange(H, dtype=np.float64)
-    freq = 2.0 * np.pi / np.power(10000.0, 2.0 * i / model_dim)
-    sign = np.where(i % 2 == 0, 1.0, -1.0)
-    theta = nm.mul(angle_table, nm.constant(freq))
-    s = nm.mul(nm.sin(theta), nm.constant(sign))
-    c = nm.cos(theta)
-    return nm.interleave_last(s, c)
-
-
-def rope_angles(positions, head_dim: int, base: float = 10000.0):
-    """(cos, sin) arrays of shape [len(positions), head_dim], pairwise duplicated."""
-    if head_dim % 2:
-        raise GraphError(f"rotation needs an even head dim, got {head_dim}")
-    pos = np.asarray(positions, dtype=np.float64)
-    i = np.arange(head_dim // 2, dtype=np.float64)
-    theta = pos[:, None] / np.power(base, 2.0 * i / head_dim)
-    cos = np.repeat(np.cos(theta), 2, axis=-1)
-    sin = np.repeat(np.sin(theta), 2, axis=-1)
-    return cos, sin
+    freq = 2.0 * np.pi / np.power(10000.0, 2.0 * i / (2 * H))
+    units = nm.constant(np.tile([0.0, 1.0], (L, H)))
+    return nm.rotate(units, angle_table, np.where(i % 2 == 0, -freq, freq))
 
 
 def rope_rotate(x: TensorNode, base: float = 10000.0, positions=None) -> TensorNode:
     """Rotate each (2i, 2i+1) pair of the last axis by its position's angle.
 
-    x is [..., L, head_dim]; position m gets angle m / base^(2i/head_dim).
-    Two multiplies and one add: x*cos + swap(x)*sin.
+    x is [..., L, head_dim]; position m (default: 0 .. L-1) turns pair i by
+    m / base^(2i/head_dim).
     """
     L, d_h = x.shape[-2], x.shape[-1]
+    if d_h % 2:
+        raise GraphError(f"rotation needs an even head dim, got {d_h}")
     if positions is None:
         positions = np.arange(L)
-    cos, sin = rope_angles(positions, d_h, base)
-    return nm.add(
-        nm.mul(x, nm.constant(cos)),
-        nm.mul(nm.pair_swap(x), nm.constant(sin)),
-    )
+    angles = nm.constant(np.asarray(positions)[:, None])
+    return nm.rotate(x, angles, np.power(base, -2.0 * np.arange(d_h // 2) / d_h))
 
 
 def relative_index_matrix(length: int, clip: int) -> np.ndarray:
@@ -240,7 +226,7 @@ class EncodingTables:
         elif self.position_table is not None:
             table = self.position_table
         elif self.angle_table is not None:
-            table = rotatory_table(self.angle_table, 2 * self.angle_table.shape[1])
+            table = rotatory_table(self.angle_table)
         else:
             raise GraphError("no encoding rows: the variant has no position table")
         max_len = table.shape[0]

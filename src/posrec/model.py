@@ -345,7 +345,7 @@ class Model:
             x = nm.linear(nm.concat([x, attrs]), nm.transpose(self.fuse_weight, (1, 0)),
                           self.fuse_bias)
         encoding = self.config.encoding
-        if encoding.is_vector or encoding.variant == "None":
+        if encoding.is_vector:
             x = apply_vector_encoding(x, encoding, self.encoding_tables)
         return nm.dropout(x, self.config.dropout, rng.child(0) if rng else None, train)
 
@@ -589,11 +589,22 @@ def load_checkpoint(path: str) -> Model:
     with archive:
         if "__meta__" not in archive:
             raise UserError(f"{path} is not a model checkpoint")
-        meta = json.loads(str(archive["__meta__"]))
+        try:
+            meta = json.loads(str(archive["__meta__"]))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise UserError(f"{path}: checkpoint metadata is not a JSON object")
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise UserError(
                 f"checkpoint format {meta.get('format_version')} is not supported"
             )
+        missing = sorted({"config", "has_attributes", "num_items"} - set(meta))
+        if missing:
+            raise UserError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
+        if meta["has_attributes"] and "attributes" not in archive:
+            raise UserError(f"{path}: checkpoint metadata sets has_attributes "
+                            "but the 'attributes' array is missing")
         config = ModelConfig.from_dict(meta["config"])
         attributes = archive["attributes"] if meta["has_attributes"] else None
         model = Model(meta["num_items"], config, Rng(config.seed), attributes=attributes)

@@ -11,21 +11,17 @@ from .tensor import (
     bce,
     concat,
     constant,
-    cos,
     dot_last,
     dropout,
     gather,
-    interleave_last,
     layer_norm,
     leaky_relu,
     linear,
-    mul,
     no_graph,
-    pair_swap,
     parameter,
     reshape,
+    rotate,
     silu,
-    sin,
     tensor,
     transpose,
 )

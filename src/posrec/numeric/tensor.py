@@ -7,11 +7,12 @@ topological order and accumulates adjoints into the leaves, so calling it
 twice doubles them; intermediate adjoints are dropped as soon as they are
 pushed to the parents.
 
-Leaves are float64. Elementwise ops follow standard numpy
-broadcasting; gradients of broadcast inputs are summed back to the input
-shape. A product with a shared 2-D weight is `linear`; the attention
-products, mask and softmax are one `attend` node per call; the sampled
-binary cross-entropy of a batch is one `bce` node.
+Leaves are float64. `add`, the bias of `linear` and the angles of `rotate`
+follow numpy broadcasting; gradients of broadcast inputs are summed back to
+the input shape. Each model-level computation is one node: a product with a
+shared 2-D weight is `linear`; the attention products, mask and softmax are
+`attend`; the pairwise (sin, cos) rotation behind every rotation encoding is
+`rotate`; the sampled binary cross-entropy of a batch is `bce`.
 """
 
 from __future__ import annotations
@@ -136,18 +137,6 @@ def add(a, b):
     return _make("add", out, (a, b), push)
 
 
-def mul(a, b):
-    try:
-        out = a.values * b.values
-    except ValueError:
-        raise ShapeMismatchError("mul", a.shape, b.shape) from None
-
-    def push(g):
-        return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
-
-    return _make("mul", out, (a, b), push)
-
-
 def linear(x, w, b=None):
     """x @ w (+ b) for a shared weight w [k, n] and x [..., k].
 
@@ -245,20 +234,6 @@ def _logistic(v: np.ndarray) -> np.ndarray:
         return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
 
 
-def sin(x):
-    def push(g):
-        return (g * np.cos(x.values),)
-
-    return _make("sin", np.sin(x.values), (x,), push)
-
-
-def cos(x):
-    def push(g):
-        return (g * -np.sin(x.values),)
-
-    return _make("cos", np.cos(x.values), (x,), push)
-
-
 def leaky_relu(x, slope: float = 0.01):
     factor = np.where(x.values > 0, 1.0, slope)
     out = x.values * factor
@@ -322,40 +297,46 @@ def dropout(x, p: float, rng, train: bool):
 
 
 # ---------------------------------------------------------------------------
-# pairwise interleave ops used by the rotation-style encodings
+# rotation
 
 
-def interleave_last(a, b):
-    """out[..., 2i] = a[..., i], out[..., 2i+1] = b[..., i]."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError("interleave_last", a.shape, b.shape)
-    h = a.shape[-1]
-    out = np.empty(a.shape[:-1] + (2 * h,), dtype=a.dtype)
-    out[..., 0::2] = a.values
-    out[..., 1::2] = b.values
+def rotate(x, angles, freq):
+    """Turn each (2i, 2i+1) pair (a, b) of x's last axis by t = angles[..., i] * freq[i].
+
+    (a, b) -> (a cos t - b sin t, b cos t + a sin t).  freq has one entry per
+    pair and angles broadcasts to x's [..., H] pairs.  The adjoint turns the
+    output adjoint g by -t for x, and gives (g_b out_a - g_a out_b) * freq
+    for angles, summed back over the axes angles was broadcast along.
+    """
+    freq = np.asarray(freq, dtype=np.float64)
+    pairs = x.shape[:-1] + (x.shape[-1] // 2,)
+    try:
+        theta = angles.values * freq
+        fits = x.shape[-1] % 2 == 0 and freq.shape == pairs[-1:] \
+            and np.broadcast_shapes(theta.shape, pairs) == pairs
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeMismatchError("rotate", x.shape, angles.shape, freq.shape)
+    c, s = np.cos(theta), np.sin(theta)
+    a, b = x.values[..., 0::2], x.values[..., 1::2]
+    out = np.empty(x.shape)
+    out[..., 0::2] = a * c - b * s
+    out[..., 1::2] = b * c + a * s
 
     def push(g):
-        return g[..., 0::2], g[..., 1::2]
+        g_a, g_b = g[..., 0::2], g[..., 1::2]
+        gx = g_angles = None
+        if x.requires_grad:
+            gx = np.empty_like(g)
+            gx[..., 0::2] = g_a * c + g_b * s
+            gx[..., 1::2] = g_b * c - g_a * s
+        if angles.requires_grad:
+            g_theta = g_b * out[..., 0::2] - g_a * out[..., 1::2]
+            g_angles = _unbroadcast(g_theta * freq, angles.shape)
+        return gx, g_angles
 
-    return _make("interleave_last", out, (a, b), push)
-
-
-def pair_swap(x):
-    """(x0, x1) -> (-x1, x0) on every adjacent pair of the last axis."""
-    if x.shape[-1] % 2:
-        raise ShapeMismatchError("pair_swap", x.shape)
-    v = x.values
-    out = np.empty_like(v)
-    out[..., 0::2] = -v[..., 1::2]
-    out[..., 1::2] = v[..., 0::2]
-
-    def push(g):
-        gx = np.empty_like(g)
-        gx[..., 1::2] = -g[..., 0::2]
-        gx[..., 0::2] = g[..., 1::2]
-        return (gx,)
-
-    return _make("pair_swap", out, (x,), push)
+    return _make("rotate", out, (x, angles), push)
 
 
 # ---------------------------------------------------------------------------

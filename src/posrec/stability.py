@@ -124,6 +124,8 @@ def recommend_encoding(baseline: SweepSummary,
     """
     if not math.isfinite(threshold):
         raise UserError(f"threshold must be a finite number, got {threshold}")
+    if not (math.isfinite(baseline.hit_dev) and baseline.hit_dev >= 0):
+        raise UserError(f"Hit Dev must be a finite number >= 0, got {baseline.hit_dev}")
     if baseline.runs < 3:
         raise UserError(
             f"insufficient runs: the recommendation needs at least 3 seeds, "

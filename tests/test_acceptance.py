@@ -114,7 +114,7 @@ def test_criterion_03_rotatory_unit_pair_norm():
         for d in (4, 90):
             angles = nm.parameter(
                 Rng(17, max_len + d).normal((max_len, d // 2), scale=3.0))
-            rows = rotatory_table(angles, d).values
+            rows = rotatory_table(angles).values
             pair_norm = rows[:, 0::2] ** 2 + rows[:, 1::2] ** 2
             np.testing.assert_allclose(pair_norm, 1.0, atol=1e-12)
 

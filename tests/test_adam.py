@@ -74,7 +74,8 @@ def test_descends_a_quadratic():
     p = make_param(3.0)
     state = nm.AdamState.for_params([p])
     for _ in range(400):
-        loss = nm.mul(p, p)
+        flat = nm.reshape(p, (1,))
+        loss = nm.dot_last(flat, flat)
         loss.backward()
         nm.adam_step([p], state, lr=5e-2)
     assert abs(float(p.values)) < 0.05

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -342,9 +343,10 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
 
 @pytest.fixture(scope="module")
 def not_data(work):
-    """A dataset cache, a checkpoint (an .npz that is no dataset), a missing
-    file, and two sweep results tables, well formed and with a word for a
-    number."""
+    """A dataset cache, a checkpoint (an .npz that is no dataset), three
+    checkpoints with broken metadata, a missing file, and sweep results
+    tables: one well formed, and three whose Hit Dev is a word, NaN or
+    negative."""
     root = work["root"]
     cache, run = root / "data.npz", root / "checkpoint-run"
     save_cache(resolve_dataset({"path": work["data"]}), str(cache))
@@ -353,13 +355,22 @@ def not_data(work):
     header = "\t".join(stability.RESULTS_COLUMNS)
     row = ["leaky", "None", "NaN", "50.00", "3.00", "30.00", "2.00", "3",
            "(45.00, 55.00)", "10.00"]
-    results, bad_results = root / "results.tsv", root / "results-abc.tsv"
-    results.write_text(header + "\n" + "\t".join(row) + "\n")
-    row[4] = "abc"  # Hit Dev
-    bad_results.write_text(header + "\n" + "\t".join(row) + "\n")
-    return {"cache": str(cache), "checkpoint": str(run / "checkpoint.npz"),
-            "missing": str(root / "missing.csv"), "results": str(results),
-            "bad_results": str(bad_results)}
+    files = {"cache": str(cache), "checkpoint": str(run / "checkpoint.npz"),
+             "missing": str(root / "missing.csv")}
+    for name, hit_dev in (("results", "3.00"), ("bad_results", "abc"),
+                          ("nan_results", "nan"), ("negative_results", "-4.00")):
+        row[4] = hit_dev
+        files[name] = str(root / f"{name}.tsv")
+        (root / f"{name}.tsv").write_text(header + "\n" + "\t".join(row) + "\n")
+    with np.load(files["checkpoint"], allow_pickle=False) as archive:
+        arrays = {k: archive[k] for k in archive.files if k != "attributes"}
+    meta = json.loads(str(arrays["__meta__"]))
+    for name, text in (("meta_not_json", "{not json"),
+                       ("meta_no_config", json.dumps({k: meta[k] for k in meta if k != "config"})),
+                       ("meta_no_attributes", json.dumps({**meta, "has_attributes": True}))):
+        files[name] = str(root / f"{name}.npz")
+        np.savez(files[name], **{**arrays, "__meta__": np.array(text)})
+    return files
 
 
 def _config_with(work, path, section, key, value):
@@ -405,8 +416,19 @@ BAD_DATA = {
     "evaluate --negatives -3": (
         lambda f, cfg: ["evaluate", f["checkpoint"], "--data", f["data"], "--negatives", "-3"],
         "num_negatives must be >= 0"),
+    "evaluate metadata not JSON": (
+        lambda f, cfg: ["evaluate", f["meta_not_json"], "--data", f["data"]], "not a JSON object"),
+    "evaluate metadata without config": (
+        lambda f, cfg: ["evaluate", f["meta_no_config"], "--data", f["data"]], "lacks config"),
+    "evaluate has_attributes without attributes": (
+        lambda f, cfg: ["evaluate", f["meta_no_attributes"], "--data", f["data"]],
+        "'attributes' array is missing"),
     "recommend-encoding word in Hit Dev": (
         lambda f, cfg: ["recommend-encoding", f["bad_results"]], "column 'Hit Dev'"),
+    "recommend-encoding NaN Hit Dev": (
+        lambda f, cfg: ["recommend-encoding", f["nan_results"]], "Hit Dev"),
+    "recommend-encoding negative Hit Dev": (
+        lambda f, cfg: ["recommend-encoding", f["negative_results"]], "Hit Dev"),
     "recommend-encoding --threshold nan": (
         lambda f, cfg: ["recommend-encoding", f["results"], "--threshold", "nan"], "threshold"),
 }

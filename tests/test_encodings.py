@@ -63,7 +63,7 @@ def test_sinusoidal_rejects_odd_dim():
 
 def test_rotatory_zero_angles_give_alternating_zero_one():
     angles = nm.parameter(np.zeros((5, 4)))
-    rows = rotatory_table(angles, 8).values
+    rows = rotatory_table(angles).values
     np.testing.assert_allclose(rows, np.tile([0.0, 1.0], (5, 4)), atol=1e-15)
 
 
@@ -71,7 +71,7 @@ def test_rotatory_zero_angles_give_alternating_zero_one():
 @pytest.mark.parametrize("d", [4, 90])
 def test_rotatory_pairs_have_unit_norm(max_len, d):
     angles = nm.parameter(nm.Rng(17, max_len + d).normal((max_len, d // 2), scale=3.0))
-    rows = rotatory_table(angles, d).values
+    rows = rotatory_table(angles).values
     pair_norm = rows[:, 0::2] ** 2 + rows[:, 1::2] ** 2
     np.testing.assert_allclose(pair_norm, 1.0, atol=1e-12)
 
@@ -82,15 +82,10 @@ def test_rotatory_gradient_matches_finite_differences():
     weights = nm.constant(rng.normal((4 * 6,)))
 
     def build():
-        return nm.dot_last(nm.reshape(rotatory_table(angles, 6), (-1,)), weights)
+        return nm.dot_last(nm.reshape(rotatory_table(angles), (-1,)), weights)
 
     report = nm.check_gradients(build, [("angles", angles)], h=1e-6)
     assert report.max_rel_err < 1e-5
-
-
-def test_rotatory_rejects_mismatched_dim():
-    with pytest.raises(GraphError):
-        rotatory_table(nm.parameter(np.zeros((3, 4))), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +161,23 @@ def test_all_learnable_vector_variants_pass_gradient_check():
 
 # ---------------------------------------------------------------------------
 # rotation of queries/keys
+
+
+def test_rotation_signs_and_direction_match_numpy():
+    # Rotatory row pairs are ((-1)^i sin t, cos t) at t = angle * 2 pi / 10000^(2i/d)
+    angles = nm.Rng(41).uniform((5, 4), -3.0, 3.0)
+    rows = rotatory_table(nm.parameter(angles)).values
+    i = np.arange(4)
+    theta = angles * (2.0 * np.pi / np.power(10000.0, 2.0 * i / 8))
+    np.testing.assert_allclose(rows[:, 0::2], (-1.0) ** i * np.sin(theta), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rows[:, 1::2], np.cos(theta), rtol=0, atol=1e-15)
+    # RoPE turns the pair (1, 0) at position m counter-clockwise, to (cos t, sin t)
+    x = nm.tensor(np.tile([1.0, 0.0], (1, 3, 3)))
+    positions = np.array([0, 5, 17])
+    out = rope_rotate(x, base=100.0, positions=positions).values[0]
+    theta = positions[:, None] / np.power(100.0, 2.0 * np.arange(3) / 6)
+    np.testing.assert_allclose(out[:, 0::2], np.cos(theta), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out[:, 1::2], np.sin(theta), rtol=0, atol=1e-14)
 
 
 def test_rope_position_zero_is_identity():

@@ -41,12 +41,6 @@ def _case_add(rng):
     return [("a", a), ("b", b)], lambda: weighted_sum(nm.add(a, b), rng.child(0))
 
 
-def _case_mul(rng):
-    a = nm.parameter(rng.normal((2, 3, 2)))
-    b = nm.parameter(rng.normal((3, 1)))
-    return [("a", a), ("b", b)], lambda: weighted_sum(nm.mul(a, b), rng.child(0))
-
-
 def _case_linear(rng):
     x = nm.parameter(rng.normal((2, 2, 3)))
     w = nm.parameter(rng.normal((3, 2)))  # shared by every row of x
@@ -135,16 +129,6 @@ def _case_attend_query_rows(rng):
     return _attend_case(rng, keep=keep, key_bias=True, value_bias=True, L_q=2)
 
 
-def _case_sin(rng):
-    x = nm.parameter(rng.normal((2, 5)))
-    return [("x", x)], lambda: weighted_sum(nm.sin(x), rng.child(0))
-
-
-def _case_cos(rng):
-    x = nm.parameter(rng.normal((2, 5)))
-    return [("x", x)], lambda: weighted_sum(nm.cos(x), rng.child(0))
-
-
 def _case_leaky(rng):
     x = nm.parameter(away_from(rng.normal((3, 4)), [0.0], 0.01))
     return [("x", x)], lambda: weighted_sum(nm.leaky_relu(x), rng.child(0))
@@ -173,17 +157,29 @@ def _case_dropout(rng):
     )
 
 
-def _case_interleave(rng):
-    a = nm.parameter(rng.normal((3, 4)))
-    b = nm.parameter(rng.normal((3, 4)))
-    return [("a", a), ("b", b)], lambda: weighted_sum(
-        nm.interleave_last(a, b), rng.child(0)
-    )
+def _rotate_case(rng, x_trains=True, angles_trains=True, angle_shape=(3, 2)):
+    """rotate over a [2, 2, 3, 4] x, whose [2, 2, 3, 2] pairs angles broadcasts to."""
+    x = rng.normal((2, 2, 3, 4))
+    x = nm.parameter(x) if x_trains else nm.constant(x)
+    angles = rng.normal(angle_shape, scale=2.0)
+    angles = nm.parameter(angles) if angles_trains else nm.constant(angles)
+    freq = rng.uniform((2,), 0.1, 2.0)
+    params = [(name, t) for name, t in (("x", x), ("angles", angles)) if t.requires_grad]
+    return params, lambda: weighted_sum(nm.rotate(x, angles, freq), rng.child(0))
 
 
-def _case_pair_swap(rng):
-    x = nm.parameter(rng.normal((2, 3, 6)))
-    return [("x", x)], lambda: weighted_sum(nm.pair_swap(x), rng.child(0))
+def _case_rotate(rng):
+    return _rotate_case(rng, angle_shape=(2, 1, 3, 2))
+
+
+def _case_rotate_fixed_angles(rng):
+    # RoPE: one angle per position, shared by every batch row, head and pair
+    return _rotate_case(rng, angles_trains=False, angle_shape=(3, 1))
+
+
+def _case_rotate_fixed_x(rng):
+    # Rotatory: trainable angles turning constant pairs
+    return _rotate_case(rng, x_trains=False)
 
 
 def _bce_case(rng, mask=None):
@@ -218,7 +214,6 @@ def _case_bce_saturated(rng):
 
 OP_CASES = {
     "add": _case_add,
-    "mul": _case_mul,
     "attend": _case_attend,
     "attend_masked": _case_attend_masked,
     "attend_key_bias": _case_attend_key_bias,
@@ -232,22 +227,17 @@ OP_CASES = {
     "concat": _case_concat,
     "gather": _case_gather,
     "dot_last": _case_dot_last,
-    "sin": _case_sin,
-    "cos": _case_cos,
     "leaky_relu": _case_leaky,
     "silu": _case_silu,
     "layer_norm": _case_layer_norm,
     "dropout": _case_dropout,
-    "interleave": _case_interleave,
-    "pair_swap": _case_pair_swap,
+    "rotate": _case_rotate,
+    "rotate_fixed_angles": _case_rotate_fixed_angles,
+    "rotate_fixed_x": _case_rotate_fixed_x,
     "bce": _case_bce,
     "bce_masked": _case_bce_masked,
     "bce_saturated": _case_bce_saturated,
 }
-
-# the OP_CASES key of each op whose case is not named after it
-CASE_OF_OP = {"interleave_last": "interleave"}
-
 
 def test_every_public_op_has_a_gradient_case():
     # found by inspection, like the benchmark's tracer, so an op added later needs a case
@@ -256,8 +246,8 @@ def test_every_public_op_has_a_gradient_case():
         if callable(fn) and getattr(fn, "__module__", "") == "posrec.numeric.tensor"
         and not isinstance(fn, type) and not name.startswith("_")
     } - {"backward", "no_graph", "tensor", "parameter", "constant"}
-    assert "linear" in ops and "attend" in ops
-    assert sorted(op for op in ops if CASE_OF_OP.get(op, op) not in OP_CASES) == []
+    assert {"linear", "attend", "rotate"} <= ops
+    assert sorted(op for op in ops if op not in OP_CASES) == []
 
 
 @pytest.mark.parametrize("op_name", sorted(OP_CASES))
@@ -409,16 +399,16 @@ def test_backward_twice_accumulates():
 def test_backward_keeps_adjoints_on_leaves_only():
     x = nm.parameter(np.array([1.0, -2.0]))
     w = nm.parameter(np.array([0.5, 3.0]))
-    product = nm.mul(x, w)
-    act = nm.silu(product)
+    total = nm.add(x, w)
+    act = nm.silu(total)
     loss = nm.dot_last(act, nm.constant(np.ones(2)))
     loss.backward()
-    assert product.adjoint is None and act.adjoint is None and loss.adjoint is None
-    v = x.values * w.values
+    assert total.adjoint is None and act.adjoint is None and loss.adjoint is None
+    v = x.values + w.values
     s = 1.0 / (1.0 + np.exp(-v))
     slope = s * (1.0 + v * (1.0 - s))
-    np.testing.assert_allclose(x.adjoint, slope * w.values, atol=1e-15)
-    np.testing.assert_allclose(w.adjoint, slope * x.values, atol=1e-15)
+    np.testing.assert_allclose(x.adjoint, slope, atol=1e-15)
+    np.testing.assert_allclose(w.adjoint, slope, atol=1e-15)
 
 
 def test_offset_sum_matches_loop_and_inverts_offset_take():
@@ -488,8 +478,20 @@ def test_forward_backward_deterministic_given_seed_and_stream():
 def test_backward_from_non_scalar_fails():
     x = nm.parameter(np.ones((2, 2)))
     with pytest.raises(GraphError):
-        nm.mul(x, x).backward()
+        nm.add(x, x).backward()
 
+
+
+def test_rotate_rejects_shapes_that_do_not_pair_up():
+    for x_shape, angle_shape, pairs in [((2, 3, 5), (3, 1), 2),  # odd last axis
+                                        ((2, 3, 4), (3, 1), 3),  # one freq per pair
+                                        ((2, 3, 4), (4, 2), 2),  # angle rows
+                                        ((2, 3, 4), (2, 2, 3, 2), 2)]:  # more axes than x
+        with pytest.raises(ShapeMismatchError, match="rotate"):
+            nm.rotate(nm.tensor(np.zeros(x_shape)), nm.tensor(np.zeros(angle_shape)),
+                      np.ones(pairs))
+    x = nm.tensor(np.zeros((2, 3, 4)))
+    assert nm.rotate(x, nm.tensor(np.zeros((3, 1))), np.ones(2)).shape == x.shape
 
 
 def test_bce_rejects_mismatched_shapes_and_an_empty_batch():
