@@ -218,8 +218,7 @@ def cmd_recommend(args) -> int:
     path = args.results
     if os.path.isdir(path):
         path = os.path.join(path, stability.RESULTS_NAME)
-    parsed = read_summary_tsv(path)
-    rec = recommend_encoding(parsed["summary"], threshold=args.threshold)
+    rec = recommend_encoding(read_summary_tsv(path), threshold=args.threshold)
     print(f"recommended encoding: {rec.choice}")
     print(rec.reason)
     return 0

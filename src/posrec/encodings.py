@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric as nm
-from .errors import GraphError, UserError
 from .numeric import Rng, TensorNode
 
 VARIANTS = (
@@ -70,11 +69,7 @@ def xavier(rng: Rng, shape: tuple[int, int]) -> np.ndarray:
 
 
 def sinusoidal_table(max_len: int, model_dim: int) -> np.ndarray:
-    """Classic interleaved sin/cos table, shape [max_len, model_dim]."""
-    if model_dim % 2:
-        raise UserError(f"sinusoidal table needs an even dimension, got {model_dim}")
-    if max_len < 1:
-        raise UserError(f"sinusoidal table needs max_len >= 1, got {max_len}")
+    """Classic interleaved sin/cos table, shape [max_len, model_dim]; model_dim is even."""
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     i = np.arange(model_dim // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / model_dim)
@@ -103,11 +98,9 @@ def rope_rotate(x: TensorNode, base: float = 10000.0, positions=None) -> TensorN
     """Rotate each (2i, 2i+1) pair of the last axis by its position's angle.
 
     x is [..., L, head_dim]; position m (default: 0 .. L-1) turns pair i by
-    m / base^(2i/head_dim).
+    m / base^(2i/head_dim).  An odd head_dim raises ShapeMismatchError.
     """
     L, d_h = x.shape[-2], x.shape[-1]
-    if d_h % 2:
-        raise GraphError(f"rotation needs an even head dim, got {d_h}")
     if positions is None:
         positions = np.arange(L)
     angles = nm.constant(np.asarray(positions)[:, None])
@@ -219,42 +212,27 @@ class EncodingTables:
         """Vector-encoding tables subject to the max-norm clamp."""
         return [t for t in (self.position_table, self.angle_table) if t is not None]
 
-    def rows(self, length: int) -> TensorNode:
-        """The [length, d] table this vector variant adds or concatenates."""
+    def rows(self) -> TensorNode:
+        """The [max_len, d] table this vector variant adds or concatenates."""
         if self.abs_table is not None:
-            table = nm.constant(self.abs_table)
-        elif self.position_table is not None:
-            table = self.position_table
-        elif self.angle_table is not None:
-            table = rotatory_table(self.angle_table)
-        else:
-            raise GraphError("no encoding rows: the variant has no position table")
-        max_len = table.shape[0]
-        if length > max_len:
-            raise GraphError(f"sequence length {length} exceeds max_len {max_len}")
-        if length == max_len:
-            return table
-        return nm.gather(table, np.arange(length))
+            return nm.constant(self.abs_table)
+        if self.position_table is not None:
+            return self.position_table
+        return rotatory_table(self.angle_table)
 
 
 def apply_vector_encoding(x: TensorNode, encoding: EncodingConfig,
                           tables: EncodingTables) -> TensorNode:
-    """Combine input embeddings [B, L, d] with the variant's position rows.
+    """Combine input embeddings [B, max_len, d] with a vector variant's
+    position rows, built at the same max_len and d.
 
     Plain variants add the rows; the Con variants project
     activation(W . [x ; rows] + b) back to d, computed as
     x W_x^T + (rows W_r^T + b) with W = [W_x | W_r], so the position half is
     projected once per position rather than once per sequence.
-    The None variant returns x unchanged; in-attention variants are rejected.
     """
-    if encoding.variant == "None":
-        return x
-    if not encoding.is_vector:
-        raise GraphError(f"variant {encoding.variant} is applied inside attention, not on embeddings")
-    B, L, d = x.shape
-    rows = tables.rows(L)
-    if rows.shape[-1] != d:
-        raise GraphError(f"input dim {d} does not match encoding dim {rows.shape[-1]}")
+    d = x.shape[-1]
+    rows = tables.rows()
     if not encoding.is_concat:
         return nm.add(x, rows)
     w_t = nm.transpose(tables.projection_weight, (1, 0))  # [2d, d]: W_x^T over W_r^T

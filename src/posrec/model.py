@@ -40,6 +40,13 @@ ROW_BLOCK_BYTES = 4 << 20
 HISTORY_COLUMNS = ("epoch", "split", "loss", "Hit@10", "NDCG")
 
 
+def _require_finite(name: str, value):
+    """`value` itself; a bool, non-number or non-finite number raises UserError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise UserError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass
 class ModelConfig:
     """Hyperparameters for one training run, validated here and only here.
@@ -75,10 +82,7 @@ class ModelConfig:
             if f.type == "int":  # annotations are strings under `from __future__`
                 setattr(self, f.name, require_int(f.name, getattr(self, f.name)))
         for name in ("dropout", "lr", "l2_weight"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise UserError(f"{name} must be a finite number, got {value!r}")
+            _require_finite(name, getattr(self, name))
         if self.nmax is not None and (isinstance(self.nmax, bool)
                                       or not isinstance(self.nmax, numbers.Real)):
             raise UserError(f"nmax must be a number or None, got {self.nmax!r}")
@@ -109,6 +113,8 @@ class ModelConfig:
                 raise UserError(f"nmax must be positive or None, got {self.nmax}")
         if isinstance(self.encoding, str):
             self.encoding = EncodingConfig(variant=self.encoding)
+        if not isinstance(self.encoding, EncodingConfig):
+            raise UserError(f"encoding must be a variant name or mapping, got {self.encoding!r}")
         if self.encoding.projection_activation is None:
             self.encoding = replace(self.encoding, projection_activation=self.activation)
         enc = self.encoding
@@ -122,6 +128,10 @@ class ModelConfig:
                             f"{self.head_dim} (d {self.d} / heads {self.heads})")
         if enc.is_relative and require_int("clip_distance", enc.clip_distance) < 1:
             raise UserError(f"clip_distance must be >= 1, got {enc.clip_distance}")
+        if enc.is_relative and not isinstance(enc.use_value_bias, bool):
+            raise UserError(f"use_value_bias must be true or false, got {enc.use_value_bias!r}")
+        if enc.variant in ("RoPE", "RopeOne") and _require_finite("rope_base", enc.rope_base) <= 0:
+            raise UserError(f"rope_base must be > 0, got {enc.rope_base!r}")
         if enc.projection_activation not in PROJECTION_ACTIVATIONS:
             raise UserError(f"projection activation '{enc.projection_activation}' not one of "
                             + ", ".join(PROJECTION_ACTIVATIONS))
@@ -264,11 +274,10 @@ def bce_loss(model: Model, batch: SequenceBatch, rng: Rng | None = None, train: 
 
 
 def apply_max_norm(tables: list[TensorNode], nmax: float | None) -> None:
-    """Rescale any row with Euclidean norm above nmax back to exactly nmax."""
+    """Rescale any row with Euclidean norm above nmax (None or > 0, as
+    ModelConfig leaves it) back to exactly nmax."""
     if nmax is None:
         return
-    if not nmax > 0:
-        raise UserError(f"nmax must be positive or None, got {nmax}")
     for table in tables:
         vals = table.values
         norms = np.sqrt(np.sum(vals * vals, axis=-1, keepdims=True))
@@ -605,9 +614,12 @@ def load_checkpoint(path: str) -> Model:
         if meta["has_attributes"] and "attributes" not in archive:
             raise UserError(f"{path}: checkpoint metadata sets has_attributes "
                             "but the 'attributes' array is missing")
+        if not isinstance(meta["config"], dict):
+            raise UserError(f"{path}: checkpoint metadata field 'config' is not a JSON object")
         config = ModelConfig.from_dict(meta["config"])
+        num_items = require_int(f"{path}: checkpoint metadata field 'num_items'", meta["num_items"])
         attributes = archive["attributes"] if meta["has_attributes"] else None
-        model = Model(meta["num_items"], config, Rng(config.seed), attributes=attributes)
+        model = Model(num_items, config, Rng(config.seed), attributes=attributes)
         for name, node in model.parameters():
             key = f"param:{name}"
             if key not in archive:

@@ -1,7 +1,6 @@
-"""Minimal dense autodiff engine: tensors, ops, Adam, RNG, gradient checks."""
+"""Minimal dense autodiff engine: tensors, ops, Adam, RNG."""
 
 from .adam import AdamState, adam_step
-from .gradcheck import GradReport, check_gradients, numeric_gradient, relative_error
 from .rng import Rng
 from .tensor import (
     TensorNode,

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import GraphError
 from .tensor import TensorNode
 
 
@@ -38,10 +37,6 @@ def adam_step(
     A parameter whose adjoint was never touched counts as zero gradient and,
     with zero moments, stays exactly where it is.
     """
-    if lr <= 0:
-        raise GraphError(f"adam_step needs lr > 0, got {lr}")
-    if len(params) != len(state.m):
-        raise GraphError("adam state does not match the parameter list")
     b1, b2 = betas
     state.step_count += 1
     t = state.step_count

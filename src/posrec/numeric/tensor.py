@@ -67,18 +67,11 @@ class TensorNode:
     def shape(self):
         return self.values.shape
 
-    @property
-    def dtype(self):
-        return self.values.dtype
-
     def item(self) -> float:
         return float(self.values)
 
     def backward(self) -> None:
         backward(self)
-
-    def zero_adjoint(self) -> None:
-        self.adjoint = None
 
     def __repr__(self):
         tag = self.name or (self.op_record.op if self.op_record else "leaf")
@@ -285,8 +278,6 @@ def dropout(x, p: float, rng, train: bool):
     """Inverted dropout: mask from `rng` in train mode, identity otherwise."""
     if not train or p == 0.0:
         return x
-    if not 0.0 <= p < 1.0:
-        raise GraphError(f"dropout rate {p} outside [0, 1)")
     keep = (rng.uniform(x.shape) >= p) * (1.0 / (1.0 - p))
     out = x.values * keep
 
@@ -447,8 +438,6 @@ def bce(z_pos, z_neg, mask, count):
     mask = np.asarray(mask, dtype=np.float64)
     if z_neg.shape != z_pos.shape or mask.shape != z_pos.shape:
         raise ShapeMismatchError("bce", z_pos.shape, z_neg.shape, mask.shape)
-    if count == 0:
-        raise GraphError("loss over a fully padded batch")
     lo, hi = BCE_EPS, 1.0 - BCE_EPS
     s_pos = _logistic(z_pos.values)
     s_neg = _logistic(z_neg.values)

@@ -9,7 +9,6 @@ file overlays the preset.
 from __future__ import annotations
 
 import dataclasses
-import os
 import re
 from dataclasses import dataclass, field
 
@@ -65,10 +64,9 @@ class RunConfig:
     encoding: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
     out: str | None = None
-    source_path: str | None = None
 
 
-def parse_run_config(raw, source_path: str | None = None) -> RunConfig:
+def parse_run_config(raw) -> RunConfig:
     if raw is None:
         raw = {}
     raw = _require_mapping("run config", raw)
@@ -115,7 +113,6 @@ def parse_run_config(raw, source_path: str | None = None) -> RunConfig:
         encoding=encoding,
         sweep=sweep,
         out=None if out is None else str(out),
-        source_path=source_path,
     )
 
 
@@ -127,7 +124,7 @@ def load_run_config(path: str) -> RunConfig:
         raise UserError(f"cannot read config {path}: {err}") from None
     except yaml.YAMLError as err:
         raise UserError(f"config {path} is not valid YAML: {err}") from None
-    return parse_run_config(raw, source_path=os.path.abspath(path))
+    return parse_run_config(raw)
 
 
 def build_model_config(rc: RunConfig, overrides: dict | None = None) -> ModelConfig:

@@ -150,10 +150,6 @@ def _nmax_str(nmax: float | None) -> str:
     return "NaN" if nmax is None else f"{nmax:g}"
 
 
-def _parse_nmax(text: str) -> float | None:
-    return None if text.lower() in ("nan", "none") else float(text)
-
-
 def write_summary_tsv(summary: SweepSummary, config: ModelConfig, path: str) -> None:
     row = (
         config.activation,
@@ -172,8 +168,8 @@ def write_summary_tsv(summary: SweepSummary, config: ModelConfig, path: str) -> 
         fh.write("\t".join(row) + "\n")
 
 
-def read_summary_tsv(path: str) -> dict:
-    """One results row back as a dict (summary holds the parsed statistics)."""
+def read_summary_tsv(path: str) -> SweepSummary:
+    """The statistics of a results table's row; the records are not stored there."""
     try:
         with open(path) as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -191,7 +187,7 @@ def read_summary_tsv(path: str) -> dict:
             raise UserError(f"{path}: column '{column}' holds {got[column]!r}, "
                             "not a number") from None
 
-    summary = SweepSummary(
+    return SweepSummary(
         fingerprint="",
         records=[],
         hit_mean=number("Hit Mean"),
@@ -202,12 +198,6 @@ def read_summary_tsv(path: str) -> dict:
         ci=number("CI", lambda text: tuple(float(p) for p in text.strip("()").split(","))),
         ci_length=number("CI-length"),
     )
-    return {
-        "summary": summary,
-        "activation": got["Act"],
-        "encoding": got["encoding"],
-        "nmax": number("nmax", _parse_nmax),
-    }
 
 
 def _run_seed(config: ModelConfig, dataset: InteractionDataset, seed: int,

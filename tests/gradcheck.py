@@ -1,4 +1,5 @@
-"""Gradient verification by central finite differences.
+"""Gradient verification by central finite differences: the tests' oracle
+for every adjoint the engine computes.
 
 The checker never touches the adjoint machinery: it only re-runs the forward
 function at perturbed parameter values, so it is an independent oracle for
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import TensorNode, no_graph
+from posrec.numeric import TensorNode, no_graph
 
 
 @dataclass
@@ -64,7 +65,7 @@ def check_gradients(
 ) -> GradReport:
     """Compare backward() adjoints against finite differences for each param."""
     for _, p in params:
-        p.zero_adjoint()
+        p.adjoint = None
     loss = build_loss()
     loss.backward()
     analytic = {name: (np.zeros_like(p.values) if p.adjoint is None else p.adjoint.copy()) for name, p in params}
@@ -77,5 +78,5 @@ def check_gradients(
             report.max_rel_err = err
             report.worst_param = name
     for _, p in params:
-        p.zero_adjoint()
+        p.adjoint = None
     return report

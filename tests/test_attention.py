@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from posrec import numeric as nm
 from posrec.attention import (
     TransformerBlock,
@@ -161,7 +162,7 @@ def test_relative_attention_gradients_over_shared_buckets(query_positions, use_v
     params = [("q", q), ("k", k), ("v", v), ("a_k", a_k)]
     if use_value_bias:
         params.append(("a_v", a_v))
-    report = nm.check_gradients(build, params, h=1e-5)
+    report = check_gradients(build, params, h=1e-5)
     assert report.max_rel_err < 1e-4, f"{report.worst_param} {report.max_rel_err:.2e}"
 
 
@@ -281,7 +282,7 @@ def test_block_gradients_match_finite_differences():
         params = [("x", x)] + block.parameters()
         if block.rel_tables is not None:
             params += [("a_k", block.rel_tables[0]), ("a_v", block.rel_tables[1])]
-        report = nm.check_gradients(build, params, h=1e-5)
+        report = check_gradients(build, params, h=1e-5)
         assert report.max_rel_err < 1e-4, f"{variant}: {report.worst_param} {report.max_rel_err:.2e}"
 
 

@@ -343,7 +343,7 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
 
 @pytest.fixture(scope="module")
 def not_data(work):
-    """A dataset cache, a checkpoint (an .npz that is no dataset), three
+    """A dataset cache, a checkpoint (an .npz that is no dataset), seven
     checkpoints with broken metadata, a missing file, and sweep results
     tables: one well formed, and three whose Hit Dev is a word, NaN or
     negative."""
@@ -367,7 +367,11 @@ def not_data(work):
     meta = json.loads(str(arrays["__meta__"]))
     for name, text in (("meta_not_json", "{not json"),
                        ("meta_no_config", json.dumps({k: meta[k] for k in meta if k != "config"})),
-                       ("meta_no_attributes", json.dumps({**meta, "has_attributes": True}))):
+                       ("meta_no_attributes", json.dumps({**meta, "has_attributes": True})),
+                       ("meta_config_text", json.dumps({**meta, "config": "abc"})),
+                       ("meta_config_list", json.dumps({**meta, "config": [1]})),
+                       ("meta_num_items_word", json.dumps({**meta, "num_items": "ten"})),
+                       ("meta_num_items_float", json.dumps({**meta, "num_items": 2.5}))):
         files[name] = str(root / f"{name}.npz")
         np.savez(files[name], **{**arrays, "__meta__": np.array(text)})
     return files
@@ -380,6 +384,8 @@ def _config_with(work, path, section, key, value):
         raw["data"] = {"synth": {"profile": "random", "users": 6, "items": 9, "seq_len": 5,
                                  key: value}}
     else:
+        if isinstance(raw.get(section), str):  # `encoding: Learnt`
+            raw[section] = {"variant": raw[section]}
         raw.setdefault(section, {})[key] = value
     path.write_text(yaml.safe_dump(raw))
     return ["--config", str(path)]
@@ -423,6 +429,22 @@ BAD_DATA = {
     "evaluate has_attributes without attributes": (
         lambda f, cfg: ["evaluate", f["meta_no_attributes"], "--data", f["data"]],
         "'attributes' array is missing"),
+    "evaluate metadata config a string": (
+        lambda f, cfg: ["evaluate", f["meta_config_text"], "--data", f["data"]], "'config'"),
+    "evaluate metadata config a list": (
+        lambda f, cfg: ["evaluate", f["meta_config_list"], "--data", f["data"]], "'config'"),
+    "evaluate metadata num_items a word": (
+        lambda f, cfg: ["evaluate", f["meta_num_items_word"], "--data", f["data"]],
+        "'num_items'"),
+    "evaluate metadata num_items a float": (
+        lambda f, cfg: ["evaluate", f["meta_num_items_float"], "--data", f["data"]],
+        "'num_items'"),
+    "encoding.rope_base": (
+        lambda f, cfg: ["train", *cfg("encoding", "rope_base", 0), "--encoding", "RoPE"],
+        "rope_base"),
+    "encoding.use_value_bias": (
+        lambda f, cfg: ["train", *cfg("encoding", "use_value_bias", "false"),
+                        "--encoding", "RMHA4"], "use_value_bias"),
     "recommend-encoding word in Hit Dev": (
         lambda f, cfg: ["recommend-encoding", f["bad_results"]], "column 'Hit Dev'"),
     "recommend-encoding NaN Hit Dev": (

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import check_gradients
 from posrec import synth
 from posrec.data import load_interactions
 from posrec.encodings import VARIANTS, EncodingConfig
-from posrec.errors import GraphError, TrainingDiverged, UserError
+from posrec.errors import TrainingDiverged, UserError
 from posrec import model as model_module
 from posrec.model import (
     Model,
@@ -29,7 +30,7 @@ from posrec.model import (
     write_history_tsv,
 )
 from posrec import numeric as nm
-from posrec.numeric import Rng, check_gradients
+from posrec.numeric import Rng
 
 
 def tiny_cfg(**kw):
@@ -219,11 +220,9 @@ def test_max_norm_is_idempotent(rows, cols, seed, log_scale, nmax):
 
 
 def test_max_norm_rejects_nonpositive():
-    t = nm.parameter(np.ones((2, 2)))
-    with pytest.raises(UserError):
-        apply_max_norm([t], 0.0)
-    with pytest.raises(UserError):
-        ModelConfig(nmax=-1.0)
+    for bad in (0.0, -1.0):
+        with pytest.raises(UserError, match="nmax"):
+            ModelConfig(nmax=bad)
 
 
 def test_nan_nmax_means_disabled():
@@ -245,7 +244,14 @@ def test_config_validation():
                 dict(lr=float("nan")), dict(lr=float("inf")), dict(l2_weight=float("nan")),
                 dict(dropout=float("nan")), dict(d=24.0), dict(eval_negatives=float("nan")),
                 dict(epochs=True), dict(batch_size="16"), dict(nmax="none"),
-                dict(encoding=EncodingConfig("RMHA4", clip_distance=2.5))):
+                dict(encoding=EncodingConfig("RMHA4", clip_distance=2.5)),
+                # encoding options of the wrong type or out of range
+                *(dict(encoding=EncodingConfig(variant, rope_base=base))
+                  for variant in ("RoPE", "RopeOne")
+                  for base in (0, -1.0, float("nan"), float("inf"), "abc", True)),
+                dict(encoding=EncodingConfig("RMHA4", use_value_bias="false")),
+                dict(encoding=EncodingConfig("RMHA4", use_value_bias=1)),
+                dict(encoding=[1])):
         with pytest.raises(UserError):
             tiny_cfg(**bad)
     # integral numpy values are counts too, stored as int
