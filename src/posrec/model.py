@@ -210,7 +210,8 @@ def _sample_negatives(count: int, num_items: int, forbidden: np.ndarray, rng: Rn
     filled = 0
     while filled < count:
         draw = rng.integers(0, num_items, (2 * (count - filled) + 4,))
-        draw = draw[~np.isin(draw, forbidden)]
+        # an id is forbidden when its left and right insertion points differ
+        draw = draw[np.searchsorted(forbidden, draw) == np.searchsorted(forbidden, draw, "right")]
         take = min(count - filled, draw.size)
         out[filled:filled + take] = draw[:take]
         filled += take
@@ -240,7 +241,7 @@ def build_sequences(history, num_items: int, max_len: int, rng: Rng,
         return None
     inputs = history[:-1][-max_len:]
     positives = history[1:][-max_len:]
-    forbidden = history if exclude is None else np.asarray(list(exclude), dtype=np.int64)
+    forbidden = history if exclude is None else np.asarray(exclude, dtype=np.int64)
     negatives = _sample_negatives(inputs.size, num_items, np.unique(forbidden), rng)
 
     ids, mask = left_pad((inputs, positives, negatives), max_len)

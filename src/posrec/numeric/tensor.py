@@ -228,11 +228,16 @@ def _logistic(v: np.ndarray) -> np.ndarray:
 
 
 def leaky_relu(x, slope: float = 0.01):
-    factor = np.where(x.values > 0, 1.0, slope)
-    out = x.values * factor
+    """max(x * slope, x), which is x where x > 0 and x * slope elsewhere for
+    0 < slope < 1.  Only the output is kept: the adjoint's factor, 1 where
+    out > 0 and slope elsewhere, is built from it during backward."""
+    out = x.values * slope
+    np.maximum(out, x.values, out=out)
 
     def push(g):
-        return (g * factor,)
+        factor = np.maximum(out > 0, slope)
+        factor *= g
+        return (factor,)
 
     return _make("leaky_relu", out, (x,), push)
 
@@ -249,25 +254,32 @@ def silu(x):
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
-    """Normalize the last axis to zero mean, unit variance, then scale+shift."""
+    """Normalize the last axis to zero mean, unit variance, then scale+shift.
+
+    The input is centred once and its variance is the mean of the squared
+    centred values, the same operations `np.var` runs, so the result equals
+    the two-pass `v.var` form bit for bit.  The normalized input xhat and the
+    [..., 1] inverse deviations are kept for the adjoint.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatchError("layer_norm", x.shape, gain.shape, bias.shape)
-    v = x.values
-    mu = v.mean(axis=-1, keepdims=True)
-    var = v.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (v - mu) * inv
-    out = xhat * gain.values + bias.values
+    xhat = x.values - x.values.mean(axis=-1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.values, out=out)
+    out += bias.values
 
     def push(g):
+        # gx = inv * (ghat - mean(ghat) - xhat * mean(ghat * xhat)), with one
+        # scratch array for the products
         ghat = g * gain.values
-        gx = inv * (
-            ghat
-            - ghat.mean(axis=-1, keepdims=True)
-            - xhat * (ghat * xhat).mean(axis=-1, keepdims=True)
-        )
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        gx = ghat - ghat.mean(axis=-1, keepdims=True)
+        scratch = np.multiply(ghat, xhat, out=ghat)
+        gx -= np.multiply(xhat, scratch.mean(axis=-1, keepdims=True), out=scratch)
+        gx *= inv
+        ggain = np.multiply(g, xhat, out=scratch).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
@@ -275,14 +287,23 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
 
 
 def dropout(x, p: float, rng, train: bool):
-    """Inverted dropout: mask from `rng` in train mode, identity otherwise."""
+    """Inverted dropout: mask from `rng` in train mode, identity otherwise.
+
+    The output is (x * keep) * (1 / (1 - p)) for a bool mask keep, and the
+    adjoint is (g * keep) * (1 / (1 - p)): the mask, one byte per entry, is
+    all the adjoint keeps.
+    """
     if not train or p == 0.0:
         return x
-    keep = (rng.uniform(x.shape) >= p) * (1.0 / (1.0 - p))
+    keep = rng.uniform(x.shape) >= p
+    scale = 1.0 / (1.0 - p)
     out = x.values * keep
+    out *= scale
 
     def push(g):
-        return (g * keep,)
+        gx = g * keep
+        gx *= scale
+        return (gx,)
 
     return _make("dropout", out, (x,), push)
 
@@ -362,10 +383,11 @@ def attend(q, k, v, keep, a_k=None, a_v=None, idx=None):
     and output row i adds the sum of its weights per bucket times a_v.
 
     Dropped keys get weight 0.  A row with no kept key comes out as zeros,
-    never NaN, and so does any weight whose exponential is not finite.  Only
-    P = softmax(S) is kept for the adjoint (plus its [..., L_q, C] bucket sums
-    when a_v is given), which is dS = P * (dP - rowsum(dP * P)) (Dao et al.
-    2022, FlashAttention, App. B).
+    never NaN, and so does any weight whose exponential is not finite; the
+    pass that zeroes those runs only when some row's sum of exponentials is
+    not finite.  Only P = softmax(S) is kept for the adjoint (plus its
+    [..., L_q, C] bucket sums when a_v is given), which is
+    dS = P * (dP - rowsum(dP * P)) (Dao et al. 2022, FlashAttention, App. B).
     """
     if (min(q.values.ndim, k.values.ndim) < 2 or k.shape[:-2] != q.shape[:-2]
             or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]):
@@ -390,8 +412,13 @@ def attend(q, k, v, keep, a_k=None, a_v=None, idx=None):
     with np.errstate(invalid="ignore", over="ignore"):
         p -= np.where(np.isfinite(top), top, 0.0)
         np.exp(p, out=p)
-    np.copyto(p, 0.0, where=~np.isfinite(p))
     denom = p.sum(axis=-1, keepdims=True)
+    if not np.isfinite(denom).all():
+        # exp gives no negative entry, so a row holds an inf or NaN exactly
+        # when its sum is not finite; a sum of finite entries that overflowed
+        # comes out the same from the re-sum
+        np.copyto(p, 0.0, where=~np.isfinite(p))
+        denom = p.sum(axis=-1, keepdims=True)
     p /= np.where(denom == 0.0, 1.0, denom)
     out = p @ v.values
     if a_v is not None:

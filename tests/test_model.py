@@ -19,6 +19,7 @@ from posrec.model import (
     ModelConfig,
     SequenceBatch,
     _loss_and_gradients,
+    _sample_negatives,
     apply_max_norm,
     bce_loss,
     block_rows,
@@ -85,6 +86,27 @@ def test_negatives_never_collide_with_history():
         assert not (set(negs.tolist()) & seen)
         assert (negs >= 1).all() and (negs <= 150).all()
     assert drawn == 10_000
+
+
+def test_negatives_match_the_isin_rejection_draws():
+    # the same rejection loop, testing membership with np.isin
+    def isin_form(count, num_items, forbidden, rng):
+        out = []
+        while len(out) < count:
+            draw = rng.integers(0, num_items, (2 * (count - len(out)) + 4,))
+            out += draw[~np.isin(draw, forbidden)][:count - len(out)].tolist()
+        return out
+
+    histories = np.random.default_rng(8)
+    for k in range(50):
+        num_items = int(histories.integers(2, 60))
+        history = histories.integers(0, num_items, int(histories.integers(1, 2 * num_items)))
+        forbidden = np.unique(history)
+        if forbidden.size == num_items:
+            continue
+        count = int(histories.integers(1, 120))
+        got = _sample_negatives(count, num_items, forbidden, Rng(4).child(k))
+        assert got.tolist() == isin_form(count, num_items, forbidden, Rng(4).child(k))
 
 
 def test_history_covering_catalogue_rejected():

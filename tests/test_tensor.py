@@ -389,6 +389,44 @@ def test_dropout_matches_mask_times_factor_bitwise():
     assert same_bits(grad, g * keep * (1.0 / 0.7))
 
 
+@np.errstate(invalid="ignore")  # the SPECIAL row's mean is NaN
+def test_layer_norm_matches_its_two_pass_form_bitwise():
+    rng = np.random.default_rng(5)
+    d = SPECIAL.size
+    v = rng.normal(3.0, 2.0, size=(2, 4, d))
+    v[0, 1] = 2.5  # variance 0
+    v[1, 2] = SPECIAL
+    gain, bias = rng.normal(size=d), rng.normal(size=d)
+    g = rng.normal(size=v.shape)
+    out = nm.layer_norm(nm.parameter(v), nm.parameter(gain), nm.parameter(bias))
+    grads = out.op_record.push_grads(g)
+
+    mu = v.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(v.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (v - mu) * inv
+    ghat = g * gain
+    want = (
+        inv * (ghat - ghat.mean(axis=-1, keepdims=True)
+               - xhat * (ghat * xhat).mean(axis=-1, keepdims=True)),
+        (g * xhat).reshape(-1, d).sum(axis=0),
+        g.reshape(-1, d).sum(axis=0),
+    )
+    assert same_bits(out.values, xhat * gain + bias)
+    assert all(same_bits(got, w) for got, w in zip(grads, want))
+
+
+def test_attend_zeroes_a_non_finite_row_and_leaves_the_others_bitwise():
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.normal(size=(3, 2, 5, 4)) for _ in range(3))
+    keep = np.tril(np.ones((5, 5), dtype=bool))
+    finite = nm.attend(nm.constant(q), nm.constant(k), nm.constant(v), keep).values
+    q[1, 0, 3, 0] = np.inf
+    out = nm.attend(nm.constant(q), nm.constant(k), nm.constant(v), keep).values
+    assert same_bits(out[1, 0, 3], np.zeros(4))
+    out[1, 0, 3] = finite[1, 0, 3]
+    assert same_bits(out, finite)
+
+
 def test_backward_twice_accumulates():
     x = nm.parameter(np.array([3.0]))
     loss = nm.dot_last(x, x)
