@@ -24,8 +24,7 @@ from .data import (atomic_write, format_stats_table, leave_one_out, save_cache,
                    save_interactions, stats, subset, write_stats_tsv)
 from .errors import PosrecError, UserError
 from .metrics import evaluate
-from .model import (TEST_EVAL_STREAM, load_checkpoint, save_checkpoint, train,
-                    write_history_tsv)
+from .model import TEST_EVAL_STREAM, load_checkpoint, train
 from .numeric.rng import Rng
 from .runconfig import (RunConfig, build_model_config, load_run_config,
                         resolve_dataset)
@@ -49,38 +48,9 @@ def _parse_nmax(text: str | None):
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        seeds = [int(part) for part in text.replace(",", " ").split()]
+        return [int(part) for part in text.replace(",", " ").split()]
     except ValueError:
         raise UserError(f"--seeds expects comma-separated integers, got '{text}'") from None
-    if not seeds:
-        raise UserError("--seeds is empty")
-    return seeds
-
-
-def _resolve_out(flag_value: str | None, config_value: str | None, name: str) -> str:
-    base = flag_value or config_value
-    if base:
-        return base
-    return os.path.join(os.environ.get("POSREC_OUT", "runs"), name)
-
-
-def _echo_config(config_path: str | None, run_dir: str) -> None:
-    # byte-for-byte copy, so the run records exactly what was asked for
-    if config_path:
-        with open(config_path, "rb") as src, \
-                atomic_write(os.path.join(run_dir, "config.yaml"), binary=True) as fh:
-            fh.write(src.read())
-
-
-def _write_resolved(run_dir: str, payload: dict) -> None:
-    with atomic_write(os.path.join(run_dir, "resolved.json")) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _dataset_info(ds) -> dict:
-    return {"source": ds.source or "-", "users": ds.num_users,
-            "items": ds.num_items, "interactions": ds.num_interactions}
 
 
 def _load_run_config(args) -> RunConfig:
@@ -101,6 +71,28 @@ def _model_overrides(args) -> dict:
         "eval_negatives": getattr(args, "negatives", None),
         "seed": getattr(args, "seed", None),
     }
+
+
+def _start_run(args, rc: RunConfig, command: str, **record):
+    """Resolve the model config and the dataset, and set up the run directory.
+
+    The directory is --out, else the config's `out`, else
+    $POSREC_OUT/<command>.  It gets a byte-for-byte copy of --config, so the
+    run records exactly what was asked for, and resolved.json, which holds
+    the resolved config, the dataset's identity and `record`.
+    """
+    config = build_model_config(rc, _model_overrides(args))
+    ds = resolve_dataset(rc.data, path_override=args.data)
+    run_dir = args.out or rc.out or os.path.join(os.environ.get("POSREC_OUT", "runs"), command)
+    if args.config:
+        with open(args.config, "rb") as src, \
+                atomic_write(os.path.join(run_dir, "config.yaml"), binary=True) as fh:
+            fh.write(src.read())
+    with atomic_write(os.path.join(run_dir, "resolved.json")) as fh:
+        json.dump({"command": command, "config": config.as_dict(), "dataset": ds.identity,
+                   "run_dir": run_dir, **record}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return config, ds, run_dir
 
 
 def _data_section(args) -> dict:
@@ -141,20 +133,10 @@ def cmd_subset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rc = _load_run_config(args)
-    config = build_model_config(rc, _model_overrides(args))
-    ds = resolve_dataset(rc.data, path_override=args.data)
-
-    run_dir = _resolve_out(args.out, rc.out, "train")
-    os.makedirs(run_dir, exist_ok=True)
-    _echo_config(args.config, run_dir)
-    _write_resolved(run_dir, {"command": "train", "config": config.as_dict(),
-                              "dataset": _dataset_info(ds), "run_dir": run_dir})
-
+    config, ds, run_dir = _start_run(args, _load_run_config(args), "train")
     result = train(config, ds, progress=_progress if not args.quiet else None)
 
-    write_history_tsv(result.history, os.path.join(run_dir, "history.tsv"))
-    save_checkpoint(result.model, os.path.join(run_dir, "checkpoint.npz"))
+    stability.save_run(result, run_dir)
     print(f"best epoch {result.best_epoch}  "
           f"valid Hit@10 {result.valid_hit:.2f}  NDCG {result.valid_ndcg:.2f}")
     print(f"test Hit@10 {result.test_hit:.2f}  NDCG {result.test_ndcg:.2f}")
@@ -184,23 +166,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
-    config = build_model_config(rc, _model_overrides(args))
-    ds = resolve_dataset(rc.data, path_override=args.data)
-
-    if args.seeds:
-        seeds = _parse_seeds(args.seeds)
-    elif rc.sweep.get("seeds"):
-        seeds = rc.sweep["seeds"]
-    else:
+    seeds = _parse_seeds(args.seeds) if args.seeds else rc.sweep.get("seeds")
+    if not seeds:
         raise UserError("no seeds: pass --seeds or set sweep.seeds in the config")
     jobs = args.jobs if args.jobs is not None else rc.sweep.get("jobs", 1)
-
-    run_dir = _resolve_out(args.out, rc.out, "sweep")
-    os.makedirs(run_dir, exist_ok=True)
-    _echo_config(args.config, run_dir)
-    _write_resolved(run_dir, {"command": "sweep", "config": config.as_dict(),
-                              "dataset": _dataset_info(ds), "seeds": seeds,
-                              "jobs": jobs, "run_dir": run_dir})
+    stability.check_sweep_args(seeds, jobs)  # before the run directory is written
+    config, ds, run_dir = _start_run(args, rc, "sweep", seeds=seeds, jobs=jobs)
 
     summary = stability.sweep(config, ds, seeds, jobs=jobs, out_dir=run_dir,
                               progress=_progress if not args.quiet else None)

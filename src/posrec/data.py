@@ -77,6 +77,13 @@ class InteractionDataset:
     def attribute_dim(self) -> int:
         return 0 if self.attributes is None else int(self.attributes.shape[1])
 
+    @property
+    def identity(self) -> dict:
+        """What names this dataset: hashed into a sweep's fingerprint and
+        recorded as the `dataset` entry of resolved.json."""
+        return {"source": self.source, "users": self.num_users,
+                "items": self.num_items, "interactions": self.num_interactions}
+
 
 def _sniff_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","

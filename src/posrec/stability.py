@@ -1,9 +1,13 @@
 """Multi-seed sweeps and their aggregation statistics.
 
-A sweep trains one configuration under several seeds, persists every
-per-seed outcome to a JSON-lines ledger before aggregating (so an
-interrupted sweep resumes without recomputing finished seeds), and reports
-mean / sample deviation / 95% confidence intervals in a fixed-column TSV.
+A sweep trains one configuration under several seeds, appends each seed's
+outcome to a JSON-lines ledger before aggregating, and reports mean /
+sample deviation / 95% confidence intervals in a fixed-column TSV.  An
+interrupted sweep resumes from the ledger and reruns only the seeds it does
+not hold.  Rows are appended in the order the seeds are given, so with more
+than one worker a seed that finished while an earlier seed was still
+running is not in the ledger yet, and an interrupt makes it run again
+(ROADMAP item 1).
 All reported metric values are on the x100 (percentage) scale.
 """
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .data import InteractionDataset, atomic_write
 from .errors import TrainingDiverged, UserError
-from .model import ModelConfig, save_checkpoint, train, write_history_tsv
+from .model import ModelConfig, TrainResult, save_checkpoint, train, write_history_tsv
 
 Z_95 = 1.96
 DEVIATION_THRESHOLD = 3.0  # Hit Dev above this marks a high-deviation dataset
@@ -59,12 +63,7 @@ def config_fingerprint(config: ModelConfig, dataset: InteractionDataset | None =
     """Stable id of (configuration minus seed, dataset identity)."""
     payload = {"config": {k: v for k, v in config.as_dict().items() if k != "seed"}}
     if dataset is not None:
-        payload["dataset"] = {
-            "source": dataset.source,
-            "users": dataset.num_users,
-            "items": dataset.num_items,
-            "interactions": dataset.num_interactions,
-        }
+        payload["dataset"] = dataset.identity
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()[:16]
 
@@ -200,28 +199,35 @@ def read_summary_tsv(path: str) -> SweepSummary:
     )
 
 
+def save_run(result: TrainResult, run_dir: str) -> None:
+    """Write a trained run's history.tsv and checkpoint.npz into `run_dir`."""
+    write_history_tsv(result.history, os.path.join(run_dir, "history.tsv"))
+    save_checkpoint(result.model, os.path.join(run_dir, "checkpoint.npz"))
+
+
 def _run_seed(config: ModelConfig, dataset: InteractionDataset, seed: int,
               out_dir: str | None) -> RunRecord:
     result = train(replace(config, seed=seed), dataset)
     if out_dir is not None:
-        run_dir = os.path.join(out_dir, f"seed_{seed}")
-        os.makedirs(run_dir, exist_ok=True)
-        write_history_tsv(result.history, os.path.join(run_dir, "history.tsv"))
-        save_checkpoint(result.model, os.path.join(run_dir, "checkpoint.npz"))
+        save_run(result, os.path.join(out_dir, f"seed_{seed}"))
     return RunRecord(seed=seed, hit=result.test_hit, ndcg=result.test_ndcg)
 
 
-def _worker(args) -> tuple[int, str, float, float, str]:
-    """One seed's outcome: "ok", "failed" (diverged) or "error" (raised)."""
+def _worker(args) -> dict:
+    """One seed's ledger row, less the fingerprint.  Its status is "ok",
+    "failed" (diverged) or "error" (raised); the last two carry an `error`."""
     config, dataset, seed, out_dir = args
+    row = {"seed": seed, "status": "ok", "hit": math.nan, "ndcg": math.nan}
     try:
         record = _run_seed(config, dataset, seed, out_dir)
     except TrainingDiverged as err:
-        return seed, "failed", float("nan"), float("nan"), str(err)
+        row.update(status="failed", error=str(err))
     except Exception as err:  # one seed's fault must not end the other seeds
         traceback.print_exc()
-        return seed, "error", float("nan"), float("nan"), f"{type(err).__name__}: {err}"
-    return seed, "ok", record.hit, record.ndcg, ""
+        row.update(status="error", error=f"{type(err).__name__}: {err}")
+    else:
+        row.update(hit=record.hit, ndcg=record.ndcg)
+    return row
 
 
 def _read_ledger(path: str) -> list[dict]:
@@ -260,24 +266,31 @@ def _read_ledger(path: str) -> list[dict]:
     return rows
 
 
+def check_sweep_args(seeds: list[int], jobs: int) -> None:
+    """Reject a sweep that cannot run: no seeds, a repeated seed, or jobs < 1."""
+    if not seeds:
+        raise UserError("sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise UserError(f"sweep seeds must be distinct, got {seeds}")
+    if jobs < 1:
+        raise UserError("jobs must be >= 1")
+
+
 def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
           jobs: int = 1, out_dir: str | None = None, progress=None) -> SweepSummary:
     """Train + evaluate one configuration per seed, then aggregate.
 
-    Every per-seed outcome lands in `out_dir`/runs.jsonl as soon as it
-    finishes; rerunning the sweep skips seeds already recorded under the same
-    config/dataset fingerprint.  Diverged seeds stay in the ledger as failed
-    and are excluded from the aggregate (`runs` counts successes), as are
-    seeds whose run raised; those are recorded as "error" rows, listed in
-    `errored`, and run again on resume.
+    Each seed's outcome is appended to `out_dir`/runs.jsonl in the order of
+    `seeds`: with `jobs` > 1, a seed that finishes before an earlier one is
+    recorded only once that earlier seed ends, and an interrupt in between
+    loses it (ROADMAP item 1).  Rerunning the sweep skips seeds already
+    recorded under the same config/dataset fingerprint.  Diverged seeds stay
+    in the ledger as failed and are excluded from the aggregate (`runs`
+    counts successes), as are seeds whose run raised; those are recorded as
+    "error" rows, listed in `errored`, and run again on resume.
     """
     seeds = [int(s) for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise UserError(f"sweep seeds must be distinct, got {seeds}")
-    if not seeds:
-        raise UserError("sweep needs at least one seed")
-    if jobs < 1:
-        raise UserError("jobs must be >= 1")
+    check_sweep_args(seeds, jobs)
 
     fingerprint = config_fingerprint(config, dataset)
     ledger_path = None
@@ -298,19 +311,16 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     parallel = jobs > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
         # both maps yield in submission order, so the ledger's rows do too
-        for seed, status, hit, ndcg, error in (pool.map if parallel else map)(_worker, tasks):
-            row = {"seed": seed, "fingerprint": fingerprint, "status": status,
-                   "hit": hit, "ndcg": ndcg}
-            if error:
-                row["error"] = error
-            done[seed] = row
+        for row in (pool.map if parallel else map)(_worker, tasks):
+            row["fingerprint"] = fingerprint
+            done[row["seed"]] = row
             if ledger_path is not None:
                 with open(ledger_path, "a", newline="\n") as fh:
                     fh.write(json.dumps(row, sort_keys=True) + "\n")
                     fh.flush()
             if progress:
-                progress(f"seed {seed}: {status}" +
-                         (f"  Hit@10 {hit:.2f}" if status == "ok" else f"  {error}"))
+                progress(f"seed {row['seed']}: {row['status']}  " +
+                         (f"Hit@10 {row['hit']:.2f}" if row["status"] == "ok" else row["error"]))
 
     failed = [s for s in seeds if done[s]["status"] != "ok"]
     if failed:

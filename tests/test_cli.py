@@ -11,6 +11,7 @@ import yaml
 from posrec import cli, stability
 from posrec.data import save_cache
 from posrec.errors import UserError
+from posrec.model import ModelConfig
 from posrec.runconfig import (RunConfig, build_model_config, load_run_config,
                               parse_run_config, resolve_dataset)
 
@@ -284,11 +285,53 @@ def test_sweep_then_recommend(work, tmp_path, capsys):
     assert ("RMHA4" in shown) or ("RotatoryCon" in shown)
 
 
-def test_sweep_needs_seeds(work, tmp_path, capsys):
-    rc = cli.main(["sweep", "--config", work["cfg"], "--out", str(tmp_path / "x"),
-                   "--quiet"])
+REJECTED_SWEEPS = {
+    "no seeds": ([], "no seeds: pass --seeds"),
+    "repeated seed": (["--seeds", "1,1"], "seeds must be distinct"),
+    "no jobs": (["--seeds", "1", "--jobs", "0"], "jobs must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_SWEEPS)
+def test_sweep_needs_seeds(case, work, tmp_path, capsys):
+    flags, message = REJECTED_SWEEPS[case]
+    out = tmp_path / "x"
+    rc = cli.main(["sweep", "--config", work["cfg"], "--out", str(out), "--quiet", *flags])
     assert rc == 1
-    assert "seeds" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # a rejected sweep writes nothing
+
+
+def test_rejected_sweep_leaves_a_finished_sweep_as_it_was(work, tmp_path):
+    sw = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1",
+                     "--out", str(sw), "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in sw.iterdir() if p.is_file()}
+    assert "resolved.json" in before
+    assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1,1",
+                     "--out", str(sw), "--quiet"]) == 1
+    assert {p.name: p.read_bytes() for p in sw.iterdir() if p.is_file()} == before
+
+
+def test_train_and_sweep_share_one_writer_and_one_dataset_identity(work, tmp_path):
+    run, sw = tmp_path / "run", tmp_path / "sw"
+    assert cli.main(["train", "--config", work["cfg"], "--seed", "5",
+                     "--out", str(run), "--quiet"]) == 0
+    assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "5",
+                     "--out", str(sw), "--quiet"]) == 0
+    seed_dir = sw / "seed_5"
+    assert (seed_dir / "history.tsv").read_bytes() == (run / "history.tsv").read_bytes()
+    with np.load(run / "checkpoint.npz") as a, np.load(seed_dir / "checkpoint.npz") as b:
+        assert sorted(a.files) == sorted(b.files) and "__meta__" in a.files
+        for key in a.files:
+            assert np.array_equal(a[key], b[key]), key
+
+    ds = resolve_dataset(load_run_config(work["cfg"]).data)
+    resolved = json.loads((sw / "resolved.json").read_text())
+    assert resolved["dataset"] == ds.identity
+    [row] = [json.loads(line) for line in (sw / stability.LEDGER_NAME).read_text().splitlines()]
+    config = ModelConfig.from_dict(resolved["config"])
+    assert stability.config_fingerprint(config, ds) == row["fingerprint"]
 
 
 def test_flag_overrides_reach_resolved_config(work, tmp_path):

@@ -472,14 +472,22 @@ def _evaluate_out(inputs, path):
     args.func(args)
 
 
-def _echo_config(inputs, path):
-    _, log, _ = inputs  # any file serves as the config the run was given
-    cli._echo_config(log, os.path.dirname(path))  # copies it to <run_dir>/config.yaml
+def _start_run(inputs, path):
+    """Set up a train run in the directory of `path`: its config.yaml, then
+    resolved.json."""
+    _, log, _ = inputs
+    config = os.path.join(os.path.dirname(log), "run.yaml")
+    with open(config, "w") as fh:
+        fh.write(f"data: {{path: {log}}}\n")
+    args = cli.build_parser().parse_args(["train", "--config", config,
+                                          "--out", os.path.dirname(path)])
+    cli._start_run(args, cli._load_run_config(args), "train")
 
 
-# each writer(inputs, path) writes one file through data.atomic_write
+# each writer(inputs, path) writes `path`, and any other file, through
+# data.atomic_write
 WRITERS = {
-    "config.yaml": _echo_config,
+    "config.yaml": _start_run,
     "save_interactions": lambda inputs, path: save_interactions(inputs[0], path),
     "save_cache": lambda inputs, path: save_cache(inputs[0], path),
     "write_stats_tsv": lambda inputs, path: write_stats_tsv(stats(inputs[0]), path),
@@ -494,7 +502,7 @@ def test_torn_write_leaves_the_old_file_or_none(writer, tmp_path, monkeypatch):
     inputs = _inputs(tmp_path)  # made before any write is torn
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    # the name _echo_config gives its copy; every other writer writes exactly
+    # the name a run gives its config copy; every other writer writes exactly
     # the path it is given (np.savez gets a handle, so it adds no suffix)
     path = out_dir / "config.yaml"
 
@@ -508,7 +516,7 @@ def test_torn_write_leaves_the_old_file_or_none(writer, tmp_path, monkeypatch):
     torn_write()
     assert list(out_dir.iterdir()) == []
     WRITERS[writer](inputs, str(path))
-    complete = path.read_bytes()
+    complete = {p: p.read_bytes() for p in out_dir.iterdir()}
+    assert path in complete
     torn_write()
-    assert path.read_bytes() == complete
-    assert list(out_dir.iterdir()) == [path]
+    assert {p: p.read_bytes() for p in out_dir.iterdir()} == complete

@@ -17,13 +17,24 @@ variant computes does not.  Regenerate the reference with
     PYTHONPATH=src python tests/test_equivalence.py --write
 
 and say why in CHANGES.md; never rewrite it to make a defect pass.
+
+    PYTHONPATH=src python tests/test_equivalence.py --against <rev>
+
+compares the working tree's `src/` with that of git revision <rev> instead:
+it observes every run under each tree in a subprocess and prints, per run,
+whether the two are bit-identical, within the tolerances above, or differ,
+naming the first field that differs.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
+import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 import zlib
 from pathlib import Path
@@ -123,52 +134,117 @@ def _observe(name: str, monkeypatch: pytest.MonkeyPatch) -> dict:
     }
 
 
-def _compare_history(got: list[str], want: list[str]) -> None:
-    assert len(got) == len(want)
-    assert got[0] == want[0]
-    for got_line, want_line in zip(got[1:], want[1:]):
-        g, w = got_line.split("\t"), want_line.split("\t")
-        assert g[:2] == w[:2], (got_line, want_line)
-        for a, b in zip(g[2:], w[2:]):
-            if "NaN" in (a, b):
-                assert a == b, (got_line, want_line)
-            else:
-                assert abs(float(a) - float(b)) <= HISTORY_ATOL, (got_line, want_line)
-
-
 @pytest.fixture(scope="module")
 def reference():
     return json.loads(REFERENCE.read_text())
 
 
-def _compare_sketch(got: list, want: list, want_scale: list, label: str) -> None:
+def _history_within(got: list[str], want: list[str]) -> bool:
+    if len(got) != len(want) or got[0] != want[0]:
+        return False
+    for got_line, want_line in zip(got[1:], want[1:]):
+        g, w = got_line.split("\t"), want_line.split("\t")
+        if g[:2] != w[:2]:
+            return False
+        for a, b in zip(g[2:], w[2:]):
+            if a != b and ("NaN" in (a, b) or abs(float(a) - float(b)) > HISTORY_ATOL):
+                return False
+    return True
+
+
+def _sketch_within(got: list, want: list, want_scale: list) -> bool:
     bound = SKETCH_RTOL * np.asarray(want_scale)
-    assert np.all(np.abs(np.asarray(got) - want) <= bound), label
+    return bool(np.all(np.abs(np.asarray(got) - want) <= bound))
+
+
+def _first_difference(got: dict, want: dict) -> str | None:
+    """The first field of a run's observation outside the tolerances, or None."""
+    if not _history_within(got["history"], want["history"]):
+        return "history"
+    if sorted(got["sketch"]) != sorted(want["sketch"]):
+        return "parameter names"
+    for param, sketch in want["sketch"].items():
+        if not _sketch_within(got["sketch"][param], sketch, want["scale"][param]):
+            return param
+    if not _sketch_within(got["hidden_sketch"], want["hidden_sketch"], want["hidden_scale"]):
+        return "final_hidden"
+    for field in ("ranks_sampled", "ranks_full"):
+        if got[field] != want[field]:
+            return field
+    return None
 
 
 @pytest.mark.parametrize("name", sorted(_runs()))
 def test_run_matches_reference(name, reference, monkeypatch):
     got, want = _observe(name, monkeypatch), reference[name]
-    _compare_history(got["history"], want["history"])
-    assert sorted(got["sketch"]) == sorted(want["sketch"])
-    for param, sketch in want["sketch"].items():
-        _compare_sketch(got["sketch"][param], sketch, want["scale"][param], param)
-    _compare_sketch(got["hidden_sketch"], want["hidden_sketch"], want["hidden_scale"], "final_hidden")
-    assert got["ranks_sampled"] == want["ranks_sampled"]
-    assert got["ranks_full"] == want["ranks_full"]
+    field = _first_difference(got, want)
+    assert field is None, f"{field} differs from the reference"
 
 
-def _write() -> None:
+def _observe_all() -> dict:
     observed = {}
     for name in sorted(_runs()):
         with pytest.MonkeyPatch.context() as monkeypatch:
             observed[name] = _observe(name, monkeypatch)
+    return observed
+
+
+def _write() -> None:
+    observed = _observe_all()
     lines = [f"{json.dumps(name)}: {json.dumps(run, sort_keys=True)}" for name, run in observed.items()]
     REFERENCE.write_text("{\n" + ",\n".join(lines) + "\n}\n")  # one run per line
     print(f"wrote {len(observed)} runs to {REFERENCE}")
 
 
+def _against(rev: str) -> int:
+    """Print how each run under revision `rev`'s src/ compares with the
+    working tree's; 1 if any run differs."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        sys.exit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        trees = {rev: Path(tmp) / "src", "working tree": root / "src"}
+        children = {  # both trees at once, one process each
+            label: subprocess.Popen(
+                [sys.executable, __file__, "--observe"], stdout=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+            for label, src in trees.items()
+        }
+        outputs = {label: child.communicate()[0] for label, child in children.items()}
+        observed = {}
+        for label, out in outputs.items():
+            if children[label].returncode:
+                sys.exit(f"observing the runs under {label} failed")
+            got = json.loads(out)
+            if not got["posrec"].startswith(str(trees[label])):
+                sys.exit(f"{label}: posrec was imported from {got['posrec']}")
+            observed[label] = got["runs"]
+    width = max(map(len, observed[rev]))
+    print(f"{'run':<{width}}  {rev} -> working tree")
+    differ = 0
+    for name, want in observed[rev].items():
+        got = observed["working tree"][name]
+        field = _first_difference(got, want)
+        if got == want:
+            verdict = "bit-identical"
+        elif field is None:
+            verdict = "within tolerances"
+        else:
+            verdict, differ = f"differs: {field}", differ + 1
+        print(f"{name:<{width}}  {verdict}")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py --write")
-    _write()
+    if sys.argv[1:] == ["--write"]:
+        _write()
+    elif sys.argv[1:] == ["--observe"]:  # one tree's side of --against
+        import posrec
+        json.dump({"posrec": posrec.__file__, "runs": _observe_all()}, sys.stdout)
+    elif len(sys.argv) == 3 and sys.argv[1] == "--against":
+        sys.exit(_against(sys.argv[2]))
+    else:
+        sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py --write | --against <rev>")
