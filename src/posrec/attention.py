@@ -3,9 +3,10 @@
 Standard attention, its relative-bias variant (key/value offset tables), and
 the query/key pair rotation are all wired through one block so every encoding
 variant runs through identical plumbing. Each attention call is one
-`numeric.attend` node; RoPE rotates q and k before it. Masks are boolean
-keep-matrices; disallowed keys get weight 0 and fully masked rows come out as
-zeros, never NaN.
+`numeric.attend` node; RoPE rotates q and k before it. The relative bias
+tables belong to the model's EncodingTables, which every block reads. Masks
+are boolean keep-matrices; disallowed keys get weight 0 and fully masked rows
+come out as zeros, never NaN.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numeric as nm
-from .encodings import activate, relative_index_matrix, rope_rotate, xavier
+from .encodings import EncodingTables, activate, relative_index_matrix, rope_rotate, xavier
 from .numeric import Rng, TensorNode
 
 if TYPE_CHECKING:
@@ -28,12 +29,12 @@ def scaled_dot_attention(q, k, v, keep_mask):
     return nm.attend(q, k, v, keep_mask)
 
 
-def relative_attention(q, k, v, a_k, a_v, keep_mask, use_value_bias: bool = True,
-                       query_positions=None):
+def relative_attention(q, k, v, a_k, a_v, keep_mask, query_positions=None):
     """Attention with trainable biases indexed by the clamped offset j - i.
 
     a_k rows enter the pre-softmax scores through a dot with the query;
-    a_v rows are added to the values under the attention weights.  Query row
+    a_v rows, unless a_v is None, are added to the values under the
+    attention weights.  Query row
     r sits at position query_positions[r] (default: every key position).
 
     Only C = 2*clip + 1 offsets exist, so both terms work on offset buckets
@@ -46,7 +47,7 @@ def relative_attention(q, k, v, a_k, a_v, keep_mask, use_value_bias: bool = True
     idx = relative_index_matrix(k.shape[-2], (a_k.shape[0] - 1) // 2)
     if query_positions is not None:
         idx = idx[query_positions]
-    return nm.attend(q, k, v, keep_mask, a_k, a_v if use_value_bias else None, idx)
+    return nm.attend(q, k, v, keep_mask, a_k, a_v, idx)
 
 
 class TransformerBlock:
@@ -55,15 +56,14 @@ class TransformerBlock:
     x -> x + drop(attn(LN(x)))  -> h + drop(W2 act(W1 LN(h) + b1) + b2)
 
     Sizes, dropout, activation and encoding come from the model's (already
-    validated) config.  Relative bias tables are shared across blocks, so
-    they are passed in by the model rather than owned here.
+    validated) config.  `tables` are the model's encoding tables, which hold
+    the relative bias tables every block shares.
     """
 
-    def __init__(self, config: ModelConfig, block_index: int, rng: Rng,
-                 rel_tables: tuple[TensorNode, TensorNode] | None = None):
+    def __init__(self, config: ModelConfig, block_index: int, rng: Rng, tables: EncodingTables):
         self.config = config
         self.block_index = block_index
-        self.rel_tables = rel_tables
+        self.tables = tables
         d, g = config.d, config.g
         pre = f"block{block_index}."
         self.ln1_gain = nm.parameter(np.ones(d), name=pre + "ln1_gain")
@@ -117,11 +117,8 @@ class TransformerBlock:
             q = rope_rotate(q, base=encoding.rope_base, positions=query_positions)
             k = rope_rotate(k, base=encoding.rope_base)
         if encoding.is_relative:
-            a_k, a_v = self.rel_tables
-            attended = relative_attention(
-                q, k, v, a_k, a_v, keep_mask, use_value_bias=encoding.use_value_bias,
-                query_positions=query_positions,
-            )
+            attended = relative_attention(q, k, v, self.tables.rel_key_table,
+                                          self.tables.rel_value_table, keep_mask, query_positions)
         else:
             attended = scaled_dot_attention(q, k, v, keep_mask)
         merged = nm.reshape(nm.transpose(attended, (0, 2, 1, 3)), (B, L_q, d))

@@ -74,25 +74,29 @@ def _model_overrides(args) -> dict:
 
 
 def _start_run(args, rc: RunConfig, command: str, **record):
-    """Resolve the model config and the dataset, and set up the run directory.
-
-    The directory is --out, else the config's `out`, else
-    $POSREC_OUT/<command>.  It gets a byte-for-byte copy of --config, so the
-    run records exactly what was asked for, and resolved.json, which holds
-    the resolved config, the dataset's identity and `record`.
-    """
+    """The resolved model config, the dataset, the run directory (--out, else
+    the config's `out`, else $POSREC_OUT/<command>) and the run's record: a
+    byte-for-byte copy of --config, read now, and resolved.json, holding the
+    resolved config, the dataset's identity and `record`."""
     config = build_model_config(rc, _model_overrides(args))
     ds = resolve_dataset(rc.data, path_override=args.data)
     run_dir = args.out or rc.out or os.path.join(os.environ.get("POSREC_OUT", "runs"), command)
+    files = {}
     if args.config:
-        with open(args.config, "rb") as src, \
-                atomic_write(os.path.join(run_dir, "config.yaml"), binary=True) as fh:
-            fh.write(src.read())
-    with atomic_write(os.path.join(run_dir, "resolved.json")) as fh:
-        json.dump({"command": command, "config": config.as_dict(), "dataset": ds.identity,
-                   "run_dir": run_dir, **record}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return config, ds, run_dir
+        with open(args.config, "rb") as src:
+            files["config.yaml"] = src.read()
+    files["resolved.json"] = (json.dumps(
+        {"command": command, "config": config.as_dict(), "dataset": ds.identity,
+         "run_dir": run_dir, **record}, indent=2, sort_keys=True) + "\n").encode()
+    return config, ds, run_dir, files
+
+
+def _write_record(run_dir: str, files: dict[str, bytes]) -> None:
+    """Write the run's record (_start_run) into `run_dir`.  Called after the
+    run, so a run that fails leaves an earlier run's record as it was."""
+    for name, data in files.items():
+        with atomic_write(os.path.join(run_dir, name), binary=True) as fh:
+            fh.write(data)
 
 
 def _data_section(args) -> dict:
@@ -133,10 +137,11 @@ def cmd_subset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, ds, run_dir = _start_run(args, _load_run_config(args), "train")
+    config, ds, run_dir, record = _start_run(args, _load_run_config(args), "train")
     result = train(config, ds, progress=_progress if not args.quiet else None)
 
     stability.save_run(result, run_dir)
+    _write_record(run_dir, record)
     print(f"best epoch {result.best_epoch}  "
           f"valid Hit@10 {result.valid_hit:.2f}  NDCG {result.valid_ndcg:.2f}")
     print(f"test Hit@10 {result.test_hit:.2f}  NDCG {result.test_ndcg:.2f}")
@@ -170,11 +175,11 @@ def cmd_sweep(args) -> int:
     if not seeds:
         raise UserError("no seeds: pass --seeds or set sweep.seeds in the config")
     jobs = args.jobs if args.jobs is not None else rc.sweep.get("jobs", 1)
-    stability.check_sweep_args(seeds, jobs)  # before the run directory is written
-    config, ds, run_dir = _start_run(args, rc, "sweep", seeds=seeds, jobs=jobs)
+    config, ds, run_dir, record = _start_run(args, rc, "sweep", seeds=seeds, jobs=jobs)
 
     summary = stability.sweep(config, ds, seeds, jobs=jobs, out_dir=run_dir,
                               progress=_progress if not args.quiet else None)
+    _write_record(run_dir, record)
     with open(os.path.join(run_dir, stability.RESULTS_NAME), encoding="utf-8") as fh:
         print(fh.read(), end="")
     print(f"artifacts: {run_dir}")

@@ -21,18 +21,23 @@ query and key pairs by fixed position angles, and a Rotatory table turns the
 unit pairs (0, 1) by its trainable angles.
 
 EncodingConfig names the variant and its options; ModelConfig holds it and
-validates it against the model's sizes.  EncodingTables holds the tables a
-vector variant trains, built by the model at its d and max_len.
+validates it against the model's sizes.  EncodingTables holds every table an
+encoding trains, built from the model's config: a vector variant's rows and
+Con projection, and RMHA4's offset bias tables, which every block shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numeric as nm
 from .numeric import Rng, TensorNode
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 VARIANTS = (
     "None",
@@ -114,24 +119,12 @@ def relative_index_matrix(length: int, clip: int) -> np.ndarray:
     return np.clip(j - i, -clip, clip) + clip
 
 
-def relative_bias_tables(clip: int, head_dim: int) -> tuple[TensorNode, TensorNode]:
-    """Trainable key/value bias tables, one row per clamped offset.
-
-    Zero-initialized, so relative attention starts out identical to standard
-    attention and the offsets are introduced by training.
-    """
-    rows = 2 * clip + 1
-    a_k = nm.parameter(np.zeros((rows, head_dim)), name="rel_key_table")
-    a_v = nm.parameter(np.zeros((rows, head_dim)), name="rel_value_table")
-    return a_k, a_v
-
-
 @dataclass(frozen=True)
 class EncodingConfig:
     """Which variant a model uses, and the options of that variant.
 
-    Holds no dimensions and no tables: the model supplies d and max_len and
-    owns the parameters (EncodingTables).  An unset `projection_activation`
+    Holds no dimensions and no tables: the model supplies d and max_len, and
+    EncodingTables holds the parameters.  An unset `projection_activation`
     follows the model's feed-forward activation; ModelConfig resolves it and
     validates every field.
     """
@@ -154,6 +147,10 @@ class EncodingConfig:
     def is_relative(self) -> bool:
         return self.variant == "RMHA4"
 
+    @property
+    def is_rope(self) -> bool:
+        return self.variant in ("RoPE", "RopeOne")
+
     def rope_active(self, block_index: int) -> bool:
         return self.variant == "RoPE" or (self.variant == "RopeOne" and block_index == 0)
 
@@ -163,7 +160,7 @@ class EncodingConfig:
         if self.is_relative:
             cfg["clip_distance"] = self.clip_distance
             cfg["use_value_bias"] = self.use_value_bias
-        if self.variant in ("RoPE", "RopeOne"):
+        if self.is_rope:
             cfg["rope_base"] = self.rope_base
         if self.is_concat:
             cfg["projection_activation"] = self.projection_activation
@@ -172,9 +169,11 @@ class EncodingConfig:
 
 @dataclass
 class EncodingTables:
-    """The tables a vector variant trains (or caches, for Abs).
+    """Every table an encoding trains (or caches, for Abs).
 
-    Fields its variant does not use stay None.
+    Fields its variant does not use stay None.  RMHA4's [2 clip + 1, head_dim]
+    offset tables start at zero, so relative attention starts out as standard
+    attention; the value table exists only under `use_value_bias`.
     """
 
     abs_table: np.ndarray | None = None
@@ -182,9 +181,13 @@ class EncodingTables:
     angle_table: TensorNode | None = None
     projection_weight: TensorNode | None = None
     projection_bias: TensorNode | None = None
+    rel_key_table: TensorNode | None = None
+    rel_value_table: TensorNode | None = None
 
     @classmethod
-    def create(cls, encoding: EncodingConfig, d: int, max_len: int, rng: Rng) -> "EncodingTables":
+    def create(cls, config: ModelConfig, rng: Rng) -> "EncodingTables":
+        """The tables of `config`'s encoding, at its d, max_len and head dim."""
+        encoding, d, max_len = config.encoding, config.d, config.max_len
         tables = cls()
         if encoding.variant in ("Abs", "AbsCon"):
             tables.abs_table = sinusoidal_table(max_len, d)
@@ -198,15 +201,17 @@ class EncodingTables:
             tables.projection_weight = nm.parameter(xavier(rng, (d, 2 * d)),
                                                     name="projection_weight")
             tables.projection_bias = nm.parameter(np.zeros(d), name="projection_bias")
+        if encoding.is_relative:
+            shape = (2 * encoding.clip_distance + 1, config.head_dim)
+            tables.rel_key_table = nm.parameter(np.zeros(shape), name="rel_key_table")
+            if encoding.use_value_bias:
+                tables.rel_value_table = nm.parameter(np.zeros(shape), name="rel_value_table")
         return tables
 
     def parameters(self) -> list[tuple[str, TensorNode]]:
-        out = []
-        for name in ("position_table", "angle_table", "projection_weight", "projection_bias"):
-            node = getattr(self, name)
-            if node is not None:
-                out.append((name, node))
-        return out
+        names = ("position_table", "angle_table", "projection_weight", "projection_bias",
+                 "rel_key_table", "rel_value_table")
+        return [(name, getattr(self, name)) for name in names if getattr(self, name) is not None]
 
     def clamped(self) -> list[TensorNode]:
         """Vector-encoding tables subject to the max-norm clamp."""
@@ -221,22 +226,27 @@ class EncodingTables:
         return rotatory_table(self.angle_table)
 
 
+def project_concat(x: TensorNode, extra: TensorNode, weight: TensorNode,
+                   bias: TensorNode) -> TensorNode:
+    """W . [x ; extra] + b for W = [W_x | W_e], as x W_x^T + (extra W_e^T + b):
+    no concatenation is built, and [L, d_e] rows that every sequence shares
+    are projected once per position rather than once per sequence."""
+    d_x = x.shape[-1]
+    w_t = nm.transpose(weight, (1, 0))  # [d_x + d_e, n]: W_x^T over W_e^T
+    w_x_t, w_e_t = nm.gather(w_t, np.arange(d_x)), nm.gather(w_t, np.arange(d_x, w_t.shape[0]))
+    return nm.linear(x, w_x_t, nm.linear(extra, w_e_t, bias))
+
+
 def apply_vector_encoding(x: TensorNode, encoding: EncodingConfig,
                           tables: EncodingTables) -> TensorNode:
     """Combine input embeddings [B, max_len, d] with a vector variant's
     position rows, built at the same max_len and d.
 
     Plain variants add the rows; the Con variants project
-    activation(W . [x ; rows] + b) back to d, computed as
-    x W_x^T + (rows W_r^T + b) with W = [W_x | W_r], so the position half is
-    projected once per position rather than once per sequence.
+    activation(W . [x ; rows] + b) back to d (project_concat).
     """
-    d = x.shape[-1]
     rows = tables.rows()
     if not encoding.is_concat:
         return nm.add(x, rows)
-    w_t = nm.transpose(tables.projection_weight, (1, 0))  # [2d, d]: W_x^T over W_r^T
-    w_x_t, w_r_t = nm.gather(w_t, np.arange(d)), nm.gather(w_t, np.arange(d, 2 * d))
-    position_term = nm.linear(rows, w_r_t, tables.projection_bias)  # [L, d]
-    projected = nm.linear(x, w_x_t, position_term)
+    projected = project_concat(x, rows, tables.projection_weight, tables.projection_bias)
     return activate(encoding.projection_activation, projected)

@@ -1,7 +1,9 @@
 """Sequential recommender over item histories.
 
-Item embeddings (optionally fused with per-item attribute vectors), a
-positional-encoding stage, a stack of causal transformer blocks, and a final
+Item embeddings (optionally fused with per-item attribute vectors through the
+same concatenate-then-project helper as the Con encodings), a
+positional-encoding stage whose tables, RMHA4's bias tables included, all live
+in one EncodingTables, a stack of causal transformer blocks, and a final
 layer norm produce one hidden state per position; a target's score is the
 logit given by the dot product of that state with the target's embedding.
 Training minimises masked binary cross-entropy over the logits of
@@ -23,7 +25,7 @@ from . import numeric as nm
 from .attention import TransformerBlock, causal_keep_mask
 from .data import InteractionDataset, atomic_write, leave_one_out
 from .encodings import (ACTIVATIONS, PROJECTION_ACTIVATIONS, VARIANTS, EncodingConfig,
-                        EncodingTables, apply_vector_encoding, relative_bias_tables, xavier)
+                        EncodingTables, apply_vector_encoding, project_concat, xavier)
 from .errors import TrainingDiverged, UserError, require_int
 from .metrics import evaluate
 from .numeric import AdamState, Rng, TensorNode, adam_step
@@ -123,14 +125,14 @@ class ModelConfig:
                             + ", ".join(VARIANTS))
         if enc.variant in ("Abs", "AbsCon", "Rotatory", "RotatoryCon") and self.d % 2:
             raise UserError(f"variant {enc.variant} needs an even d, got {self.d}")
-        if enc.variant in ("RoPE", "RopeOne") and self.head_dim % 2:
+        if enc.is_rope and self.head_dim % 2:
             raise UserError(f"variant {enc.variant} needs an even head dim, got "
                             f"{self.head_dim} (d {self.d} / heads {self.heads})")
         if enc.is_relative and require_int("clip_distance", enc.clip_distance) < 1:
             raise UserError(f"clip_distance must be >= 1, got {enc.clip_distance}")
         if enc.is_relative and not isinstance(enc.use_value_bias, bool):
             raise UserError(f"use_value_bias must be true or false, got {enc.use_value_bias!r}")
-        if enc.variant in ("RoPE", "RopeOne") and _require_finite("rope_base", enc.rope_base) <= 0:
+        if enc.is_rope and _require_finite("rope_base", enc.rope_base) <= 0:
             raise UserError(f"rope_base must be > 0, got {enc.rope_base!r}")
         if enc.projection_activation not in PROJECTION_ACTIVATIONS:
             raise UserError(f"projection activation '{enc.projection_activation}' not one of "
@@ -298,8 +300,7 @@ class Model:
         self.config = config
         self.num_items = num_items
         d = config.d
-        self.encoding_tables = EncodingTables.create(config.encoding, d, config.max_len,
-                                                     rng.child(1))
+        self.encoding_tables = EncodingTables.create(config, rng.child(1))
         table = rng.child(0).normal((num_items + 1, d), scale=0.02)
         table[0] = 0.0  # padding row
         self.item_table = nm.parameter(table, name="item_table")
@@ -321,13 +322,8 @@ class Model:
             )
             self.fuse_bias = nm.parameter(np.zeros(d), name="fuse_bias")
 
-        self.rel_tables = None
-        if config.encoding.is_relative:
-            self.rel_tables = relative_bias_tables(config.encoding.clip_distance, config.head_dim)
-        self.blocks = [
-            TransformerBlock(config, i, rng.child(10 + i), rel_tables=self.rel_tables)
-            for i in range(config.blocks)
-        ]
+        self.blocks = [TransformerBlock(config, i, rng.child(10 + i), self.encoding_tables)
+                       for i in range(config.blocks)]
         self.final_gain = nm.parameter(np.ones(d), name="final_gain")
         self.final_bias = nm.parameter(np.zeros(d), name="final_bias")
 
@@ -336,8 +332,6 @@ class Model:
         if self.fuse_weight is not None:
             out += [("fuse_weight", self.fuse_weight), ("fuse_bias", self.fuse_bias)]
         out += self.encoding_tables.parameters()
-        if self.rel_tables is not None:
-            out += [(t.name, t) for t in self.rel_tables]
         for block in self.blocks:
             out += block.parameters()
         out += [("final_gain", self.final_gain), ("final_bias", self.final_bias)]
@@ -352,8 +346,7 @@ class Model:
         x = nm.gather(self.item_table, ids)
         if self.fuse_weight is not None:
             attrs = nm.gather(self.attribute_table, ids)
-            x = nm.linear(nm.concat([x, attrs]), nm.transpose(self.fuse_weight, (1, 0)),
-                          self.fuse_bias)
+            x = project_concat(x, attrs, self.fuse_weight, self.fuse_bias)
         encoding = self.config.encoding
         if encoding.is_vector:
             x = apply_vector_encoding(x, encoding, self.encoding_tables)

@@ -8,7 +8,6 @@ from .tensor import (
     attend,
     backward,
     bce,
-    concat,
     constant,
     dot_last,
     dropout,

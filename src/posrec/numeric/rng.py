@@ -2,8 +2,12 @@
 
 Philox keyed by (seed, stream): the same pair always replays the same draw
 sequence, on any platform, so sweep workers and resumed runs agree bit for
-bit. Child streams are derived as stream * 1_000_003 + k + 1, which keeps the
-two nesting levels the trainer uses (run -> epoch, run -> evaluation) apart.
+bit. Child streams are derived as stream * 1_000_003 + k + 1: while every id
+k is below 1_000_002, different paths of ids from one Rng give different
+streams at any depth, until a stream reaches 2^64.  The key holds it mod 2^64
+(_MASK64), so larger streams wrap and may meet.  The dropout streams nest five
+deep (run -> dropout -> epoch -> batch -> block -> sublayer) and pass 2^64:
+Rng(0).child(3).child(200).child(1024).child(3).child(1).stream has 82 bits.
 """
 
 from __future__ import annotations

@@ -134,8 +134,8 @@ def linear(x, w, b=None):
     """x @ w (+ b) for a shared weight w [k, n] and x [..., k].
 
     One [M, k] @ [k, n] product over every row of x; b, when given, is added
-    in place and broadcasts against the [..., n] output ([n], or [L, n] rows
-    shared by every sequence of a batch).
+    in place and broadcasts against the [..., n] output ([n], [L, n] rows
+    shared by every sequence of a batch, or the output's own shape).
     """
     if w.values.ndim != 2 or x.values.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ShapeMismatchError("linear", x.shape, w.shape)
@@ -173,19 +173,6 @@ def reshape(x, shape):
         return (g.reshape(original),)
 
     return _make("reshape", x.values.reshape(shape), (x,), push)
-
-
-def concat(nodes):
-    """Concatenate along the last axis."""
-    nodes = list(nodes)
-    sizes = [n.shape[-1] for n in nodes]
-    out = np.concatenate([n.values for n in nodes], axis=-1)
-    offsets = np.cumsum([0] + sizes)
-
-    def push(g):
-        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(nodes)))
-
-    return _make("concat", out, tuple(nodes), push)
 
 
 def gather(table, ids):

@@ -266,16 +266,6 @@ def _read_ledger(path: str) -> list[dict]:
     return rows
 
 
-def check_sweep_args(seeds: list[int], jobs: int) -> None:
-    """Reject a sweep that cannot run: no seeds, a repeated seed, or jobs < 1."""
-    if not seeds:
-        raise UserError("sweep needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise UserError(f"sweep seeds must be distinct, got {seeds}")
-    if jobs < 1:
-        raise UserError("jobs must be >= 1")
-
-
 def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
           jobs: int = 1, out_dir: str | None = None, progress=None) -> SweepSummary:
     """Train + evaluate one configuration per seed, then aggregate.
@@ -290,7 +280,12 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     "error" rows, listed in `errored`, and run again on resume.
     """
     seeds = [int(s) for s in seeds]
-    check_sweep_args(seeds, jobs)
+    if not seeds:
+        raise UserError("sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise UserError(f"sweep seeds must be distinct, got {seeds}")
+    if jobs < 1:
+        raise UserError("jobs must be >= 1")
 
     fingerprint = config_fingerprint(config, dataset)
     ledger_path = None

@@ -16,7 +16,7 @@ from posrec import numeric as nm
 from posrec import synth
 from posrec.attention import relative_attention, scaled_dot_attention
 from posrec.data import EvalRow, _assemble
-from posrec.encodings import relative_bias_tables, rope_rotate, rotatory_table
+from posrec.encodings import EncodingTables, rope_rotate, rotatory_table
 from posrec.metrics import evaluate, ndcg_single
 from posrec.model import (
     Model,
@@ -165,8 +165,8 @@ def test_criterion_04_relative_attention_oracle():
     k = nm.tensor(rng.normal((2, 2, L, d_h)))
     v = nm.tensor(rng.normal((2, 2, L, d_h)))
     keep = np.tril(np.ones((L, L), dtype=bool))[None, None]
-    a_k, a_v = relative_bias_tables(4, d_h)
-    rel = relative_attention(q, k, v, a_k, a_v, keep)
+    tables = EncodingTables.create(ModelConfig(d=d_h, heads=1, encoding="RMHA4"), Rng(5, 1))
+    rel = relative_attention(q, k, v, tables.rel_key_table, tables.rel_value_table, keep)
     std = scaled_dot_attention(q, k, v, keep)
     np.testing.assert_allclose(rel.values, std.values, atol=1e-12)
 

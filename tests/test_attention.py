@@ -11,7 +11,7 @@ from posrec.attention import (
     relative_attention,
     scaled_dot_attention,
 )
-from posrec.encodings import relative_bias_tables
+from posrec.encodings import EncodingTables
 from posrec.errors import UserError
 from posrec.model import ModelConfig
 
@@ -101,9 +101,9 @@ def test_each_attention_call_is_one_attend_node(variant):
     if variant == "plain":
         out, parents = scaled_dot_attention(q, k, v, keep), (q, k, v)
     else:
-        use_value_bias = variant == "relative"
-        out = relative_attention(q, k, v, a_k, a_v, keep, use_value_bias=use_value_bias)
-        parents = (q, k, v, a_k, a_v) if use_value_bias else (q, k, v, a_k)
+        a_v = a_v if variant == "relative" else None
+        out = relative_attention(q, k, v, a_k, a_v, keep)
+        parents = (q, k, v, a_k) if a_v is None else (q, k, v, a_k, a_v)
     assert out.op_record.op == "attend"
     assert len(out.op_record.parents) == len(parents)
     assert all(got is want for got, want in zip(out.op_record.parents, parents))
@@ -155,7 +155,7 @@ def test_relative_attention_gradients_over_shared_buckets(query_positions, use_v
     weights = rng.normal((2, 2, L_q, d_h))
 
     def build():
-        out = relative_attention(q, k, v, a_k, a_v, keep, use_value_bias=use_value_bias,
+        out = relative_attention(q, k, v, a_k, a_v if use_value_bias else None, keep,
                                  query_positions=query_positions)
         return nm.dot_last(nm.reshape(out, (-1,)), nm.constant(weights.ravel()))
 
@@ -173,8 +173,8 @@ def test_zero_bias_tables_reduce_to_standard_attention():
     k = nm.tensor(rng.normal((2, 2, L, d_h)))
     v = nm.tensor(rng.normal((2, 2, L, d_h)))
     keep = np.tril(np.ones((L, L), dtype=bool))[None, None]
-    a_k, a_v = relative_bias_tables(4, d_h)
-    rel = relative_attention(q, k, v, a_k, a_v, keep)
+    tables = EncodingTables.create(ModelConfig(d=d_h, heads=1, encoding="RMHA4"), nm.Rng(5, 1))
+    rel = relative_attention(q, k, v, tables.rel_key_table, tables.rel_value_table, keep)
     std = scaled_dot_attention(q, k, v, keep)
     np.testing.assert_allclose(rel.values, std.values, atol=1e-14)
 
@@ -198,10 +198,8 @@ def test_all_masked_query_rows_produce_zeros():
 def make_block(variant="None", d=8, heads=2, L=6, dropout=0.0, seed=11, block_index=0):
     config = ModelConfig(d=d, g=2 * d, heads=heads, max_len=L, dropout=dropout,
                          activation="leaky", encoding=variant)
-    rel = None
-    if variant == "RMHA4":
-        rel = relative_bias_tables(config.encoding.clip_distance, config.head_dim)
-    return TransformerBlock(config, block_index, nm.Rng(seed, 2), rel_tables=rel)
+    tables = EncodingTables.create(config, nm.Rng(seed, 1))
+    return TransformerBlock(config, block_index, nm.Rng(seed, 2), tables)
 
 
 def test_block_preserves_shape_for_every_variant():
@@ -241,9 +239,8 @@ def test_padded_keys_never_influence_real_positions():
 def test_query_positions_select_rows_of_the_full_block(variant):
     rng = nm.Rng(23)
     block = make_block(variant)
-    if variant == "RMHA4":
-        for table in block.rel_tables:
-            table.values = rng.normal(table.shape)
+    for _, table in block.tables.parameters():  # RMHA4's, zero-initialised
+        table.values = rng.normal(table.shape)
     x = rng.normal((2, 6, 8))
     valid = np.array([[False, True, True, True, True, True], [True] * 6])
     mask = causal_keep_mask(valid)
@@ -266,6 +263,21 @@ def test_rope_one_matches_plain_block_past_block_zero():
     assert np.abs(a0(nm.tensor(x), mask).values - b0(nm.tensor(x), mask).values).max() > 1e-6
 
 
+@pytest.mark.parametrize("variant,learns", [("None", False), ("RMHA4", False), ("RoPE", True)])
+def test_key_bias_gets_a_gradient_only_under_rope(variant, learns):
+    # q . b_key adds one amount to every score of a query row, which the
+    # softmax ignores, unless RoPE turns b_key by a different angle per key
+    rng = nm.Rng(33)
+    block = make_block(variant)
+    for _, table in block.tables.parameters():  # RMHA4's, zero-initialised
+        table.values = rng.normal(table.shape)
+    valid = np.array([[False, True, True, True, True, True], [True] * 6])
+    out = block(nm.tensor(rng.normal((2, 6, 8))), causal_keep_mask(valid))
+    nm.dot_last(nm.reshape(out, (-1,)), nm.constant(rng.normal((2 * 6 * 8,)))).backward()
+    ratio = np.abs(block.b_key.adjoint).max() / np.abs(block.b_query.adjoint).max()
+    assert ratio > 1e-3 if learns else ratio < 1e-12, f"{variant}: {ratio:.2e}"
+
+
 def test_block_gradients_match_finite_differences():
     for variant in ("None", "Rotatory", "RMHA4", "RoPE"):
         block = make_block(variant, d=8, heads=2, L=5, seed=31)
@@ -279,9 +291,7 @@ def test_block_gradients_match_finite_differences():
             out = block(x, mask)
             return nm.dot_last(nm.reshape(out, (-1,)), nm.constant(weights.ravel()))
 
-        params = [("x", x)] + block.parameters()
-        if block.rel_tables is not None:
-            params += [("a_k", block.rel_tables[0]), ("a_v", block.rel_tables[1])]
+        params = [("x", x)] + block.parameters() + block.tables.parameters()
         report = check_gradients(build, params, h=1e-5)
         assert report.max_rel_err < 1e-4, f"{variant}: {report.worst_param} {report.max_rel_err:.2e}"
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +312,36 @@ def test_rejected_sweep_leaves_a_finished_sweep_as_it_was(work, tmp_path):
     assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1,1",
                      "--out", str(sw), "--quiet"]) == 1
     assert {p.name: p.read_bytes() for p in sw.iterdir() if p.is_file()} == before
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_diverged_rerun_leaves_a_finished_run_as_it_was(work, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", work["cfg"], "--lr", "0.005",
+                     "--out", str(run), "--quiet"]) == 0
+    before = _files(run)
+    assert {"config.yaml", "resolved.json", "history.tsv"} <= {p.name for p in before}
+    assert cli.main(["train", "--config", work["cfg"], "--lr", "1e200",
+                     "--out", str(run), "--quiet"]) == 1
+    assert "diverged" in capsys.readouterr().err
+    assert _files(run) == before
+
+
+def test_diverged_sweep_rerun_only_appends_to_the_ledger(work, tmp_path, capsys):
+    sw = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1,2", "--lr", "0.005",
+                     "--out", str(sw), "--quiet"]) == 0
+    before = _files(sw)
+    assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1,2", "--lr", "1e200",
+                     "--out", str(sw), "--quiet"]) == 1
+    assert "all 2 sweep runs failed" in capsys.readouterr().err
+    after = _files(sw)
+    ledger = after.pop(Path(stability.LEDGER_NAME))
+    assert ledger.startswith(before.pop(Path(stability.LEDGER_NAME)))
+    assert after == before
 
 
 def test_train_and_sweep_share_one_writer_and_one_dataset_identity(work, tmp_path):

@@ -472,22 +472,23 @@ def _evaluate_out(inputs, path):
     args.func(args)
 
 
-def _start_run(inputs, path):
-    """Set up a train run in the directory of `path`: its config.yaml, then
-    resolved.json."""
+def _write_record(inputs, path):
+    """Write a train run's record in the directory of `path`: its
+    config.yaml, then resolved.json."""
     _, log, _ = inputs
     config = os.path.join(os.path.dirname(log), "run.yaml")
     with open(config, "w") as fh:
         fh.write(f"data: {{path: {log}}}\n")
     args = cli.build_parser().parse_args(["train", "--config", config,
                                           "--out", os.path.dirname(path)])
-    cli._start_run(args, cli._load_run_config(args), "train")
+    _, _, run_dir, record = cli._start_run(args, cli._load_run_config(args), "train")
+    cli._write_record(run_dir, record)
 
 
 # each writer(inputs, path) writes `path`, and any other file, through
 # data.atomic_write
 WRITERS = {
-    "config.yaml": _start_run,
+    "config.yaml": _write_record,
     "save_interactions": lambda inputs, path: save_interactions(inputs[0], path),
     "save_cache": lambda inputs, path: save_cache(inputs[0], path),
     "write_stats_tsv": lambda inputs, path: write_stats_tsv(stats(inputs[0]), path),

@@ -11,7 +11,6 @@ from posrec.encodings import (
     EncodingConfig,
     EncodingTables,
     apply_vector_encoding,
-    relative_bias_tables,
     relative_index_matrix,
     rope_rotate,
     rotatory_table,
@@ -21,10 +20,12 @@ from posrec.errors import ShapeMismatchError, UserError
 from posrec.model import ModelConfig
 
 
-def make_encoding(variant, max_len=6, d=8, projection_activation="leaky", **kw):
-    """(config, tables) for one variant, built as the model builds them."""
-    encoding = EncodingConfig(variant, projection_activation=projection_activation, **kw)
-    return encoding, EncodingTables.create(encoding, d, max_len, nm.Rng(3, 1))
+def make_encoding(variant, max_len=6, d=8, heads=1, projection_activation="leaky", rng=None,
+                  **kw):
+    """(encoding, tables) for one variant, built as the model builds them."""
+    config = ModelConfig(d=d, heads=heads, max_len=max_len, encoding=EncodingConfig(
+        variant, projection_activation=projection_activation, **kw))
+    return config.encoding, EncodingTables.create(config, rng or nm.Rng(3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,7 @@ def test_all_learnable_vector_variants_pass_gradient_check():
     x_values = rng.normal((2, 4, 6))
     weights = rng.normal((2, 4, 6))
     for variant in ("Learnt", "LearntCon", "AbsCon", "Rotatory", "RotatoryCon"):
-        encoding = EncodingConfig(variant, projection_activation="leaky")
-        tables = EncodingTables.create(encoding, 6, 4, nm.Rng(7, 2))
+        encoding, tables = make_encoding(variant, max_len=4, d=6, rng=nm.Rng(7, 2))
 
         def build():
             out = apply_vector_encoding(nm.tensor(x_values), encoding, tables)
@@ -202,9 +202,11 @@ def test_rope_rejects_odd_head_dim():
 
 
 def test_relative_tables_have_one_row_per_clamped_offset():
-    a_k, a_v = relative_bias_tables(4, 16)
+    _, tables = make_encoding("RMHA4", d=32, heads=2)  # head dim 16
+    a_k, a_v = tables.rel_key_table, tables.rel_value_table
     assert a_k.shape == (9, 16) and a_v.shape == (9, 16)
     np.testing.assert_array_equal(a_k.values, 0.0)
+    np.testing.assert_array_equal(a_v.values, 0.0)
 
 
 def test_relative_index_matrix_clamps_far_offsets():
@@ -239,8 +241,13 @@ def test_spec_populates_exactly_the_fields_its_variant_demands():
     assert tables.abs_table is not None
     assert not tables.parameters()
 
+    # RMHA4's bias tables, shared by every block, live here too; the value
+    # table only when the values read it
     _, tables = make_encoding("RMHA4")
-    assert not tables.parameters()  # bias tables are owned by the model
+    assert [name for name, _ in tables.parameters()] == ["rel_key_table", "rel_value_table"]
+    _, tables = make_encoding("RMHA4", use_value_bias=False)
+    assert [name for name, _ in tables.parameters()] == ["rel_key_table"]
+    assert tables.rel_value_table is None
 
 
 def test_unknown_variant_error_lists_all_ten_names():

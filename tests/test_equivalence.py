@@ -8,7 +8,9 @@ rather than in one block -- are compared with `equivalence_reference.json`:
 - every `history.tsv` value, within one unit of its last printed digit;
 - a seeded random-projection sketch of every parameter, and one of
   `Model.final_hidden` at fixed contexts, within a relative 1e-9 of the
-  sketched array's scale;
+  sketched array's scale; a block's key bias that RoPE does not rotate
+  gets no gradient, so instead of its sketch, its scale must stay within
+  1e-9 on both sides, which says that it stays zero;
 - the test split's sampled and full-catalogue ranks, exactly.
 
 A refactor that only changes rounding passes; one that changes what a
@@ -23,7 +25,8 @@ and say why in CHANGES.md; never rewrite it to make a defect pass.
 compares the working tree's `src/` with that of git revision <rev> instead:
 it observes every run under each tree in a subprocess and prints, per run,
 whether the two are bit-identical, within the tolerances above, or differ,
-naming the first field that differs.
+naming the first field that differs (for a changed parameter set, the first
+parameter only the working tree has, as +name, or only <rev> has, as -name).
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ BASE = dict(d=16, g=32, blocks=2, heads=2, max_len=16, dropout=0.2, lr=5e-3, epo
             batch_size=16, seed=2, eval_negatives=10)
 SKETCH_WIDTH = 4
 SKETCH_RTOL = 1e-9
+# q . b_key adds one amount to every score of a query row, which the softmax
+# ignores, so unless RoPE rotates the keys, b_key gets no gradient and Adam
+# leaves it at rounding noise (scale 7e-13 to 8e-12 in the reference)
+FROZEN_SCALE = 1e-9
 # history.tsv prints six decimals; a value may move by one unit of the last
 HISTORY_ATOL = 1.0000001e-6
 # final_hidden is sketched at one context of each length, over max_len 16
@@ -157,14 +164,26 @@ def _sketch_within(got: list, want: list, want_scale: list) -> bool:
     return bool(np.all(np.abs(np.asarray(got) - want) <= bound))
 
 
-def _first_difference(got: dict, want: dict) -> str | None:
-    """The first field of a run's observation outside the tolerances, or None."""
+def _frozen(config: ModelConfig, param: str) -> bool:
+    """Whether `param` is a block's key bias that RoPE does not rotate."""
+    return any(param == f"block{i}.b_key" and not config.encoding.rope_active(i)
+               for i in range(config.blocks))
+
+
+def _first_difference(name: str, got: dict, want: dict) -> str | None:
+    """The first field of run `name`'s observation outside the tolerances, or None."""
     if not _history_within(got["history"], want["history"]):
         return "history"
-    if sorted(got["sketch"]) != sorted(want["sketch"]):
-        return "parameter names"
+    for sign, mine, other in (("+", got, want), ("-", want, got)):
+        only = [param for param in mine["sketch"] if param not in other["sketch"]]
+        if only:
+            return f"parameter names ({sign}{only[0]})"
+    config = _runs()[name][0]
     for param, sketch in want["sketch"].items():
-        if not _sketch_within(got["sketch"][param], sketch, want["scale"][param]):
+        if _frozen(config, param):
+            if max(got["scale"][param] + want["scale"][param]) > FROZEN_SCALE:
+                return param
+        elif not _sketch_within(got["sketch"][param], sketch, want["scale"][param]):
             return param
     if not _sketch_within(got["hidden_sketch"], want["hidden_sketch"], want["hidden_scale"]):
         return "final_hidden"
@@ -177,8 +196,32 @@ def _first_difference(got: dict, want: dict) -> str | None:
 @pytest.mark.parametrize("name", sorted(_runs()))
 def test_run_matches_reference(name, reference, monkeypatch):
     got, want = _observe(name, monkeypatch), reference[name]
-    field = _first_difference(got, want)
+    field = _first_difference(name, got, want)
     assert field is None, f"{field} differs from the reference"
+
+
+def _with(run: dict, field: str, param: str, value) -> dict:
+    return {**run, field: {**run[field], param: value}}
+
+
+def test_key_biases_without_gradient_are_checked_to_stay_zero(reference):
+    want = reference["None-leaky"]
+    moved = [2.0 * x for x in want["sketch"]["block0.b_key"]]  # rounding noise moves freely
+    assert _first_difference("None-leaky", _with(want, "sketch", "block0.b_key", moved),
+                             want) is None
+    grown = _with(want, "scale", "block0.b_key", [1e-6] * SKETCH_WIDTH)
+    assert _first_difference("None-leaky", grown, want) == "block0.b_key"
+    want = reference["RopeOne-leaky"]  # block 0's keys are rotated, block 1's are not
+    moved = [x + 1e-6 for x in want["sketch"]["block0.b_key"]]
+    assert _first_difference("RopeOne-leaky", _with(want, "sketch", "block0.b_key", moved),
+                             want) == "block0.b_key"
+
+
+def test_a_changed_parameter_set_names_a_parameter_on_one_side_only(reference):
+    want = reference["RMHA4-leaky"]
+    got = {**want, "sketch": {k: v for k, v in want["sketch"].items() if k != "rel_value_table"}}
+    assert _first_difference("RMHA4-leaky", got, want) == "parameter names (-rel_value_table)"
+    assert _first_difference("RMHA4-leaky", want, got) == "parameter names (+rel_value_table)"
 
 
 def _observe_all() -> dict:
@@ -227,7 +270,7 @@ def _against(rev: str) -> int:
     differ = 0
     for name, want in observed[rev].items():
         got = observed["working tree"][name]
-        field = _first_difference(got, want)
+        field = _first_difference(name, got, want)
         if got == want:
             verdict = "bit-identical"
         elif field is None:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from gradcheck import check_gradients
 from posrec import synth
-from posrec.data import load_interactions
+from posrec.data import leave_one_out, load_interactions
 from posrec.encodings import VARIANTS, EncodingConfig
 from posrec.errors import TrainingDiverged, UserError
+from posrec.metrics import evaluate
 from posrec import model as model_module
 from posrec.model import (
     Model,
@@ -444,9 +445,7 @@ def test_final_hidden_is_last_row_of_hidden_states(variant, blocks, with_attribu
     attributes = Rng(4).normal((num_items, 3)) if with_attributes else None
     model = Model(num_items, tiny_cfg(encoding=variant, blocks=blocks), Rng(5),
                   attributes=attributes)
-    if model.rel_tables is not None:  # zero-initialised: make the offsets matter
-        for i, table in enumerate(model.rel_tables):
-            table.values = Rng(6, i).normal(table.shape)
+    random_rel_tables(model)
     # max_len is 6: left-padded short contexts, one exactly full, one cut
     contexts = [[3], [4, 1, 9], [0, 2, 4, 6, 8, 10], list(range(14, 3, -1))]
     inputs, mask = padded_inputs(contexts, model.config.max_len)
@@ -479,8 +478,10 @@ def set_block_rows(monkeypatch, config, rows):
 
 
 def random_rel_tables(model):
-    if model.rel_tables is not None:  # zero-initialised: make the offsets matter
-        for i, table in enumerate(model.rel_tables):
+    """Random values for RMHA4's zero-initialised bias tables, so the offsets matter."""
+    tables = model.encoding_tables
+    for i, table in enumerate((tables.rel_key_table, tables.rel_value_table)):
+        if table is not None:
             table.values = Rng(6, i).normal(table.shape)
 
 
@@ -565,6 +566,37 @@ def test_checkpoint_metadata_keeps_the_stored_format(tmp_path):
     assert [n for n in names if not n.startswith("block")] == [
         "item_table", "angle_table", "projection_weight", "projection_bias",
         "final_gain", "final_bias"]
+
+
+NO_VALUE_BIAS = EncodingConfig("RMHA4", use_value_bias=False)
+
+
+def test_rmha4_without_value_bias_trains_and_stores_no_value_table(tmp_path):
+    result = train(tiny_cfg(epochs=1, encoding=NO_VALUE_BIAS), tiny_ds())
+    names = [n for n, _ in result.model.parameters()]
+    assert "rel_key_table" in names and "rel_value_table" not in names
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(result.model, path)
+    with np.load(path, allow_pickle=False) as archive:
+        assert "param:rel_key_table" in archive.files
+        assert "param:rel_value_table" not in archive.files
+
+
+def test_checkpoint_with_an_unread_value_table_loads_and_ranks_as_before(tmp_path):
+    # checkpoints written while every RMHA4 model kept a value table carry a
+    # zero one even when use_value_bias is false; nothing reads it
+    ds = tiny_ds()
+    result = train(tiny_cfg(epochs=1, encoding=NO_VALUE_BIAS), ds)
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(result.model, path)
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    arrays["param:rel_value_table"] = np.zeros_like(arrays["param:rel_key_table"])
+    np.savez(path, **arrays)
+    test_rows = leave_one_out(ds).test
+    ranks = [evaluate(model, test_rows, 5, Rng(3).child(model_module.TEST_EVAL_STREAM))
+             .per_user_ranks for model in (result.model, load_checkpoint(path))]
+    assert ranks[1] == ranks[0]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -73,12 +73,6 @@ def _case_reshape(rng):
     return [("x", x)], lambda: weighted_sum(nm.reshape(x, (3, 4)), rng.child(0))
 
 
-def _case_concat(rng):
-    a = nm.parameter(rng.normal((2, 3)))
-    b = nm.parameter(rng.normal((2, 2)))
-    return [("a", a), ("b", b)], lambda: weighted_sum(nm.concat([a, b]), rng.child(0))
-
-
 def _case_gather(rng):
     t = nm.parameter(rng.normal((5, 3)))
     ids = rng.integers(0, 5, (2, 4))
@@ -226,7 +220,6 @@ OP_CASES = {
     "linear_row_bias": _case_linear_row_bias,
     "transpose": _case_transpose,
     "reshape": _case_reshape,
-    "concat": _case_concat,
     "gather": _case_gather,
     "dot_last": _case_dot_last,
     "leaky_relu": _case_leaky,
