@@ -160,8 +160,9 @@ def cmd_evaluate(args) -> int:
                         f"dataset has {ds.num_items}")
     split = leave_one_out(ds)
     rows = split.test if args.split == "test" else split.valid
-    rng = Rng(args.seed).child(TEST_EVAL_STREAM)
-    result = evaluate(model, rows, args.negatives, rng)
+    seed = model.config.seed if args.seed is None else args.seed
+    negatives = model.config.eval_negatives if args.negatives is None else args.negatives
+    result = evaluate(model, rows, negatives, Rng(seed).child(TEST_EVAL_STREAM))
     print(result.tsv(), end="")
     if args.out:
         with atomic_write(args.out) as fh:
@@ -266,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="YAML run config (for its data section)")
     p.add_argument("--data", help="interactions file")
     p.add_argument("--split", choices=("test", "valid"), default="test")
-    p.add_argument("--negatives", type=int, default=100,
-                   help="sampled negatives per user; 0 ranks the full catalogue")
-    p.add_argument("--seed", type=int, default=0,
-                   help="sampling seed; the training seed reproduces that run's test metrics")
+    p.add_argument("--negatives", type=int, help="sampled negatives per user; 0 ranks "
+                   "the full catalogue (default: the run's eval_negatives)")
+    p.add_argument("--seed", type=int, help="sampling seed (default: the run's seed, "
+                   "which reproduces its test metrics)")
     p.add_argument("--out", help="also write the result row as TSV")
     p.set_defaults(func=cmd_evaluate)
 

@@ -310,10 +310,14 @@ class Model:
         self.fuse_bias = None
         if attributes is not None:
             attributes = np.asarray(attributes, dtype=np.float64)
+            if attributes.ndim != 2:
+                raise UserError(f"attribute matrix must be 2-D, got shape {attributes.shape}")
             if attributes.shape[0] != num_items:
                 raise UserError(
                     f"attribute matrix covers {attributes.shape[0]} items, dataset has {num_items}"
                 )
+            if not np.isfinite(attributes).all():  # else it surfaces as a diverged loss
+                raise UserError("attribute matrix holds non-finite values (NaN or inf)")
             rows = np.zeros((num_items + 1, attributes.shape[1]))
             rows[1:] = attributes
             self.attribute_table = nm.constant(rows, name="attribute_table")

@@ -1,13 +1,11 @@
 """Multi-seed sweeps and their aggregation statistics.
 
-A sweep trains one configuration under several seeds, appends each seed's
-outcome to a JSON-lines ledger before aggregating, and reports mean /
-sample deviation / 95% confidence intervals in a fixed-column TSV.  An
-interrupted sweep resumes from the ledger and reruns only the seeds it does
-not hold.  Rows are appended in the order the seeds are given, so with more
-than one worker a seed that finished while an earlier seed was still
-running is not in the ledger yet, and an interrupt makes it run again
-(ROADMAP item 1).
+A sweep trains one configuration under several seeds, records each seed's
+outcome in a JSON-lines ledger the moment it ends, and reports mean /
+sample deviation / 95% confidence intervals in a fixed-column TSV.  Like
+every artifact, the ledger is replaced whole through `atomic_write`, never
+appended to.  An interrupted sweep resumes from the ledger and reruns only
+the seeds it does not hold.
 All reported metric values are on the x100 (percentage) scale.
 """
 
@@ -19,8 +17,7 @@ import math
 import os
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -231,38 +228,32 @@ def _worker(args) -> dict:
 
 
 def _read_ledger(path: str) -> list[dict]:
-    """The ledger's rows.
+    """The ledger's rows; reading never changes the file.
 
-    An unterminated last line is an append cut short: a partial row is cut
-    from the file with a warning and a complete one gets its newline, so the
-    next append starts a line of its own.  A bad line anywhere else is
-    corruption and raises.
+    An unterminated last line that does not parse can only be an older
+    version's append cut short: it is skipped with a warning, and the next
+    rewrite drops it.  A complete unterminated row is read as it is.  A bad
+    line anywhere else is corruption and raises.
     """
     if not os.path.exists(path):
         return []
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
-    if lines and not lines[-1].endswith(b"\n"):
-        tail = lines.pop()
-        try:
-            json.loads(tail)
-        except ValueError:
-            warnings.warn(f"{path}: dropping torn last line {len(lines) + 1}", RuntimeWarning)
-            with open(path, "r+b") as fh:
-                fh.truncate(sum(len(line) for line in lines))
-        else:
-            lines.append(tail + b"\n")
-            with open(path, "ab") as fh:
-                fh.write(b"\n")
     rows = []
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
         except ValueError as err:
+            if number == len(lines) and not line.endswith(b"\n"):
+                warnings.warn(f"{path}: dropping torn last line {number}", RuntimeWarning)
+                break
             raise UserError(f"{path} line {number} is not a ledger row ({err}); "
                             "repair or delete that line to resume") from None
+        rows.append(row)
     return rows
 
 
@@ -270,13 +261,14 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
           jobs: int = 1, out_dir: str | None = None, progress=None) -> SweepSummary:
     """Train + evaluate one configuration per seed, then aggregate.
 
-    Each seed's outcome is appended to `out_dir`/runs.jsonl in the order of
-    `seeds`: with `jobs` > 1, a seed that finishes before an earlier one is
-    recorded only once that earlier seed ends, and an interrupt in between
-    loses it (ROADMAP item 1).  Rerunning the sweep skips seeds already
-    recorded under the same config/dataset fingerprint.  Diverged seeds stay
-    in the ledger as failed and are excluded from the aggregate (`runs`
-    counts successes), as are seeds whose run raised; those are recorded as
+    Each seed's outcome is recorded in `out_dir`/runs.jsonl the moment it
+    ends, whatever the order the `jobs` workers finish in: the ledger is
+    rewritten as the rows read at the start, then this sweep's finished rows
+    in the order of `seeds`, so once every seed ends it reads as a serial
+    sweep's would.  Rerunning the sweep skips seeds already recorded under
+    the same config/dataset fingerprint.  Diverged seeds stay in the ledger
+    as failed and are excluded from the aggregate (`runs` counts
+    successes), as are seeds whose run raised; those are recorded as
     "error" rows, listed in `errored`, and run again on resume.
     """
     seeds = [int(s) for s in seeds]
@@ -288,34 +280,35 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
         raise UserError("jobs must be >= 1")
 
     fingerprint = config_fingerprint(config, dataset)
-    ledger_path = None
-    done: dict[int, dict] = {}
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        ledger_path = os.path.join(out_dir, LEDGER_NAME)
-        for row in _read_ledger(ledger_path):
-            if (row.get("fingerprint") == fingerprint and row.get("seed") in seeds
-                    and row.get("status") != "error"):
-                done[row["seed"]] = row
+    ledger_path = None if out_dir is None else os.path.join(out_dir, LEDGER_NAME)
+    kept = _read_ledger(ledger_path) if ledger_path is not None else []
+    done = {row["seed"]: row for row in kept
+            if row.get("fingerprint") == fingerprint and row.get("seed") in seeds
+            and row.get("status") != "error"}
 
     pending = [s for s in seeds if s not in done]
     if progress and done:
         progress(f"resuming: {len(done)} of {len(seeds)} seeds already recorded")
 
+    def record(row: dict) -> None:
+        row["fingerprint"] = fingerprint
+        done[row["seed"]] = row
+        if ledger_path is not None:  # this sweep's rows follow `seeds`, not finishing order
+            with atomic_write(ledger_path) as fh:
+                for entry in kept + [done[s] for s in pending if s in done]:
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        if progress:
+            progress(f"seed {row['seed']}: {row['status']}  " +
+                     (f"Hit@10 {row['hit']:.2f}" if row["status"] == "ok" else row["error"]))
+
     tasks = [(config, dataset, seed, out_dir) for seed in pending]
-    parallel = jobs > 1 and len(tasks) > 1
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
-        # both maps yield in submission order, so the ledger's rows do too
-        for row in (pool.map if parallel else map)(_worker, tasks):
-            row["fingerprint"] = fingerprint
-            done[row["seed"]] = row
-            if ledger_path is not None:
-                with open(ledger_path, "a", newline="\n") as fh:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
-                    fh.flush()
-            if progress:
-                progress(f"seed {row['seed']}: {row['status']}  " +
-                         (f"Hit@10 {row['hit']:.2f}" if row["status"] == "ok" else row["error"]))
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for future in as_completed([pool.submit(_worker, task) for task in tasks]):
+                record(future.result())
+    else:
+        for task in tasks:
+            record(_worker(task))
 
     failed = [s for s in seeds if done[s]["status"] != "ok"]
     if failed:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import InteractionDataset, _assemble, atomic_write
+from .data import DEFAULT_MIN_INTERACTIONS, InteractionDataset, _assemble, atomic_write
 from .errors import UserError
 from .numeric import Rng
 
@@ -71,8 +71,7 @@ def build_dataset(profile: str, users: int, items: int, seq_len: int,
     """In-memory dataset; timestamps are the within-user positions."""
     seqs = generate_sequences(profile, users, items, seq_len, seed, shift=shift)
     rows = [(str(u), str(int(i)), float(t)) for u, seq in enumerate(seqs) for t, i in enumerate(seq)]
-    ds = _assemble(rows, min_interactions=2, source=f"synth:{profile}")
-    return ds
+    return _assemble(rows, DEFAULT_MIN_INTERACTIONS, source=f"synth:{profile}")
 
 
 def write_dataset(profile: str, users: int, items: int, seq_len: int,

@@ -12,7 +12,8 @@ import yaml
 from posrec import cli, stability
 from posrec.data import save_cache
 from posrec.errors import UserError
-from posrec.model import ModelConfig
+from posrec.model import Model, ModelConfig, save_checkpoint
+from posrec.numeric import Rng
 from posrec.runconfig import (RunConfig, build_model_config, load_run_config,
                               parse_run_config, resolve_dataset)
 
@@ -257,6 +258,21 @@ def test_evaluate_reproduces_training_test_metrics(work, tmp_path, capsys):
     assert ndcg == pytest.approx(train_ndcg, abs=0.005)
 
 
+def test_evaluate_defaults_to_the_runs_seed_and_negatives(work, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", work["cfg"], "--seed", "3",
+                     "--out", str(run), "--quiet"]) == 0
+    test_line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("test "))
+    train_hit, train_ndcg = float(test_line.split()[2]), float(test_line.split()[4])
+
+    assert cli.main(["evaluate", str(run / "checkpoint.npz"), "--data", work["data"]]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    got = dict(zip(header.split("\t"), row.split("\t")))
+    assert got["seed"] == "3" and got["candidates"] == "5"  # eval_negatives 4, plus the target
+    assert float(got["Hit@10"]) == pytest.approx(train_hit, abs=0.005)
+    assert float(got["NDCG"]) == pytest.approx(train_ndcg, abs=0.005)
+
+
 def test_evaluate_item_mismatch_fails(work, tmp_path, capsys):
     run = tmp_path / "run"
     assert cli.main(["train", "--config", work["cfg"], "--out", str(run), "--quiet"]) == 0
@@ -418,12 +434,14 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
 @pytest.fixture(scope="module")
 def not_data(work):
     """A dataset cache, a checkpoint (an .npz that is no dataset), seven
-    checkpoints with broken metadata, a missing file, and sweep results
+    checkpoints with broken metadata, two whose attributes hold a NaN or are
+    1-D, an attribute sidecar with a NaN, a missing file, and sweep results
     tables: one well formed, and three whose Hit Dev is a word, NaN or
     negative."""
     root = work["root"]
     cache, run = root / "data.npz", root / "checkpoint-run"
-    save_cache(resolve_dataset({"path": work["data"]}), str(cache))
+    ds = resolve_dataset({"path": work["data"]})
+    save_cache(ds, str(cache))
     assert cli.main(["train", "--config", work["cfg"], "--out", str(run), "--quiet",
                      "--epochs", "1"]) == 0
     header = "\t".join(stability.RESULTS_COLUMNS)
@@ -448,6 +466,18 @@ def not_data(work):
                        ("meta_num_items_float", json.dumps({**meta, "num_items": 2.5}))):
         files[name] = str(root / f"{name}.npz")
         np.savez(files[name], **{**arrays, "__meta__": np.array(text)})
+
+    attributes = np.ones((ds.num_items, 2))
+    save_checkpoint(Model(ds.num_items, ModelConfig(d=8, g=8, blocks=1, heads=2, max_len=5),
+                          Rng(0), attributes=attributes), str(root / "fused.npz"))
+    with np.load(root / "fused.npz", allow_pickle=False) as archive:
+        arrays = dict(archive)
+    attributes[2, 0] = np.nan
+    for name, values in (("nan_attributes", attributes), ("flat_attributes", np.ones(ds.num_items))):
+        files[name] = str(root / f"{name}.npz")
+        np.savez(files[name], **{**arrays, "attributes": values})
+    files["nan_sidecar"] = str(root / "nan_sidecar.csv")
+    Path(files["nan_sidecar"]).write_text(f"item_id,a_0,a_1\n{ds.item_ids[2]},nan,1\n")
     return files
 
 
@@ -476,6 +506,12 @@ BAD_DATA = {
         lambda f, cfg: ["stats", f["data"], "--attributes", f["missing"]], "missing.csv"),
     "train data.attributes missing": (
         lambda f, cfg: ["train", *cfg("data", "attributes", f["missing"])], "missing.csv"),
+    "train data.attributes with a NaN": (
+        lambda f, cfg: ["train", *cfg("data", "attributes", f["nan_sidecar"])], "non-finite"),
+    "evaluate attributes with a NaN": (
+        lambda f, cfg: ["evaluate", f["nan_attributes"], "--data", f["data"]], "non-finite"),
+    "evaluate 1-D attributes": (
+        lambda f, cfg: ["evaluate", f["flat_attributes"], "--data", f["data"]], "2-D"),
     "stats checkpoint.npz": (
         lambda f, cfg: ["stats", f["checkpoint"]], "not a dataset cache"),
     "train --data checkpoint.npz": (

@@ -1,6 +1,8 @@
 """Loader semantics, splits, subsets, stats, and the synthetic profiles."""
 
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +435,35 @@ def test_failed_atomic_write_leaves_the_old_file_or_none(tmp_path):
             torn_write()
         assert path.read_text() == "complete\n"
         assert list(path.parent.iterdir()) == [path]
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether `call` is open()/io.open() with a mode that may write; a mode
+    that is not a literal counts as writing."""
+    func = call.func
+    if not ((isinstance(func, ast.Name) and func.id == "open") or
+            (isinstance(func, ast.Attribute) and func.attr == "open"
+             and isinstance(func.value, ast.Name) and func.value.id == "io")):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_files_are_written_only_through_atomic_write():
+    src = Path(data_module.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = set()
+        if path == Path(data_module.__file__):
+            writer = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "atomic_write")
+            exempt = {id(node) for node in ast.walk(writer)}
+        found += [f"{path.relative_to(src)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in exempt
+                  and _opens_for_writing(node)]
+    assert found == []
 
 
 class TornFile:

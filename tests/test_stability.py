@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -248,6 +249,14 @@ def test_sweep_resume_rejects_bad_ledger_line_mid_file(tmp_path):
     assert ledger.read_text() == first[: len(first) // 2] + "\n" + second  # left as found
 
 
+def test_sweep_resume_rejects_a_ledger_line_that_is_no_json_object(tmp_path):
+    ledger = tmp_path / "runs.jsonl"
+    ledger.write_text("[1]\n")
+    with pytest.raises(UserError, match="runs.jsonl line 1 is not a ledger row"):
+        sweep(tiny_config(), tiny_dataset(), [1], out_dir=str(tmp_path))
+    assert ledger.read_text() == "[1]\n"
+
+
 def test_sweep_fingerprint_change_invalidates_ledger(tmp_path):
     out = tmp_path / "sw"
     ds = tiny_dataset()
@@ -349,6 +358,31 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
     rows = [json.loads(line) for line in (tmp_path / "b" / "runs.jsonl").read_text().splitlines()]
     assert [r["seed"] for r in rows] == seeds  # ledger rows follow submission order
+
+
+def test_parallel_sweep_records_a_seed_the_moment_it_ends(tmp_path, monkeypatch):
+    import posrec.stability as st
+
+    real = st._run_seed
+    ledger = tmp_path / "sw" / "runs.jsonl"
+
+    def recorded_seeds():
+        if not ledger.exists():
+            return []
+        return [json.loads(line)["seed"] for line in ledger.read_text().splitlines()]
+
+    def seed_1_waits_for_seed_2(config, dataset, seed, out_dir):
+        deadline = time.monotonic() + 20
+        while seed == 1 and 2 not in recorded_seeds():
+            if time.monotonic() > deadline:
+                raise TimeoutError("seed 2 finished but is not in the ledger")
+            time.sleep(0.02)
+        return real(config, dataset, seed, out_dir)
+
+    monkeypatch.setattr(st, "_run_seed", seed_1_waits_for_seed_2)
+    s = sweep(tiny_config(), tiny_dataset(), [1, 2], jobs=2, out_dir=str(tmp_path / "sw"))
+    assert s.errored == [] and s.runs == 2
+    assert recorded_seeds() == [1, 2]
 
 
 # config_fingerprint of the stored config format, one config per variant; if
