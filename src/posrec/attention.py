@@ -97,11 +97,13 @@ class TransformerBlock:
         h, d_h = self.config.heads, self.config.head_dim
         return nm.transpose(nm.reshape(x, (B, L, h, d_h)), (0, 2, 1, 3))
 
-    def __call__(self, x: TensorNode, keep_mask, rng: Rng | None = None,
-                 train: bool = False, query_positions=None) -> TensorNode:
+    def __call__(self, x: TensorNode, keep_mask, drop=(None, None),
+                 query_positions=None) -> TensorNode:
         """[B, L, d] -> [B, L_q, d], for the query rows at `query_positions`
         (default: all L).  Keys and values always cover every position; the
         queries, attention rows, residuals and feed-forward only the query rows.
+        `drop` holds the dropout keep masks of the attention and feed-forward
+        outputs, [B, L_q, d] bool each, or None for no dropout.
         """
         cfg, encoding = self.config, self.config.encoding
         B, L, d = x.shape
@@ -123,14 +125,12 @@ class TransformerBlock:
             attended = scaled_dot_attention(q, k, v, keep_mask)
         merged = nm.reshape(nm.transpose(attended, (0, 2, 1, 3)), (B, L_q, d))
         attn_out = nm.linear(merged, self.w_out, self.b_out)
-        attn_out = nm.dropout(attn_out, cfg.dropout, rng.child(0) if rng else None, train)
-        x = nm.add(x, attn_out)
+        x = nm.add(x, nm.dropout(attn_out, drop[0], cfg.dropout))
 
         normed = nm.layer_norm(x, self.ln2_gain, self.ln2_bias)
         hidden = activate(cfg.activation, nm.linear(normed, self.w_ff1, self.b_ff1))
         ff_out = nm.linear(hidden, self.w_ff2, self.b_ff2)
-        ff_out = nm.dropout(ff_out, cfg.dropout, rng.child(1) if rng else None, train)
-        return nm.add(x, ff_out)
+        return nm.add(x, nm.dropout(ff_out, drop[1], cfg.dropout))
 
 
 def _rows(x: TensorNode, positions) -> TensorNode:

@@ -89,14 +89,6 @@ def _sniff_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
-def _is_header(fields: list[str]) -> bool:
-    try:
-        float(fields[2])
-        return False
-    except ValueError:
-        return True
-
-
 def _parse_rows(path: str, text: str):
     rows = []
     delim = None
@@ -109,14 +101,14 @@ def _parse_rows(path: str, text: str):
         fields = [f.strip() for f in line.split(delim)]
         if len(fields) != 3:
             raise DataFormatError(path, line_no, f"expected 3 columns, got {len(fields)}")
-        if line_no == 1 and _is_header(fields):
-            continue
-        if "\x00" in fields[0] or "\x00" in fields[1]:  # .npz caches drop trailing NULs
-            raise DataFormatError(path, line_no, "NUL character in a user or item id")
         try:
             ts = float(fields[2])
         except ValueError:
+            if line_no == 1:  # a header row
+                continue
             raise DataFormatError(path, line_no, f"bad timestamp '{fields[2]}'") from None
+        if "\x00" in fields[0] or "\x00" in fields[1]:  # .npz caches drop trailing NULs
+            raise DataFormatError(path, line_no, "NUL character in a user or item id")
         rows.append((fields[0], fields[1], ts))
     return rows
 

@@ -197,6 +197,19 @@ class SequenceBatch:
                              self.negatives[start:stop], self.mask[start:stop])
 
 
+def dropout_masks(config: ModelConfig, rows: int, rng: Rng) -> np.ndarray | None:
+    """The dropout keep masks of a batch of `rows` rows, drawn once: bool
+    [1 + 2 * blocks, rows, max_len, d], the embedding's first, then each
+    block's attention and feed-forward outputs.  The embedding draws from
+    rng.child(0) and block i's sublayer j from rng.child(i + 1).child(j).
+    None when config.dropout is 0."""
+    if config.dropout == 0.0:
+        return None
+    shape = (rows, config.max_len, config.d)
+    sites = [rng.child(0)] + [rng.child(i + 1).child(j) for i in range(config.blocks) for j in (0, 1)]
+    return np.stack([site.uniform(shape) >= config.dropout for site in sites])
+
+
 def block_rows(config: ModelConfig) -> int:
     """Rows per block: the widest float64 activation of one row, [max_len,
     max(g, d, heads * max_len)], times this stays within ROW_BLOCK_BYTES."""
@@ -257,19 +270,19 @@ def score(hidden: TensorNode, target_emb: TensorNode) -> TensorNode:
     return nm.dot_last(hidden, target_emb)
 
 
-def bce_loss(model: Model, batch: SequenceBatch, rng: Rng | None = None, train: bool = False,
+def bce_loss(model: Model, batch: SequenceBatch, drop: np.ndarray | None = None,
              positions: int | None = None) -> TensorNode:
     """The batch's training loss: one forward pass, the logits of its
     positive and negative targets, and their masked binary cross-entropy
     (nm.bce).
 
-    `rng` and `train` drive dropout as in Model.hidden_states.  The masked
-    sum is divided by `positions` (default: the unpadded positions of
-    `batch`), which keeps the gradient scale comparable across batch sizes;
-    a row block passes its whole batch's count, so the blocks' losses sum
-    to the batch's.
+    `drop` holds the batch's dropout masks (dropout_masks; None: no
+    dropout).  The masked sum is divided by `positions` (default: the
+    unpadded positions of `batch`), which keeps the gradient scale
+    comparable across batch sizes; a row block passes its whole batch's
+    count, so the blocks' losses sum to the batch's.
     """
-    hidden = model.hidden_states(batch.inputs, batch.mask, rng=rng, train=train)
+    hidden = model.hidden_states(batch.inputs, batch.mask, drop)
     z_pos = score(hidden, nm.gather(model.item_table, batch.positives))
     z_neg = score(hidden, nm.gather(model.item_table, batch.negatives))
     return nm.bce(z_pos, z_neg, batch.mask,
@@ -344,7 +357,7 @@ class Model:
     def clamped_tables(self) -> list[TensorNode]:
         return [self.item_table] + self.encoding_tables.clamped()
 
-    def _embed(self, inputs: np.ndarray, rng: Rng | None, train: bool) -> TensorNode:
+    def _embed(self, inputs: np.ndarray, drop: np.ndarray | None) -> TensorNode:
         """[B, L, d] block input: item embeddings, attributes, vector encoding."""
         ids = np.asarray(inputs, dtype=np.int64)
         x = nm.gather(self.item_table, ids)
@@ -354,21 +367,23 @@ class Model:
         encoding = self.config.encoding
         if encoding.is_vector:
             x = apply_vector_encoding(x, encoding, self.encoding_tables)
-        return nm.dropout(x, self.config.dropout, rng.child(0) if rng else None, train)
+        return nm.dropout(x, drop, self.config.dropout)
 
-    def hidden_states(self, inputs: np.ndarray, mask: np.ndarray, rng: Rng | None = None,
-                      train: bool = False, query_positions=None) -> TensorNode:
+    def hidden_states(self, inputs: np.ndarray, mask: np.ndarray, drop: np.ndarray | None = None,
+                      query_positions=None) -> TensorNode:
         """[B, L_q, d] hidden states for inputs already in model id space, at
         the positions `query_positions` (default: all L).  Every block but the
         last runs all L positions, since later blocks attend to them; the last
-        block and the final layer norm run the query positions only.
+        block and the final layer norm run the query positions only.  `drop`
+        holds the rows' dropout masks (dropout_masks), which cover all L query
+        positions; None applies no dropout.
         """
-        x = self._embed(inputs, rng, train)
+        sites = [None] * (1 + 2 * len(self.blocks)) if drop is None else drop
+        x = self._embed(inputs, sites[0])
         keep = causal_keep_mask(mask)
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            x = block(x, keep, rng.child(i + 1) if rng else None, train,
-                      query_positions if i == last else None)
+            x = block(x, keep, sites[1 + 2 * i:3 + 2 * i], query_positions if i == last else None)
         return nm.layer_norm(x, self.final_gain, self.final_bias)
 
     def final_hidden(self, contexts) -> np.ndarray:
@@ -386,7 +401,8 @@ class Model:
         last = [self.config.max_len - 1]
         with nm.no_graph():
             return np.concatenate([
-                self.hidden_states(ids[s:s + rows], mask[s:s + rows], None, False, last).values[:, 0]
+                self.hidden_states(ids[s:s + rows], mask[s:s + rows],
+                                   query_positions=last).values[:, 0]
                 for s in range(0, max(len(ids), 1), rows)
             ])
 
@@ -435,35 +451,28 @@ def _loss_and_gradients(model: Model, batch: SequenceBatch, drop_rng: Rng) -> fl
     """Mean batch loss; when finite, its gradient is added to the parameters'
     adjoints.
 
-    The batch runs in blocks of block_rows(config) rows, one forward pass,
-    loss and backward() each; a batch that fits one block is not split.  Each
-    block's masked sum is divided by the whole batch's position count and
-    its dropout masks are its rows of the whole batch's draws
-    (Rng.skip_rows), so the summed losses and the accumulated adjoints equal
-    those of one pass over the batch up to rounding.  A non-finite block
-    loss is returned at once, with the adjoints of the blocks before it left
-    in place.
+    The batch's dropout masks are drawn once from `drop_rng`
+    (dropout_masks).  The batch then runs in blocks of block_rows(config)
+    rows, one forward pass, loss and backward() each; a batch that fits one
+    block is not split.  Each block takes its rows of the masks, and its
+    masked sum is divided by the whole batch's position count, so the summed
+    losses and the accumulated adjoints equal those of one pass over the
+    batch up to rounding.  A non-finite block loss is returned at once, with
+    the adjoints of the blocks before it left in place.
     """
+    drop = dropout_masks(model.config, batch.inputs.shape[0], drop_rng)
     rows = block_rows(model.config)
     total = 0.0
     for start in range(0, batch.inputs.shape[0], rows):
-        value = _block_loss_and_gradients(model, batch.rows(start, start + rows),
-                                          drop_rng.skip_rows(start), batch.positions)
+        loss = bce_loss(model, batch.rows(start, start + rows),
+                        drop if drop is None else drop[:, start:start + rows], batch.positions)
+        value = loss.item()
         if not np.isfinite(value):
             return value
+        loss.backward()
+        del loss  # frees the block's graph before the next block's forward pass
         total += value
     return total
-
-
-def _block_loss_and_gradients(model: Model, part: SequenceBatch, drop_rng: Rng,
-                              positions: int) -> float:
-    """One row block's share of the batch loss, backpropagated when finite.
-    Its graph is freed on return, before the next block's forward pass."""
-    loss = bce_loss(model, part, rng=drop_rng, train=True, positions=positions)
-    value = loss.item()
-    if np.isfinite(value):
-        loss.backward()
-    return value
 
 
 def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> TrainResult:

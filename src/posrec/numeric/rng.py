@@ -15,42 +15,21 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-# Philox4x64 yields four 64-bit words per counter step, one per double
-_WORDS_PER_STEP = 4
 
 
 class Rng:
-    """One (seed, stream) draw sequence.
+    """One (seed, stream) draw sequence; each draw continues where the last ended."""
 
-    `skip_rows(start)` gives the same stream positioned at row `start`: its
-    first `uniform(shape)` returns rows start:start + shape[0] of the draw a
-    fresh Rng would give for a taller batch of the same row shape.  Children
-    inherit the row offset, so a model run on row blocks of a batch sees the
-    same dropout masks as one run on the whole batch.
-    """
-
-    algorithm = "philox4x64"
-
-    def __init__(self, seed: int, stream: int = 0, row_start: int = 0):
+    def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        self.row_start = int(row_start)
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def child(self, k: int) -> "Rng":
-        return Rng(self.seed, self.stream * 1_000_003 + int(k) + 1, self.row_start)
-
-    def skip_rows(self, start: int) -> "Rng":
-        return Rng(self.seed, self.stream, start)
+        return Rng(self.seed, self.stream * 1_000_003 + int(k) + 1)
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        if self.row_start:
-            # one double per word: skip the rows before row_start, once
-            skip = self.row_start * int(np.prod(np.atleast_1d(shape)[1:]))
-            self._gen.bit_generator.advance(skip // _WORDS_PER_STEP)
-            self._gen.random(skip % _WORDS_PER_STEP)
-            self.row_start = 0
         return self._gen.uniform(low, high, size=shape)
 
     def normal(self, shape=None, loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
@@ -67,4 +46,4 @@ class Rng:
         return self._gen.choice(pool, size=size, replace=replace)
 
     def __repr__(self):
-        return f"Rng({self.algorithm}, seed={self.seed}, stream={self.stream})"
+        return f"Rng(philox4x64, seed={self.seed}, stream={self.stream})"

@@ -273,16 +273,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     return _make("layer_norm", out, (x, gain, bias), push)
 
 
-def dropout(x, p: float, rng, train: bool):
-    """Inverted dropout: mask from `rng` in train mode, identity otherwise.
+def dropout(x, keep, p: float):
+    """Inverted dropout under a given bool mask `keep` of x's shape, drawn
+    with drop rate p; `x` itself when keep is None.
 
-    The output is (x * keep) * (1 / (1 - p)) for a bool mask keep, and the
-    adjoint is (g * keep) * (1 / (1 - p)): the mask, one byte per entry, is
-    all the adjoint keeps.
+    The output is (x * keep) * (1 / (1 - p)), and the adjoint is
+    (g * keep) * (1 / (1 - p)): the mask, one byte per entry, is all the
+    adjoint keeps.
     """
-    if not train or p == 0.0:
+    if keep is None:
         return x
-    keep = rng.uniform(x.shape) >= p
     scale = 1.0 / (1.0 - p)
     out = x.values * keep
     out *= scale

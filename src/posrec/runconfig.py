@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from . import synth
-from .data import InteractionDataset, load_attributes, load_interactions
+from .data import (DEFAULT_MIN_INTERACTIONS, InteractionDataset, load_attributes,
+                   load_interactions)
 from .encodings import EncodingConfig
 from .errors import UserError, require_int
 from .model import ModelConfig
@@ -167,11 +168,8 @@ def resolve_dataset(data_section: dict, path_override: str | None = None) -> Int
     path = str(data["path"])
     if path.endswith(".npz") and "min_interactions" in data:
         raise UserError("min_interactions applies to raw logs, not .npz caches")
-    if "min_interactions" in data:
-        ds = load_interactions(path, min_interactions=require_int("data.min_interactions",
-                                                                  data["min_interactions"]))
-    else:
-        ds = load_interactions(path)
+    ds = load_interactions(path, require_int("data.min_interactions", data.get(
+        "min_interactions", DEFAULT_MIN_INTERACTIONS)))
     if "attributes" in data and data["attributes"]:
         load_attributes(str(data["attributes"]), ds)
     return ds

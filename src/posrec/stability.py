@@ -11,6 +11,7 @@ All reported metric values are on the x100 (percentage) scale.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -227,6 +228,22 @@ def _worker(args) -> dict:
     return row
 
 
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS that numpy links, or None.  A
+    lookup in numpy's core extension also searches the libraries it loaded."""
+    core = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    names = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+             "openblas_set_num_threads64_", "openblas_set_num_threads")
+    return next((getattr(core, name) for name in names if hasattr(core, name)), None)
+
+
+def _one_blas_thread() -> None:
+    """Sweep worker initializer: one BLAS thread, so `jobs` workers share the cores."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
+
+
 def _read_ledger(path: str) -> list[dict]:
     """The ledger's rows; reading never changes the file.
 
@@ -303,7 +320,10 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
 
     tasks = [(config, dataset, seed, out_dir) for seed in pending]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if _blas_thread_setter() is None:
+            warnings.warn("no OpenBLAS thread setter found: each sweep worker keeps the "
+                          "BLAS library's own thread count", RuntimeWarning)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
             for future in as_completed([pool.submit(_worker, task) for task in tasks]):
                 record(future.result())
     else:

@@ -25,6 +25,7 @@ from posrec.model import (
     bce_loss,
     block_rows,
     build_sequences,
+    dropout_masks,
     load_checkpoint,
     save_checkpoint,
     score,
@@ -193,7 +194,7 @@ def test_training_loss_is_one_bce_node():
     rows = [build_sequences(ds.sequences[u], ds.num_items, 6, Rng(3).child(u))
             for u in range(3)]
     model = Model(ds.num_items, tiny_cfg(encoding="RMHA4", dropout=0.2), Rng(0))
-    loss = bce_loss(model, SequenceBatch.stack(rows), rng=Rng(4), train=True)
+    loss = bce_loss(model, SequenceBatch.stack(rows), dropout_masks(model.config, 3, Rng(4)))
     ops, stack, seen = [], [loss], set()
     while stack:
         node = stack.pop()
@@ -515,6 +516,20 @@ def test_row_blocks_give_the_whole_batch_loss_and_gradients(variant, with_attrib
         assert (adjoint is None) == (blocked[name] is None), name
         if adjoint is not None:
             np.testing.assert_allclose(blocked[name], adjoint, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_evaluation_applies_no_dropout(variant):
+    ds = tiny_ds()
+    dropped = Model(ds.num_items, tiny_cfg(encoding=variant, dropout=0.5), Rng(5))
+    random_rel_tables(dropped)
+    plain = Model(ds.num_items, tiny_cfg(encoding=variant), Rng(5))
+    plain.restore(dropped.snapshot())
+    contexts = [[3], [4, 1, 9], [0, 2, 4, 6, 8, 10], list(range(14, 3, -1))]
+    assert np.array_equal(dropped.final_hidden(contexts), plain.final_hidden(contexts))
+    test_rows = leave_one_out(ds).test
+    ranks = [evaluate(m, test_rows, 5, Rng(3)).per_user_ranks for m in (dropped, plain)]
+    assert ranks[0] == ranks[1]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,9 +1,12 @@
 """Counter-based RNG: replayability and stream separation."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posrec.model import ModelConfig, dropout_masks
 from posrec.numeric import Rng
 
 
@@ -39,14 +42,15 @@ def test_choice_without_replacement_is_exactly_k_distinct():
     assert set(draw.tolist()) <= set(pool.tolist())
 
 
-@settings(max_examples=60, deadline=None)
-@given(start=st.integers(0, 9), n=st.integers(1, 6),
-       row_shape=st.lists(st.integers(1, 5), max_size=2), stream=st.integers(0, 3))
-def test_skip_rows_draws_the_rows_of_the_whole_draw(start, n, row_shape, stream):
-    shape = (start + n, *row_shape)
-    part = (n, *row_shape)
-    whole = Rng(5, stream).uniform(shape)
-    assert np.array_equal(Rng(5, stream).skip_rows(start).uniform(part), whole[start:])
-    # children inherit the row offset
-    kid = Rng(5, stream).child(2).uniform(shape)
-    assert np.array_equal(Rng(5, stream).skip_rows(start).child(2).uniform(part), kid[start:])
+@settings(max_examples=30, deadline=None)
+@given(blocks=st.integers(1, 3), rows=st.integers(1, 6), max_len=st.integers(2, 4),
+       d=st.integers(1, 3), stream=st.integers(0, 3))
+def test_dropout_masks_draw_each_site_from_its_stream(blocks, rows, max_len, d, stream):
+    config = ModelConfig(d=d, heads=1, blocks=blocks, max_len=max_len, dropout=0.4)
+    masks = dropout_masks(config, rows, Rng(5, stream))
+    assert masks.dtype == bool and masks.shape == (1 + 2 * blocks, rows, max_len, d)
+    sites = [Rng(5, stream).child(0)] + [Rng(5, stream).child(i + 1).child(j)
+                                         for i in range(blocks) for j in (0, 1)]
+    for k, site in enumerate(sites):
+        assert np.array_equal(masks[k], site.uniform((rows, max_len, d)) >= 0.4), k
+    assert dropout_masks(replace(config, dropout=0.0), rows, Rng(5, stream)) is None

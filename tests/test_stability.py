@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -383,6 +386,56 @@ def test_parallel_sweep_records_a_seed_the_moment_it_ends(tmp_path, monkeypatch)
     s = sweep(tiny_config(), tiny_dataset(), [1, 2], jobs=2, out_dir=str(tmp_path / "sw"))
     assert s.errored == [] and s.runs == 2
     assert recorded_seeds() == [1, 2]
+
+
+# Runs a jobs=2 sweep whose seeds report their worker's OpenBLAS thread
+# count, read through the getter of the OpenBLAS that numpy links
+BLAS_WORKER_SCRIPT = textwrap.dedent("""
+    import ctypes, json
+    import numpy as np
+    from posrec import stability, synth
+    from posrec.model import ModelConfig
+
+    core = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+             "openblas_get_num_threads64_", "openblas_get_num_threads")
+    getter = next((getattr(core, name) for name in names if hasattr(core, name)), None)
+
+    def report_blas_threads(config, dataset, seed, out_dir):
+        return stability.RunRecord(seed, float(getter()), 0.0)
+
+    if getter is not None:
+        stability._run_seed = report_blas_threads
+        dataset = synth.build_dataset("memorizable", users=10, items=12, seq_len=6, seed=0)
+        config = ModelConfig(d=8, g=16, blocks=1, heads=2, max_len=5, epochs=1)
+        summary = stability.sweep(config, dataset, [1, 2], jobs=2)
+        print(json.dumps([record.hit for record in summary.records]))
+    else:
+        print("null")
+""")
+
+
+def test_sweep_workers_run_one_blas_thread_without_the_environment_variable():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    got = subprocess.run([sys.executable, "-c", BLAS_WORKER_SCRIPT], capture_output=True,
+                         text=True, env={**env, "PYTHONPATH": src}, timeout=120)
+    assert got.returncode == 0, got.stderr
+    threads = json.loads(got.stdout)
+    if threads is None:
+        pytest.skip("numpy links no OpenBLAS")
+    assert threads == [1.0, 1.0]
+
+
+def test_parallel_sweep_warns_once_where_no_openblas_setter_is_found(tmp_path, monkeypatch):
+    import posrec.stability as st
+
+    monkeypatch.setattr(st, "_blas_thread_setter", lambda: None)
+    with pytest.warns(RuntimeWarning) as caught:
+        s = sweep(tiny_config(), tiny_dataset(), [1, 2], jobs=2, out_dir=str(tmp_path / "sw"))
+    assert s.errored == [] and s.runs == 2
+    assert sum("no OpenBLAS thread setter" in str(w.message) for w in caught) == 1
 
 
 # config_fingerprint of the stored config format, one config per variant; if
