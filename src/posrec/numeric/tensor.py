@@ -183,9 +183,10 @@ def gather(table, ids):
     out = table.values[idx]
 
     def push(g):
-        gt = np.zeros_like(table.values)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        # np.add.at's sums in the same order, as one pass over flat cells
+        rows, d = table.shape
+        cells = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+        return (np.bincount(cells, weights=g.ravel(), minlength=rows * d).reshape(rows, d),)
 
     return _make("gather", out, (table,), push)
 
@@ -394,11 +395,15 @@ def attend(q, k, v, keep, a_k=None, a_v=None, idx=None):
     if a_k is not None:
         p += _take_offsets(_rows_at(q.values, a_k.values.T), idx)
     p *= c
-    np.copyto(p, -np.inf, where=~np.asarray(keep, dtype=bool))
+    dropped = ~np.asarray(keep, dtype=bool)
+    np.copyto(p, -np.inf, where=dropped)
     top = p.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", over="ignore"):
         p -= np.where(np.isfinite(top), top, 0.0)
+        # exp(-inf) is numpy's slow path: exponentiate 0 there, then zero it
+        np.copyto(p, 0.0, where=dropped)
         np.exp(p, out=p)
+        np.copyto(p, 0.0, where=dropped)
     denom = p.sum(axis=-1, keepdims=True)
     if not np.isfinite(denom).all():
         # exp gives no negative entry, so a row holds an inf or NaN exactly

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -677,3 +681,33 @@ def test_full_model_gradients_match_finite_differences(variant):
     # difference roundoff (~eps*f/2h) and carry no signal to compare against
     report = check_gradients(lambda: bce_loss(model, batch), model.parameters(), floor=1e-6)
     assert report.max_rel_err < 1e-4, report.worst_param
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+FAULT_SCRIPT = """
+import resource
+from posrec import synth
+from posrec.model import ModelConfig, train
+
+dataset = synth.build_dataset("positional", 64, 150, 49, 11)
+config = ModelConfig(d=24, g=48, blocks=1, heads=2, max_len=48, encoding="RMHA4",
+                     lr=5e-3, epochs=2, batch_size=16)
+train(config, dataset)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(config, dataset)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's")
+def test_a_warm_training_run_reuses_the_heap_instead_of_faulting_pages():
+    # a step's freed activations stay in the heap for the next step; handed
+    # back to the kernel, they cost ~1000 page faults per step
+    src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
+    got = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                         timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert int(got.stdout) < 500

@@ -416,6 +416,43 @@ def test_attend_zeroes_a_non_finite_row_and_leaves_the_others_bitwise():
     assert same_bits(out, finite)
 
 
+@np.errstate(invalid="ignore", over="ignore")
+def test_attend_matches_its_exp_of_minus_inf_form_bitwise():
+    # causal keys of left-padded rows; row 0 of sequence 0 keeps no key at all
+    rng = np.random.default_rng(7)
+    B, H, L, d_h = 4, 2, 9, 3
+    q, k, v, g = (rng.normal(size=(B, H, L, d_h)) for _ in range(4))
+    pad = np.array([0, 3, 5, 8])
+    keep = np.tril(np.ones((L, L), dtype=bool)) & (np.arange(L) >= pad[:, None, None])[:, None]
+    keep[0, :, 0] = False
+    out = nm.attend(nm.parameter(q), nm.parameter(k), nm.parameter(v), keep)
+    dv = out.op_record.push_grads(g)[2]
+
+    s = q @ np.swapaxes(k, -1, -2)
+    s *= 1.0 / np.sqrt(d_h)
+    s[~np.broadcast_to(keep, s.shape)] = -np.inf
+    top = s.max(axis=-1, keepdims=True)
+    p = np.exp(s - np.where(np.isfinite(top), top, 0.0))
+    denom = p.sum(axis=-1, keepdims=True)
+    p /= np.where(denom == 0.0, 1.0, denom)
+    assert same_bits(out.values, p @ v)
+    assert same_bits(out.values[0, :, 0], np.zeros((H, d_h)))
+    assert same_bits(dv, np.swapaxes(p, -1, -2) @ g)
+
+
+def test_gather_adjoint_matches_add_at_bitwise():
+    # repeated ids sum in order, with signed zeros, infinities and NaN
+    table = np.arange(20.0).reshape(5, 4)
+    ids = np.array([[3, 1, 3, 0], [3, 4, 1, 3]])
+    g = np.resize(np.concatenate([SPECIAL_GRAD, -SPECIAL_GRAD[::-1]]), ids.shape + (4,))
+    out = nm.gather(nm.parameter(table), ids)
+    (grad,) = out.op_record.push_grads(g)
+    want = np.zeros_like(table)
+    np.add.at(want, ids, g)
+    assert same_bits(out.values, table[ids])
+    assert same_bits(grad, want)
+
+
 def test_backward_twice_accumulates():
     x = nm.parameter(np.array([3.0]))
     loss = nm.dot_last(x, x)
