@@ -22,6 +22,8 @@ from .errors import UserError
 from .numeric import Rng
 
 NDCG_CUTOFF = 10
+# users ranked per chunk: bounds the [chunk, num_items] score matrix
+EVAL_CHUNK_USERS = 256
 
 
 @dataclass
@@ -69,11 +71,11 @@ def _rank_user(scores: np.ndarray, row, num_negatives: int | None, rng: Rng) -> 
     return 1 + int(np.count_nonzero(scores[negatives] >= truth)), num_negatives + 1
 
 
-def evaluate(model, rows, num_negatives: int | None, rng: Rng, batch_size: int = 256) -> EvalResult:
+def evaluate(model, rows, num_negatives: int | None, rng: Rng) -> EvalResult:
     """Average Hit@10 and NDCG over evaluation rows.
 
     Deterministic given rng: user i always draws from rng.child(i), so the
-    result is independent of batching.
+    result is independent of chunking.
     """
     if not rows:
         raise UserError("evaluation split is empty")
@@ -83,8 +85,8 @@ def evaluate(model, rows, num_negatives: int | None, rng: Rng, batch_size: int =
     ranks = []
     counts = []
     items = model.item_table.values[1:]  # model id i + 1 is dataset item i
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start:start + batch_size]
+    for start in range(0, len(rows), EVAL_CHUNK_USERS):
+        chunk = rows[start:start + EVAL_CHUNK_USERS]
         scores = model.final_hidden([row.context for row in chunk]) @ items.T
         for j, row in enumerate(chunk):
             rank, count = _rank_user(scores[j], row, num_negatives, rng.child(start + j))

@@ -183,11 +183,6 @@ class SequenceBatch:
     negatives: np.ndarray  # [B, L] sampled outside the user's history
     mask: np.ndarray       # [B, L] bool, True at real positions
 
-    @classmethod
-    def stack(cls, rows: list["SequenceBatch"]) -> "SequenceBatch":
-        fields = ("inputs", "positives", "negatives", "mask")
-        return cls(*(np.concatenate([getattr(r, f) for r in rows]) for f in fields))
-
     @property
     def positions(self) -> int:
         return int(self.mask.sum())
@@ -244,23 +239,21 @@ def left_pad(sequences, max_len: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, ids > 0
 
 
-def build_sequences(history, num_items: int, max_len: int, rng: Rng,
-                    exclude=None) -> SequenceBatch | None:
-    """One user's training row: inputs are the history minus its last item,
-    positives the history shifted by one, negatives drawn uniformly outside
-    `exclude` (default: the history itself).  Keeps the most recent max_len
-    steps, left-pads shorter ones.  Histories under 2 events yield None.
+def build_sequences(histories, forbidden, num_items: int, max_len: int, rngs) -> SequenceBatch:
+    """A batch of training rows, one per history of at least 2 events: inputs
+    are the history minus its last item, positives the history shifted by
+    one, and row r's negatives are drawn from rngs[r] uniformly outside
+    forbidden[r] (sorted unique item ids).  Each row keeps its most recent
+    max_len steps, left-padded.
     """
-    history = np.asarray(history, dtype=np.int64)
-    if history.size < 2:
-        return None
-    inputs = history[:-1][-max_len:]
-    positives = history[1:][-max_len:]
-    forbidden = history if exclude is None else np.asarray(exclude, dtype=np.int64)
-    negatives = _sample_negatives(inputs.size, num_items, np.unique(forbidden), rng)
-
-    ids, mask = left_pad((inputs, positives, negatives), max_len)
-    return SequenceBatch(ids[0:1], ids[1:2], ids[2:3], mask[0:1])
+    inputs, mask = left_pad([h[:-1] for h in histories], max_len)
+    positives, _ = left_pad([h[1:] for h in histories], max_len)
+    negatives = np.zeros_like(inputs)
+    negatives[mask] = 1 + np.concatenate([
+        _sample_negatives(int(n), num_items, f, rng)
+        for n, f, rng in zip(mask.sum(axis=1), forbidden, rngs)
+    ])
+    return SequenceBatch(inputs, positives, negatives, mask)
 
 
 def score(hidden: TensorNode, target_emb: TensorNode) -> TensorNode:
@@ -490,6 +483,12 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
     skipped = dataset.num_users - len(eligible)
     if not eligible:
         raise UserError("no user has a training sequence of at least 2 events")
+    # negatives avoid every item of the user's whole history, valid and test included
+    forbidden = {u: np.unique(dataset.sequences[u]) for u in eligible}
+    for u in eligible:
+        if forbidden[u].size >= dataset.num_items:
+            raise UserError(f"user {dataset.user_ids[u]}: the history covers the whole "
+                            "catalogue, so no negative item can be sampled")
 
     neg_root = root.child(1)
     shuffle_root = root.child(2)
@@ -513,14 +512,9 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
         loss_positions = 0
         for start in range(0, len(order), config.batch_size):
             users = [eligible[i] for i in order[start:start + config.batch_size]]
-            rows = [
-                build_sequences(
-                    split.train_sequences[u], dataset.num_items, config.max_len,
-                    neg_epoch.child(u), exclude=dataset.sequences[u],
-                )
-                for u in users
-            ]
-            batch = SequenceBatch.stack(rows)
+            batch = build_sequences([split.train_sequences[u] for u in users],
+                                    [forbidden[u] for u in users], dataset.num_items,
+                                    config.max_len, [neg_epoch.child(u) for u in users])
             value = _loss_and_gradients(model, batch, drop_epoch.child(start))
             if not np.isfinite(value):
                 raise TrainingDiverged(
@@ -528,12 +522,8 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
                     f"loss became {value} (encoding={config.encoding.variant}, "
                     f"lr={config.lr}, seed={config.seed})",
                 )
-            if config.l2_weight > 0.0:
-                for node in nodes:
-                    grad = node.adjoint if node.adjoint is not None else 0.0
-                    node.adjoint = grad + 2.0 * config.l2_weight * node.values
             if config.lr > 0.0:
-                adam_step(nodes, state, lr=config.lr)
+                adam_step(nodes, state, lr=config.lr, l2_weight=config.l2_weight)
                 apply_max_norm(model.clamped_tables(), config.nmax)
             else:  # dry run: gradients computed, parameters untouched
                 for node in nodes:

@@ -31,11 +31,14 @@ def adam_step(
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
+    l2_weight: float = 0.0,
 ) -> None:
     """One update from the accumulated adjoints; adjoints are cleared after.
 
     A parameter whose adjoint was never touched counts as zero gradient and,
-    with zero moments, stays exactly where it is.
+    with zero moments and no L2 term, stays exactly where it is.  A positive
+    `l2_weight` adds the gradient of l2_weight * |p|^2, 2 * l2_weight * p,
+    to every parameter's.
     """
     b1, b2 = betas
     state.step_count += 1
@@ -46,6 +49,8 @@ def adam_step(
         g = p.adjoint
         if g is None:
             g = np.zeros_like(p.values)
+        if l2_weight:
+            g = g + 2.0 * l2_weight * p.values
         state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / bc1

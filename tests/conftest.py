@@ -1,8 +1,9 @@
 """Test-session setup.
 
-One BLAS thread per process: the acceptance sweeps run two worker processes,
-and on a two-core host two workers of two BLAS threads each run slower than
-one serial worker.  OpenBLAS reads this variable when numpy is first
+One BLAS thread for the test process itself, and for the subprocesses that
+inherit its environment: the tests' matrices are small, and extra BLAS
+threads only contend for the host's cores.  Sweep workers pin their own
+thread either way.  OpenBLAS reads this variable when numpy is first
 imported, which happens after pytest loads this file.
 """
 

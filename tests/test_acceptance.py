@@ -21,7 +21,6 @@ from posrec.metrics import evaluate, ndcg_single
 from posrec.model import (
     Model,
     ModelConfig,
-    SequenceBatch,
     bce_loss,
     build_sequences,
     train,
@@ -60,9 +59,9 @@ def _conditioned_model(variant, seed):
 
 def _tiny_batch(seed):
     rng = Rng(2000 + seed)
-    rows = [build_sequences(rng.child(u).integers(0, 9, (4,)), 9, 5, rng.child(100 + u))
-            for u in range(2)]
-    return SequenceBatch.stack(rows)
+    histories = [rng.child(u).integers(0, 9, (4,)) for u in range(2)]
+    return build_sequences(histories, [np.unique(h) for h in histories], 9, 5,
+                           [rng.child(100 + u) for u in range(2)])
 
 
 def test_criterion_01_gradient_suite():

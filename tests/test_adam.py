@@ -69,3 +69,29 @@ def test_descends_a_quadratic():
         loss.backward()
         nm.adam_step([p], state, lr=5e-2)
     assert abs(float(p.values)) < 0.05
+
+
+def test_l2_weight_matches_adding_its_gradient_to_the_adjoint_bitwise():
+    # the former form: the L2 gradient was added to each adjoint, a missing
+    # one counting as 0.0, before a plain step
+    def two_step(params, state, lr, l2_weight):
+        for p in params:
+            grad = p.adjoint if p.adjoint is not None else 0.0
+            p.adjoint = grad + 2.0 * l2_weight * p.values
+        nm.adam_step(params, state, lr=lr)
+
+    gen = np.random.default_rng(4)
+    start = gen.normal(size=(2, 6))
+    start[:, :2] = [0.0, -0.0]  # signed zeros must keep their sign bits
+    sides = []
+    for step in (two_step, lambda ps, st, lr, l2: nm.adam_step(ps, st, lr=lr, l2_weight=l2)):
+        params = [make_param(row) for row in start]  # adjoint set, adjoint None
+        state = nm.AdamState.for_params(params)
+        grads = np.random.default_rng(5)
+        for _ in range(3):
+            params[0].adjoint = grads.normal(size=6)
+            params[0].adjoint[:2] = [-0.0, 0.0]
+            step(params, state, 1e-2, 0.05)
+        sides.append([p.values for p in params] + state.m + state.v)
+    for got, want in zip(*sides):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -435,9 +435,9 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
 def not_data(work):
     """A dataset cache, a checkpoint (an .npz that is no dataset), seven
     checkpoints with broken metadata, two whose attributes hold a NaN or are
-    1-D, an attribute sidecar with a NaN, a missing file, and sweep results
-    tables: one well formed, and three whose Hit Dev is a word, NaN or
-    negative."""
+    1-D, an attribute sidecar with a NaN, a missing file, a log in which one
+    user's history covers the whole catalogue, and sweep results tables: one
+    well formed, and three whose Hit Dev is a word, NaN or negative."""
     root = work["root"]
     cache, run = root / "data.npz", root / "checkpoint-run"
     ds = resolve_dataset({"path": work["data"]})
@@ -478,6 +478,11 @@ def not_data(work):
         np.savez(files[name], **{**arrays, "attributes": values})
     files["nan_sidecar"] = str(root / "nan_sidecar.csv")
     Path(files["nan_sidecar"]).write_text(f"item_id,a_0,a_1\n{ds.item_ids[2]},nan,1\n")
+    # u1's history holds every item of the catalogue {a, b, c}
+    files["whole_catalogue"] = str(root / "whole_catalogue.tsv")
+    Path(files["whole_catalogue"]).write_text("".join(
+        f"{user}\t{item}\t{t}\n" for user, items in (("u1", "abcab"), ("u2", "ababa"))
+        for t, item in enumerate(items)))
     return files
 
 
@@ -516,6 +521,8 @@ BAD_DATA = {
         lambda f, cfg: ["stats", f["checkpoint"]], "not a dataset cache"),
     "train --data checkpoint.npz": (
         lambda f, cfg: ["train", "--data", f["checkpoint"]], "not a dataset cache"),
+    "train history covering the catalogue": (
+        lambda f, cfg: ["train", "--data", f["whole_catalogue"]], "user u1:"),
     "sweep.jobs": (
         lambda f, cfg: ["sweep", *cfg("sweep", "jobs", "two"), "--seeds", "1"], "sweep.jobs"),
     "sweep.seeds entry": (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from posrec import synth
 from posrec.data import EvalRow, leave_one_out
 from posrec.errors import UserError
+from posrec import metrics
 from posrec.metrics import EvalResult, evaluate, ndcg_single
 from posrec.model import Model, ModelConfig
 from posrec.numeric import Rng
@@ -122,10 +123,11 @@ def oracle_evaluate(model, rows, num_negatives, rng):
     (12, 10),   # pools of 6-9 items: smaller than the request, so whole
     (13, 8),    # pools of 7-10 items: some whole, some sampled
 ])
-def test_evaluate_matches_brute_force_oracle(num_items, num_negatives):
+def test_evaluate_matches_brute_force_oracle(num_items, num_negatives, monkeypatch):
     ds, rows = eval_rows(num_items=num_items)
     model = fresh_model(num_items=ds.num_items, seed=4)
-    result = evaluate(model, rows, num_negatives, Rng(6), batch_size=16)
+    monkeypatch.setattr(metrics, "EVAL_CHUNK_USERS", 16)
+    result = evaluate(model, rows, num_negatives, Rng(6))
     ranks, count, _ = oracle_evaluate(model, rows, num_negatives, Rng(6))
     assert result.per_user_ranks == ranks
     assert result.candidate_count == count
@@ -144,7 +146,7 @@ class FixedScores:
         return np.ones((len(contexts), 1))
 
 
-def test_sampled_negatives_are_the_pool_draws():
+def test_sampled_negatives_are_the_pool_draws(monkeypatch):
     # users share the target T; probing one item j at a time (j scores above
     # T, the rest below) makes each rank 1 + [j was drawn], which spells out
     # every user's negatives
@@ -155,10 +157,11 @@ def test_sampled_negatives_are_the_pool_draws():
         context = gen.choice(np.setdiff1d(np.arange(n), [target]), gen.integers(1, 12))
         rows.append(EvalRow(user=u, context=context, target=target))
     drawn = [set() for _ in rows]
+    monkeypatch.setattr(metrics, "EVAL_CHUNK_USERS", 8)
     for j in np.setdiff1d(np.arange(n), [target]):
         scores = np.zeros(n)
         scores[target], scores[j] = 1.0, 2.0
-        result = evaluate(FixedScores(scores), rows, k, Rng(3), batch_size=8)
+        result = evaluate(FixedScores(scores), rows, k, Rng(3))
         for u, rank in enumerate(result.per_user_ranks):
             if rank == 2:
                 drawn[u].add(int(j))
@@ -194,12 +197,13 @@ def test_untrained_model_hit_matches_binomial_expectation():
     assert result.candidate_count == 101
 
 
-def test_evaluate_deterministic_and_batch_size_free():
+def test_evaluate_deterministic_and_batch_size_free(monkeypatch):
     ds, rows = eval_rows()
     model = fresh_model(num_items=ds.num_items)
     a = evaluate(model, rows, 15, Rng(8))
     b = evaluate(model, rows, 15, Rng(8))
-    c = evaluate(model, rows, 15, Rng(8), batch_size=7)
+    monkeypatch.setattr(metrics, "EVAL_CHUNK_USERS", 7)
+    c = evaluate(model, rows, 15, Rng(8))
     assert a.per_user_ranks == b.per_user_ranks == c.per_user_ranks
     assert a.hit_at_10 == b.hit_at_10 == c.hit_at_10
 

@@ -22,7 +22,6 @@ from posrec import model as model_module
 from posrec.model import (
     Model,
     ModelConfig,
-    SequenceBatch,
     _loss_and_gradients,
     _sample_negatives,
     apply_max_norm,
@@ -30,6 +29,7 @@ from posrec.model import (
     block_rows,
     build_sequences,
     dropout_masks,
+    left_pad,
     load_checkpoint,
     save_checkpoint,
     score,
@@ -56,42 +56,75 @@ def tiny_ds(profile="memorizable", users=12, items=15, seq_len=7, seed=2):
 # batch construction
 
 
+def batch_of(histories, num_items, max_len, rngs):
+    """build_sequences with each row's own history as its forbidden items."""
+    histories = [np.asarray(h, dtype=np.int64) for h in histories]
+    return build_sequences(histories, [np.unique(h) for h in histories], num_items, max_len,
+                           rngs)
+
+
+def one_row_per_user(history, exclude, num_items, max_len, rng):
+    """The builder's former one-row-per-user form: the oracle of the batch
+    form.  (inputs, positives, negatives, mask) of one left-padded row."""
+    history = np.asarray(history, dtype=np.int64)
+    inputs = history[:-1][-max_len:]
+    positives = history[1:][-max_len:]
+    negatives = _sample_negatives(inputs.size, num_items, np.unique(exclude), rng)
+    ids, mask = left_pad((inputs, positives, negatives), max_len)
+    return ids[0], ids[1], ids[2], mask[0]
+
+
+def test_build_sequences_matches_the_one_row_per_user_form_bitwise():
+    num_items, max_len = 40, 6
+    gen = np.random.default_rng(3)
+    # 2 to 10 events: inputs shorter than, equal to and longer than max_len
+    histories = [gen.integers(0, num_items, size) for size in (2, 5, 7, 8, 10, 3, 7)]
+    # forbidden items beyond the training history, as a held-out tail adds
+    excludes = [np.concatenate([h, gen.integers(0, num_items, 2)]) for h in histories]
+    rng = Rng(12)
+    batch = build_sequences(histories, [np.unique(e) for e in excludes], num_items, max_len,
+                            [rng.child(u) for u in range(len(histories))])
+    rows = [one_row_per_user(h, e, num_items, max_len, rng.child(u))
+            for u, (h, e) in enumerate(zip(histories, excludes))]
+    assert batch.mask.sum(axis=1).tolist() == [1, 4, 6, 6, 6, 2, 6]
+    for k, name in enumerate(("inputs", "positives", "negatives", "mask")):
+        got = getattr(batch, name)
+        want = np.stack([row[k] for row in rows])
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 def test_build_sequences_shifts_by_one():
-    row = build_sequences([3, 7, 1, 9], num_items=12, max_len=6, rng=Rng(1))
-    np.testing.assert_array_equal(row.inputs[0], [0, 0, 0, 4, 8, 2])
-    np.testing.assert_array_equal(row.positives[0], [0, 0, 0, 8, 2, 10])
-    np.testing.assert_array_equal(row.mask[0], [False, False, False, True, True, True])
+    batch = batch_of([[3, 7, 1, 9]], num_items=12, max_len=6, rngs=[Rng(1)])
+    np.testing.assert_array_equal(batch.inputs[0], [0, 0, 0, 4, 8, 2])
+    np.testing.assert_array_equal(batch.positives[0], [0, 0, 0, 8, 2, 10])
+    np.testing.assert_array_equal(batch.mask[0], [False, False, False, True, True, True])
 
 
 def test_build_sequences_keeps_most_recent():
-    row = build_sequences(np.arange(10), num_items=20, max_len=4, rng=Rng(1))
-    np.testing.assert_array_equal(row.inputs[0], np.array([5, 6, 7, 8]) + 1)
-    np.testing.assert_array_equal(row.positives[0], np.array([6, 7, 8, 9]) + 1)
-    assert row.mask.all()
+    batch = batch_of([np.arange(10)], num_items=20, max_len=4, rngs=[Rng(1)])
+    np.testing.assert_array_equal(batch.inputs[0], np.array([5, 6, 7, 8]) + 1)
+    np.testing.assert_array_equal(batch.positives[0], np.array([6, 7, 8, 9]) + 1)
+    assert batch.mask.all()
 
 
 def test_length_two_history_single_position():
-    row = build_sequences([4, 2], num_items=10, max_len=6, rng=Rng(1))
-    assert row.positions == 1
-    assert row.inputs[0, -1] == 5 and row.positives[0, -1] == 3
-
-
-def test_too_short_history_yields_none():
-    assert build_sequences([4], num_items=10, max_len=6, rng=Rng(1)) is None
+    batch = batch_of([[4, 2]], num_items=10, max_len=6, rngs=[Rng(1)])
+    assert batch.positions == 1
+    assert batch.inputs[0, -1] == 5 and batch.positives[0, -1] == 3
 
 
 def test_negatives_never_collide_with_history():
     history = np.arange(101)  # items 0..100 of a 150-item catalogue
     seen = set((history + 1).tolist())
     rng = Rng(11)
-    drawn = 0
-    for k in range(100):
-        row = build_sequences(history, num_items=150, max_len=100, rng=rng.child(k))
-        negs = row.negatives[row.mask]
-        drawn += negs.size
-        assert not (set(negs.tolist()) & seen)
-        assert (negs >= 1).all() and (negs <= 150).all()
-    assert drawn == 10_000
+    batch = batch_of([history] * 100, num_items=150, max_len=100,
+                     rngs=[rng.child(k) for k in range(100)])
+    negs = batch.negatives[batch.mask]
+    assert negs.size == 10_000
+    assert not (set(negs.tolist()) & seen)
+    assert (negs >= 1).all() and (negs <= 150).all()
+    assert (batch.negatives[~batch.mask] == 0).all()
 
 
 def test_negatives_match_the_isin_rejection_draws():
@@ -117,7 +150,7 @@ def test_negatives_match_the_isin_rejection_draws():
 
 def test_history_covering_catalogue_rejected():
     with pytest.raises(UserError):
-        build_sequences(np.arange(10), num_items=10, max_len=12, rng=Rng(1))
+        batch_of([np.arange(10)], num_items=10, max_len=12, rngs=[Rng(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +215,22 @@ def test_fully_padded_row_contributes_exactly_zero():
 
 def test_loss_invariant_to_user_order_in_batch():
     ds = tiny_ds()
-    rows = [build_sequences(ds.sequences[u], ds.num_items, 6, Rng(3).child(u))
-            for u in range(4)]
     cfg = tiny_cfg()
     model = Model(ds.num_items, cfg, Rng(0))
 
     def loss_of(order):
-        return bce_loss(model, SequenceBatch.stack([rows[i] for i in order])).item()
+        batch = batch_of([ds.sequences[u] for u in order], ds.num_items, 6,
+                         [Rng(3).child(u) for u in order])
+        return bce_loss(model, batch).item()
 
     assert loss_of([0, 1, 2, 3]) == pytest.approx(loss_of([2, 0, 3, 1]), rel=1e-12)
 
 
 def test_training_loss_is_one_bce_node():
     ds = tiny_ds()
-    rows = [build_sequences(ds.sequences[u], ds.num_items, 6, Rng(3).child(u))
-            for u in range(3)]
+    batch = batch_of(ds.sequences[:3], ds.num_items, 6, [Rng(3).child(u) for u in range(3)])
     model = Model(ds.num_items, tiny_cfg(encoding="RMHA4", dropout=0.2), Rng(0))
-    loss = bce_loss(model, SequenceBatch.stack(rows), dropout_masks(model.config, 3, Rng(4)))
+    loss = bce_loss(model, batch, dropout_masks(model.config, 3, Rng(4)))
     ops, stack, seen = [], [loss], set()
     while stack:
         node = stack.pop()
@@ -499,11 +531,8 @@ def test_row_blocks_give_the_whole_batch_loss_and_gradients(variant, with_attrib
     config = tiny_cfg(encoding=variant, dropout=0.3)
     rng = Rng(8)
     # 7 rows of 1 to 8 positions (max_len 6: padded, full and cut rows)
-    batch = SequenceBatch.stack([
-        build_sequences(rng.child(u).integers(0, num_items, (2 + u,)), num_items,
-                        config.max_len, rng.child(100 + u))
-        for u in range(7)
-    ])
+    batch = batch_of([rng.child(u).integers(0, num_items, (2 + u,)) for u in range(7)],
+                     num_items, config.max_len, [rng.child(100 + u) for u in range(7)])
 
     def run(rows):
         set_block_rows(monkeypatch, config, rows)
@@ -674,9 +703,8 @@ def test_full_model_gradients_match_finite_differences(variant):
     model = Model(9, cfg, Rng(21))
     condition_for_fd(model, Rng(23))
     rng = Rng(22)
-    rows = [build_sequences(rng.child(u).integers(0, 9, (4,)), 9, 5, rng.child(100 + u))
-            for u in range(2)]
-    batch = SequenceBatch.stack(rows)
+    batch = batch_of([rng.child(u).integers(0, 9, (4,)) for u in range(2)], 9, 5,
+                     [rng.child(100 + u) for u in range(2)])
     # floor 1e-6: entries seven orders below the loss scale sit at central-
     # difference roundoff (~eps*f/2h) and carry no signal to compare against
     report = check_gradients(lambda: bce_loss(model, batch), model.parameters(), floor=1e-6)
