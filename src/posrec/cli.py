@@ -67,7 +67,6 @@ def _model_overrides(args) -> dict:
         "activation": getattr(args, "activation", None),
         "lr": getattr(args, "lr", None),
         "epochs": getattr(args, "epochs", None),
-        "extra_epochs": getattr(args, "extra_epochs", None),
         "eval_negatives": getattr(args, "negatives", None),
         "seed": getattr(args, "seed", None),
     }
@@ -140,7 +139,7 @@ def cmd_train(args) -> int:
     config, ds, run_dir, record = _start_run(args, _load_run_config(args), "train")
     result = train(config, ds, progress=_progress if not args.quiet else None)
 
-    stability.save_run(result, run_dir)
+    stability.save_run(result, run_dir, ds)
     _write_record(run_dir, record)
     print(f"best epoch {result.best_epoch}  "
           f"valid Hit@10 {result.valid_hit:.2f}  NDCG {result.valid_ndcg:.2f}")
@@ -154,10 +153,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     rc = _load_run_config(args)
     ds = resolve_dataset(rc.data, path_override=args.data)
-    model = load_checkpoint(args.checkpoint)
-    if model.num_items != ds.num_items:
-        raise UserError(f"checkpoint was trained over {model.num_items} items, "
-                        f"dataset has {ds.num_items}")
+    model = load_checkpoint(args.checkpoint, ds)
     split = leave_one_out(ds)
     rows = split.test if args.split == "test" else split.valid
     seed = model.config.seed if args.seed is None else args.seed
@@ -214,8 +210,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--activation", help="feed-forward activation")
     p.add_argument("--lr", type=float, help="learning rate")
     p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--extra-epochs", type=int, dest="extra_epochs",
-                   help="epochs appended after the scheduled run")
     p.add_argument("--negatives", type=int,
                    help="sampled negatives per evaluation user; 0 ranks the full catalogue")
     p.add_argument("--out", help="run directory")

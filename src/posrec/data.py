@@ -8,10 +8,12 @@ fewer than min_interactions rows after filtering are dropped (and counted).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +38,11 @@ class EvalRow:
     user: int
     context: np.ndarray
     target: int
+
+    @cached_property
+    def seen(self) -> np.ndarray:
+        """The sorted unique items of context and target, sorted on first use only."""
+        return np.unique(np.append(np.asarray(self.context, dtype=np.int64), self.target))
 
 
 @dataclass
@@ -80,9 +87,19 @@ class InteractionDataset:
     @property
     def identity(self) -> dict:
         """What names this dataset: hashed into a sweep's fingerprint and
-        recorded as the `dataset` entry of resolved.json."""
-        return {"source": self.source, "users": self.num_users,
-                "items": self.num_items, "interactions": self.num_interactions}
+        recorded as the `dataset` entry of resolved.json.  Its sha256 covers
+        what a model sees: num_items, the per-user lengths, the re-indexed
+        item ids and the attribute matrix's shape and values (little-endian
+        int64 and float64); original id strings are left out.  It is computed
+        on each access, since load_attributes sets attributes later."""
+        lengths = [len(s) for s in self.sequences]
+        content = hashlib.sha256(np.concatenate(
+            [[self.num_items, *lengths], *self.sequences], dtype="<i8").tobytes())
+        if self.attributes is not None:
+            content.update(np.array(self.attributes.shape, dtype="<i8").tobytes())
+            content.update(np.ascontiguousarray(self.attributes, dtype="<f8").tobytes())
+        return {"source": self.source, "users": self.num_users, "items": self.num_items,
+                "interactions": self.num_interactions, "sha256": content.hexdigest()}
 
 
 def _sniff_delimiter(line: str) -> str:
@@ -192,12 +209,13 @@ def atomic_write(path: str, binary: bool = False):
 
 
 def save_interactions(ds: InteractionDataset, path: str) -> None:
-    """Write the dataset back out as a TSV using the original ids."""
+    """Write the dataset back out as a TSV using the original ids; each
+    timestamp is written in a form that reads back exactly."""
     with atomic_write(path) as fh:
         for u, (seq, tvals) in enumerate(zip(ds.sequences, ds.times)):
             uid = ds.user_ids[u]
             for item, ts in zip(seq, tvals):
-                fh.write(f"{uid}\t{ds.item_ids[int(item)]}\t{ts:g}\n")
+                fh.write(f"{uid}\t{ds.item_ids[int(item)]}\t{float(ts)!r}\n")
 
 
 def save_cache(ds: InteractionDataset, path: str) -> None:

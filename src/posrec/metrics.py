@@ -50,28 +50,30 @@ def ndcg_single(rank: int) -> float:
     return 1.0 / np.log2(rank + 1.0)
 
 
-def _rank_user(scores: np.ndarray, row, num_negatives: int | None, rng: Rng) -> tuple[int, int]:
+def _rank_user(scores: np.ndarray, row, num_negatives: int, rng: Rng,
+               stream: int) -> tuple[int, int]:
     """(rank, candidate count) of row.target given every item's score.
 
-    Sampled negatives are the pool indices rng.choice(pool_size, k) of the
-    sorted items outside `seen`, mapped to item ids without building the pool.
+    Sampled negatives are the pool indices rng.child(stream).choice(pool_size,
+    k) of the sorted items outside row.seen, mapped to item ids without
+    building the pool; full ranking draws nothing and builds no child.
     """
-    seen = np.unique(np.append(np.asarray(row.context, dtype=np.int64), row.target))
+    seen = row.seen
     pool_size = scores.size - seen.size
     if pool_size == 0:
         raise UserError(f"user {row.user}: no candidate items outside the history")
     truth = scores[row.target]
-    if not num_negatives or num_negatives >= pool_size:
+    if num_negatives == 0 or num_negatives >= pool_size:
         # the target is in `seen` and ties with itself, so both counts include it
         beaten_by = np.count_nonzero(scores >= truth) - np.count_nonzero(scores[seen] >= truth)
         return 1 + int(beaten_by), pool_size + 1
-    picks = rng.choice(pool_size, num_negatives, replace=False)
+    picks = rng.child(stream).choice(pool_size, num_negatives, replace=False)
     # pool index t is item t + #{seen items s: s - (their index in seen) <= t}
     negatives = picks + np.searchsorted(seen - np.arange(seen.size), picks, side="right")
     return 1 + int(np.count_nonzero(scores[negatives] >= truth)), num_negatives + 1
 
 
-def evaluate(model, rows, num_negatives: int | None, rng: Rng) -> EvalResult:
+def evaluate(model, rows, num_negatives: int, rng: Rng) -> EvalResult:
     """Average Hit@10 and NDCG over evaluation rows.
 
     Deterministic given rng: user i always draws from rng.child(i), so the
@@ -79,7 +81,7 @@ def evaluate(model, rows, num_negatives: int | None, rng: Rng) -> EvalResult:
     """
     if not rows:
         raise UserError("evaluation split is empty")
-    if num_negatives is not None and num_negatives < 0:
+    if num_negatives < 0:
         raise UserError(f"num_negatives must be >= 0 (0 ranks the full catalogue), "
                         f"got {num_negatives}")
     ranks = []
@@ -89,7 +91,7 @@ def evaluate(model, rows, num_negatives: int | None, rng: Rng) -> EvalResult:
         chunk = rows[start:start + EVAL_CHUNK_USERS]
         scores = model.final_hidden([row.context for row in chunk]) @ items.T
         for j, row in enumerate(chunk):
-            rank, count = _rank_user(scores[j], row, num_negatives, rng.child(start + j))
+            rank, count = _rank_user(scores[j], row, num_negatives, rng, start + j)
             ranks.append(rank)
             counts.append(count)
     hit = float(np.mean([r <= NDCG_CUTOFF for r in ranks]))

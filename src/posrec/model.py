@@ -59,7 +59,9 @@ class ModelConfig:
     not read are reset to their defaults.  `nmax` is the per-row norm
     bound on embedding and vector-encoding tables (None or NaN disables it).
     `lr == 0` turns the run into a dry run: forward and backward execute,
-    parameters never move.
+    parameters never move.  `epochs` alone sets the run length.  The stored
+    form (as_dict) holds each value once: the encoding mapping carries only
+    the variant and the options it reads.
     """
 
     d: int = 90
@@ -74,7 +76,6 @@ class ModelConfig:
     nmax: float | None = None
     l2_weight: float = 0.0
     epochs: int = 200
-    extra_epochs: int = 0
     batch_size: int = 128
     seed: int = 0
     eval_negatives: int = 100
@@ -98,8 +99,8 @@ class ModelConfig:
             raise UserError(f"activation '{self.activation}' not one of {', '.join(ACTIVATIONS)}")
         if not 0.0 <= self.dropout < 1.0:
             raise UserError(f"dropout {self.dropout} outside [0, 1)")
-        if self.epochs < 1 or self.extra_epochs < 0:
-            raise UserError("epochs must be >= 1 and extra_epochs >= 0")
+        if self.epochs < 1:
+            raise UserError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise UserError("batch_size must be positive")
         if self.lr < 0:
@@ -147,21 +148,20 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.d // self.heads
 
-    @property
-    def total_epochs(self) -> int:
-        return self.epochs + self.extra_epochs
-
     def as_dict(self) -> dict:
-        """The stored form: the encoding mapping also carries max_len and
-        model_dim, so fingerprints and checkpoints keep their format."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["encoding"] = {**self.encoding.as_dict(),
-                           "max_len": self.max_len, "model_dim": self.d}
-        return out
+        """The stored form: every field once, the encoding as EncodingConfig.as_dict()."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "encoding": self.encoding.as_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """The config of a stored form.  Also reads the form of format 1's
+        first writer: its encoding mapping repeats max_len and d as
+        max_len/model_dim, and its extra_epochs trained as more epochs."""
         data = dict(data)
+        if "extra_epochs" in data:
+            data["epochs"] = (require_int("epochs", data.get("epochs", cls.epochs))
+                              + require_int("extra_epochs", data.pop("extra_epochs")))
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise UserError(f"unknown model config keys: {', '.join(sorted(unknown))}")
@@ -483,8 +483,9 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
     skipped = dataset.num_users - len(eligible)
     if not eligible:
         raise UserError("no user has a training sequence of at least 2 events")
-    # negatives avoid every item of the user's whole history, valid and test included
-    forbidden = {u: np.unique(dataset.sequences[u]) for u in eligible}
+    # negatives avoid every item of the user's whole history, valid and test
+    # included: the items its test row has seen
+    forbidden = {u: split.test[u].seen for u in eligible}
     for u in eligible:
         if forbidden[u].size >= dataset.num_items:
             raise UserError(f"user {dataset.user_ids[u]}: the history covers the whole "
@@ -502,9 +503,8 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
     best_hit = -1.0
     best_ndcg = float("nan")
     last_eval = 0
-    total = config.total_epochs
 
-    for epoch in range(1, total + 1):
+    for epoch in range(1, config.epochs + 1):
         order = shuffle_root.child(epoch).permutation(len(eligible))
         neg_epoch = neg_root.child(epoch)
         drop_epoch = drop_root.child(epoch)
@@ -534,7 +534,7 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
         epoch_loss = loss_sum / loss_positions
         history.append(MetricRecord(epoch, "train", epoch_loss, float("nan"), float("nan")))
 
-        if epoch == 1 or epoch == total or epoch >= last_eval * EVAL_SCHEDULE_FACTOR:
+        if epoch == 1 or epoch == config.epochs or epoch >= last_eval * EVAL_SCHEDULE_FACTOR:
             last_eval = epoch
             if split.valid:
                 result = evaluate(model, split.valid, config.eval_negatives,
@@ -551,7 +551,7 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
                 progress(f"epoch {epoch}: loss {epoch_loss:.4f}")
 
     if best_values is None:  # nothing to validate on: final parameters win
-        best_epoch = total
+        best_epoch = config.epochs
         best_hit = best_ndcg = float("nan")
         best_values = model.snapshot()
     model.restore(best_values)
@@ -573,13 +573,17 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
     )
 
 
-def save_checkpoint(model: Model, path: str) -> None:
+def save_checkpoint(model: Model, path: str, dataset: InteractionDataset | None = None) -> None:
+    """Write `model` to `path`; given the dataset it was trained on, the
+    metadata also holds that dataset's sha256, which load_checkpoint checks."""
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "num_items": model.num_items,
         "has_attributes": model.attribute_table is not None,
         "config": model.config.as_dict(),
     }
+    if dataset is not None:
+        meta["dataset_sha256"] = dataset.identity["sha256"]
     arrays = {f"param:{name}": node.values for name, node in model.parameters()}
     if model.attribute_table is not None:
         arrays["attributes"] = model.attribute_table.values[1:]
@@ -587,7 +591,10 @@ def save_checkpoint(model: Model, path: str) -> None:
         np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
-def load_checkpoint(path: str) -> Model:
+def load_checkpoint(path: str, dataset: InteractionDataset | None = None) -> Model:
+    """The model stored at `path`.  Given the dataset it is to be used on,
+    the checkpoint must cover as many items and, when it holds the sha256 of
+    the dataset it was trained on, that same sha256."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as err:
@@ -615,6 +622,16 @@ def load_checkpoint(path: str) -> Model:
             raise UserError(f"{path}: checkpoint metadata field 'config' is not a JSON object")
         config = ModelConfig.from_dict(meta["config"])
         num_items = require_int(f"{path}: checkpoint metadata field 'num_items'", meta["num_items"])
+        if dataset is not None:
+            if num_items != dataset.num_items:
+                raise UserError(f"checkpoint was trained over {num_items} items, "
+                                f"dataset has {dataset.num_items}")
+            stored = meta.get("dataset_sha256")
+            if stored is not None and stored != dataset.identity["sha256"]:
+                raise UserError(f"{path}: checkpoint was trained on a dataset with sha256 "
+                                f"{str(stored)[:12]}, this dataset has "
+                                f"{dataset.identity['sha256'][:12]}; pass the log (and "
+                                "attribute sidecar) the run was trained on")
         attributes = archive["attributes"] if meta["has_attributes"] else None
         model = Model(num_items, config, Rng(config.seed), attributes=attributes)
         for name, node in model.parameters():

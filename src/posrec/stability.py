@@ -197,17 +197,17 @@ def read_summary_tsv(path: str) -> SweepSummary:
     )
 
 
-def save_run(result: TrainResult, run_dir: str) -> None:
-    """Write a trained run's history.tsv and checkpoint.npz into `run_dir`."""
+def save_run(result: TrainResult, run_dir: str, dataset: InteractionDataset) -> None:
+    """Write a run's history.tsv and checkpoint.npz, trained on `dataset`, into `run_dir`."""
     write_history_tsv(result.history, os.path.join(run_dir, "history.tsv"))
-    save_checkpoint(result.model, os.path.join(run_dir, "checkpoint.npz"))
+    save_checkpoint(result.model, os.path.join(run_dir, "checkpoint.npz"), dataset)
 
 
 def _run_seed(config: ModelConfig, dataset: InteractionDataset, seed: int,
               out_dir: str | None) -> RunRecord:
     result = train(replace(config, seed=seed), dataset)
     if out_dir is not None:
-        save_run(result, os.path.join(out_dir, f"seed_{seed}"))
+        save_run(result, os.path.join(out_dir, f"seed_{seed}"), dataset)
     return RunRecord(seed=seed, hit=result.test_hit, ndcg=result.test_ndcg)
 
 

@@ -1,5 +1,6 @@
 """Run-config parsing and the command-line workflow."""
 
+import dataclasses
 import json
 import math
 import os
@@ -78,9 +79,11 @@ def test_encoding_spec_gets_resolved_dims():
         "encoding": {"variant": "RMHA4", "clip_distance": 3},
     })
     cfg = build_model_config(rc)
-    stored = cfg.as_dict()["encoding"]
-    assert stored["model_dim"] == 16 and stored["max_len"] == 9
-    assert stored["clip_distance"] == 3 == cfg.encoding.clip_distance
+    stored = cfg.as_dict()
+    # the dims are stored once, as model fields, not again in the encoding
+    assert "model_dim" not in stored["encoding"] and "max_len" not in stored["encoding"]
+    assert cfg.d == stored["d"] == 16 and cfg.max_len == stored["max_len"] == 9
+    assert stored["encoding"]["clip_distance"] == 3 == cfg.encoding.clip_distance
 
 
 def test_projection_activation_follows_model_activation():
@@ -640,3 +643,44 @@ def test_sweep_with_a_raising_seed_exits_2(work, tmp_path, capsys, monkeypatch):
     assert captured.out.startswith("Act\tencoding")  # the other seeds' results are shown
     assert "seed(s) [2] raised" in captured.err and "scratch file" in captured.err
     assert (sw / "results.tsv").exists()
+
+
+def test_every_model_flag_sets_a_config_field():
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    for command in ("train", "sweep"):
+        args = cli.build_parser().parse_args([command])
+        assert set(cli._model_overrides(args)) - {"encoding"} <= fields, command
+
+
+def test_extra_epochs_is_neither_a_flag_nor_a_config_key(work, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", work["cfg"], "--extra-epochs", "3",
+                     "--out", str(run), "--quiet"]) == 1
+    assert "unrecognized arguments: --extra-epochs" in capsys.readouterr().err
+    argv = _config_with(work, tmp_path / "old.yaml", "model", "extra_epochs", 3)
+    assert cli.main(["train", *argv, "--out", str(run), "--quiet"]) == 1
+    assert ("unknown key 'extra_epochs' in section 'model'; allowed keys: activation, "
+            "batch_size, blocks, d, dropout, epochs, eval_negatives, g, heads, l2_weight, "
+            "lr, max_len, nmax, seed") in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_evaluate_refuses_a_checkpoint_trained_on_another_log(work, tmp_path, capsys):
+    # two positional logs of the same sizes: only their content tells them apart
+    logs = [str(tmp_path / f"positional_{seed}.tsv") for seed in (1, 2)]
+    for seed, log in zip((1, 2), logs):
+        assert cli.main(["synth", "--profile", "positional", "--users", "30", "--items", "12",
+                         "--seq-len", "7", "--seed", str(seed), "--out", log]) == 0
+    first, second = (resolve_dataset({"path": log}).identity for log in logs)
+    assert {k: v for k, v in first.items() if k not in ("source", "sha256")} == {
+        k: v for k, v in second.items() if k not in ("source", "sha256")}
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", work["cfg"], "--data", logs[0], "--epochs", "1",
+                     "--out", str(run), "--quiet"]) == 0
+    checkpoint = str(run / "checkpoint.npz")
+    assert cli.main(["evaluate", checkpoint, "--data", logs[0]]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", checkpoint, "--data", logs[1]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"sha256 {first['sha256'][:12]}, this dataset has {second['sha256'][:12]}" in err

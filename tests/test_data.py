@@ -139,6 +139,20 @@ def test_save_and_reload_round_trip(tmp_path):
         assert [ds.item_ids[i] for i in a] == [again.item_ids[i] for i in b]
 
 
+def test_saved_timestamps_read_back_exactly(tmp_path):
+    # Unix seconds one minute apart, fractions, and a value no short form holds
+    times = [np.array([1356998400.0, 1356998460.0, 1356998460.5]),
+             np.array([0.1, 1e9 + 1.0 / 3.0, 1700000000.123456])]
+    ds = InteractionDataset(sequences=[np.array([0, 1, 2]), np.array([2, 0, 1])], times=times,
+                            num_items=3, user_ids=["u", "v"], item_ids=["a", "b", "c"])
+    path = str(tmp_path / "out.tsv")
+    save_interactions(ds, path)
+    again = load_interactions(path)
+    assert [t.tobytes() for t in again.times] == [t.tobytes() for t in times]
+    assert [[again.item_ids[i] for i in s] for s in again.sequences] == [["a", "b", "c"],
+                                                                         ["c", "a", "b"]]
+
+
 # ids as the log parser yields them: no control characters, no empty id
 ID_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs")), min_size=1, max_size=4)
 
@@ -190,6 +204,36 @@ def test_attribute_sidecar_alignment(tmp_path):
     assert ds.attribute_dim == 2
     foo_row = ds.attributes[ds.item_ids.index("foo")]
     np.testing.assert_array_equal(foo_row, [3.0, 4.0])
+
+
+def test_dataset_sha256_is_pinned():
+    # little-endian int64 [num_items, lengths..., items...], then the attribute
+    # matrix's int64 shape and float64 values; if these move, every sweep
+    # fingerprint and every checkpoint's dataset check moves with them
+    ds = counts_dataset([3, 2], 4)  # items [0, 1, 2], [3, 0]
+    assert ds.identity["sha256"] == (
+        "ac19a558b975b570f6b3741c14e757547d86c7cf03f7d7da43c570f46edaf751")
+    ds.attributes = np.arange(8.0).reshape(4, 2)
+    assert ds.identity["sha256"] == (
+        "259fc85def4d9adadb2f19b7a50c43bb87ed8ed7d771de2797d3d1080114fbd0")
+
+
+def test_dataset_sha256_covers_what_the_model_sees():
+    def sha(lengths=(3, 2), num_items=4, attributes=None, **changes):
+        ds = counts_dataset(list(lengths), num_items)
+        ds.attributes = attributes
+        for name, value in changes.items():
+            setattr(ds, name, value)
+        return ds.identity["sha256"]
+
+    base = sha()
+    # names, times and the source are not what a model is trained on
+    assert sha(user_ids=["x", "y"], item_ids=list("wxyz"), source="elsewhere.tsv",
+               times=[np.zeros(3), np.ones(2)]) == base
+    changed = [sha(num_items=5), sha(lengths=(2, 3)),
+               sha(sequences=[np.array([0, 1, 2]), np.array([0, 3])]),
+               sha(attributes=np.zeros((4, 2))), sha(attributes=np.zeros((8, 1)))]
+    assert len({base, *changed}) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +289,10 @@ def test_leave_one_out_partitions_every_history_in_order(histories):
         held_out = [valid[u].target] if u in valid else history[-2:-1]
         assert train + held_out + [test.target] == history
         assert test.context.tolist() == history[:-1]
+        assert test.seen.tolist() == sorted(set(history))
         if u in valid:
             assert valid[u].context.tolist() == train
+            assert valid[u].seen.tolist() == sorted(set(train + held_out))
 
 
 def test_length_two_users_have_no_validation_row():

@@ -223,6 +223,18 @@ def test_zero_negatives_means_full_catalogue():
     assert result.candidate_count == 40 - 3 + 1  # catalogue minus seen, plus truth
 
 
+def test_only_sampled_ranking_builds_child_streams(monkeypatch):
+    ds, rows = eval_rows()
+    model = fresh_model(num_items=ds.num_items)
+    built = []
+    child = Rng.child
+    monkeypatch.setattr(Rng, "child", lambda self, k: built.append(k) or child(self, k))
+    evaluate(model, rows, 0, Rng(8))
+    assert built == []  # full ranking draws nothing
+    evaluate(model, rows, 15, Rng(8))
+    assert built == list(range(len(rows)))  # user i draws from rng.child(i)
+
+
 class NextItemOracle:
     """Stub: the hidden state is a one-hot pointer at (last item + 1) mod n."""
 

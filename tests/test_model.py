@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gradcheck import check_gradients
 from posrec import synth
-from posrec.data import leave_one_out, load_interactions
+from posrec.data import EvalRow, leave_one_out, load_interactions
 from posrec.encodings import VARIANTS, EncodingConfig
 from posrec.errors import TrainingDiverged, UserError
 from posrec.metrics import evaluate
@@ -327,8 +327,9 @@ ENCODING_OPTIONS = dict(clip_distance=7, rope_base=5.0, use_value_bias=False,
 def test_config_round_trips_through_dict():
     for variant in VARIANTS:
         for activation in ("leaky", "silu"):
-            cfg = tiny_cfg(encoding=variant, activation=activation, nmax=1e-4, extra_epochs=3)
+            cfg = tiny_cfg(encoding=variant, activation=activation, nmax=1e-4)
             assert cfg.encoding.projection_activation == activation
+            assert cfg.as_dict()["encoding"] == cfg.encoding.as_dict()
             again = ModelConfig.from_dict(cfg.as_dict())
             assert again == cfg, (variant, activation)
             assert again.nmax == 1e-4 and again.encoding.variant == variant
@@ -601,19 +602,80 @@ STORED_META = (
     '"lr": 0.003, "max_len": 6, "nmax": null, "seed": 3}, "format_version": 1, '
     '"has_attributes": false, "num_items": 30}'
 )
+# the same model as the current writer stores it: each value once
+WRITTEN_META = (
+    '{"config": {"activation": "silu", "batch_size": 8, "blocks": 2, "d": 8, '
+    '"dropout": 0.2, "encoding": {"projection_activation": "silu", "variant": "RotatoryCon"}, '
+    '"epochs": 4, "eval_negatives": 20, "g": 16, "heads": 2, "l2_weight": 0.0, '
+    '"lr": 0.003, "max_len": 6, "nmax": null, "seed": 3}, "format_version": 1, '
+    '"has_attributes": false, "num_items": 30}'
+)
 
 
-def test_checkpoint_metadata_keeps_the_stored_format(tmp_path):
+def _with_meta(path, meta: str) -> None:
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    np.savez(path, **{**arrays, "__meta__": np.array(meta)})
+
+
+def test_checkpoint_metadata_is_written_with_each_value_once(tmp_path):
     config = ModelConfig.from_dict(json.loads(STORED_META)["config"])
     path = str(tmp_path / "ck.npz")
     save_checkpoint(Model(30, config, Rng(config.seed)), path)
     with np.load(path, allow_pickle=False) as archive:
-        assert str(archive["__meta__"]) == STORED_META
+        assert str(archive["__meta__"]) == WRITTEN_META
         names = [k[len("param:"):] for k in archive.files if k.startswith("param:")]
     assert load_checkpoint(path).config == config
     assert [n for n in names if not n.startswith("block")] == [
         "item_table", "angle_table", "projection_weight", "projection_bias",
         "final_gain", "final_bias"]
+
+
+@pytest.mark.parametrize("extra, epochs", [(0, 4), (3, 7)])
+def test_checkpoint_of_the_first_writer_loads_and_ranks_as_before(tmp_path, extra, epochs):
+    # extra_epochs trained as that many more epochs, so it loads as them
+    meta = STORED_META.replace('"extra_epochs": 0', f'"extra_epochs": {extra}')
+    config = ModelConfig.from_dict(json.loads(meta)["config"])
+    assert config.epochs == epochs and config.encoding.as_dict() == {
+        "projection_activation": "silu", "variant": "RotatoryCon"}
+    model = Model(30, config, Rng(config.seed))
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(model, path)
+    _with_meta(path, meta)
+    again = load_checkpoint(path)
+    assert again.config == config
+    rows = [EvalRow(u, np.arange(u, u + 5) % 30, (u + 7) % 30) for u in range(12)]
+    for negatives in (10, 0):
+        assert (evaluate(again, rows, negatives, Rng(4)).per_user_ranks
+                == evaluate(model, rows, negatives, Rng(4)).per_user_ranks)
+
+
+def test_stored_extra_epochs_must_be_an_integer():
+    stored = json.loads(STORED_META)["config"]
+    with pytest.raises(UserError, match="extra_epochs must be an integer"):
+        ModelConfig.from_dict({**stored, "extra_epochs": 1.5})
+
+
+def test_checkpoint_is_checked_against_the_dataset_it_is_used_on(tmp_path):
+    ds = tiny_ds("positional")
+    other = tiny_ds("positional", seed=9)  # same sizes, other content
+    assert other.num_items == ds.num_items and other.identity != ds.identity
+    model = Model(ds.num_items, tiny_cfg(), Rng(1))
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(model, path, ds)
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(str(archive["__meta__"]))
+    assert meta["dataset_sha256"] == ds.identity["sha256"]
+    load_checkpoint(path, ds)
+    load_checkpoint(path)  # no dataset, no check
+    with pytest.raises(UserError, match=f"sha256 {ds.identity['sha256'][:12]}, this dataset "
+                                        f"has {other.identity['sha256'][:12]}"):
+        load_checkpoint(path, other)
+    with pytest.raises(UserError, match="trained over 15 items, dataset has 9"):
+        load_checkpoint(path, tiny_ds("positional", items=9))
+    # a checkpoint that holds no hash gets the item-count check only
+    save_checkpoint(model, path)
+    load_checkpoint(path, other)
 
 
 NO_VALUE_BIAS = EncodingConfig("RMHA4", use_value_bias=False)

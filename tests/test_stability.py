@@ -271,6 +271,19 @@ def test_sweep_fingerprint_change_invalidates_ledger(tmp_path):
     assert len({r["fingerprint"] for r in rows}) == 2
 
 
+def test_sweep_over_another_log_of_the_same_sizes_reruns_its_seeds(tmp_path):
+    out = tmp_path / "sw"
+    first = synth.build_dataset("positional", users=10, items=12, seq_len=6, seed=0)
+    second = synth.build_dataset("positional", users=10, items=12, seq_len=6, seed=1)
+    assert ({k: v for k, v in first.identity.items() if k != "sha256"}
+            == {k: v for k, v in second.identity.items() if k != "sha256"})
+    sweep(tiny_config(), first, [1, 2], out_dir=str(out))
+    sweep(tiny_config(), second, [1, 2], out_dir=str(out))
+    rows = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
+    assert [r["seed"] for r in rows] == [1, 2, 1, 2]
+    assert len({r["fingerprint"] for r in rows}) == 2
+
+
 def test_sweep_seed_field_does_not_change_fingerprint():
     ds = tiny_dataset()
     assert (config_fingerprint(tiny_config(seed=0), ds)
@@ -441,16 +454,16 @@ def test_parallel_sweep_warns_once_where_no_openblas_setter_is_found(tmp_path, m
 # config_fingerprint of the stored config format, one config per variant; if
 # these move, every existing ledger row stops matching its sweep
 PINNED_FINGERPRINTS = {
-    "None": "92502ecfc244296d",
-    "Abs": "81a05c115c1afe18",
-    "AbsCon": "da2dc77c4fe47dcd",
-    "Learnt": "cdddaf54a9e93eb2",
-    "LearntCon": "3c89aa69ae28a0f1",
-    "Rotatory": "67703a07c8fe851f",
-    "RotatoryCon": "8d331498ca868f63",
-    "RMHA4": "e16da675b19bd56d",
-    "RoPE": "3aa0d7cd4b88dd82",
-    "RopeOne": "36f7d4307c865c82",
+    "None": "eddda26b4f8a9c9d",
+    "Abs": "e69de226bac03d1a",
+    "AbsCon": "e316dd07b6a73165",
+    "Learnt": "25223af783421866",
+    "LearntCon": "6eeba159eccabdf9",
+    "Rotatory": "c3f2d5513aa1b607",
+    "RotatoryCon": "07e00ac36989aeeb",
+    "RMHA4": "43baaf91a330cd5c",
+    "RoPE": "156ee84ae8bed2c0",
+    "RopeOne": "ae49256352f6af8c",
 }
 
 
