@@ -20,8 +20,8 @@ import sys
 import traceback
 
 from . import stability, synth
-from .data import (atomic_write, format_stats_table, leave_one_out, save_cache,
-                   save_interactions, stats, subset, write_stats_tsv)
+from .data import (atomic_write, format_stats_table, leave_one_out, read_input,
+                   save_cache, save_interactions, stats, subset, write_stats_tsv)
 from .errors import PosrecError, UserError
 from .metrics import evaluate
 from .model import TEST_EVAL_STREAM, load_checkpoint, train
@@ -82,8 +82,7 @@ def _start_run(args, rc: RunConfig, command: str, **record):
     run_dir = args.out or rc.out or os.path.join(os.environ.get("POSREC_OUT", "runs"), command)
     files = {}
     if args.config:
-        with open(args.config, "rb") as src:
-            files["config.yaml"] = src.read()
+        files["config.yaml"] = read_input(args.config, "config", binary=True)
     files["resolved.json"] = (json.dumps(
         {"command": command, "config": config.as_dict(), "dataset": ds.identity,
          "run_dir": run_dir, **record}, indent=2, sort_keys=True) + "\n").encode()
@@ -177,8 +176,7 @@ def cmd_sweep(args) -> int:
     summary = stability.sweep(config, ds, seeds, jobs=jobs, out_dir=run_dir,
                               progress=_progress if not args.quiet else None)
     _write_record(run_dir, record)
-    with open(os.path.join(run_dir, stability.RESULTS_NAME), encoding="utf-8") as fh:
-        print(fh.read(), end="")
+    print(read_input(os.path.join(run_dir, stability.RESULTS_NAME), "sweep results"), end="")
     print(f"artifacts: {run_dir}")
     if summary.errored:
         print(f"error: seed(s) {summary.errored} raised; their errors are in "

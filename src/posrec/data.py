@@ -9,7 +9,6 @@ fewer than min_interactions rows after filtering are dropped (and counted).
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -102,20 +101,22 @@ class InteractionDataset:
                 "interactions": self.num_interactions, "sha256": content.hexdigest()}
 
 
-def _sniff_delimiter(line: str) -> str:
-    return "\t" if "\t" in line else ","
-
-
-def _parse_rows(path: str, text: str):
-    rows = []
+def _table(text: str):
+    """(line number, stripped fields) for each non-blank line of a TSV or CSV table;
+    the delimiter is a tab if the first such line holds one, else a comma."""
     delim = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if delim is None:
-            delim = _sniff_delimiter(line)
-        fields = [f.strip() for f in line.split(delim)]
+            delim = "\t" if "\t" in line else ","
+        yield line_no, [f.strip() for f in line.split(delim)]
+
+
+def _parse_rows(path: str, text: str):
+    rows = []
+    for line_no, fields in _table(text):
         if len(fields) != 3:
             raise DataFormatError(path, line_no, f"expected 3 columns, got {len(fields)}")
         try:
@@ -176,15 +177,35 @@ def load_interactions(path: str, min_interactions: int = DEFAULT_MIN_INTERACTION
     path = str(path)
     if path.endswith(".npz"):
         return load_cache(path)
-    try:
-        with io.open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UserError(f"cannot read {path}: {e}") from None
-    rows = _parse_rows(path, text)
+    rows = _parse_rows(path, read_input(path, "interaction log"))
     if not rows:
         raise UserError(f"{path} contains no interaction rows")
     return _assemble(rows, min_interactions, source=path)
+
+
+def read_input(path: str, what: str, binary: bool = False):
+    """The bytes of the file at `path`, or its text decoded as UTF-8; a file that
+    cannot be read or decoded raises UserError naming `what` and the path."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return raw if binary else raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise UserError(f"cannot read {what} {path}: {err}") from None
+
+
+@contextmanager
+def open_archive(path: str, what: str):
+    """The .npz archive at `path`, closed when the block ends; a file that cannot
+    be read, or holds no .npz archive, raises UserError naming `what` and the path."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (OSError, ValueError) as err:
+        raise UserError(f"cannot read {what} {path}: {err}") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise UserError(f"{path} is not a {what}")
+    with archive:
+        yield archive
 
 
 @contextmanager
@@ -244,34 +265,48 @@ def save_cache(ds: InteractionDataset, path: str) -> None:
 
 
 def load_cache(path: str) -> InteractionDataset:
-    try:
-        blob = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as e:
-        raise UserError(f"cannot read cache {path}: {e}") from None
-    if not _CACHE_KEYS <= set(getattr(blob, "files", ())):
-        raise UserError(f"{path} is not a dataset cache")
-    if int(blob["format_version"][0]) != CACHE_FORMAT_VERSION:
-        raise UserError(f"cache {path} has unsupported format version")
-    lengths = blob["lengths"]
-    bounds = np.cumsum(lengths)[:-1]
-    sequences = [s.copy() for s in np.split(blob["items_flat"], bounds)]
-    times = [t.copy() for t in np.split(blob["times_flat"], bounds)]
-    return InteractionDataset(
-        sequences=sequences,
-        times=times,
-        num_items=int(blob["num_items"][0]),
-        user_ids=[str(u) for u in blob["user_ids"]],
-        item_ids=[str(i) for i in blob["item_ids"]],
-        attributes=blob["attributes"] if "attributes" in blob else None,
-        source=str(blob["source"][0]),
-        dropped_users=int(blob["dropped_users"][0]),
-        min_interactions=int(blob["min_interactions"][0]),
-        subset_info=(
-            SubsetInfo(int(blob["subset_budgets"][0]), int(blob["subset_budgets"][1]))
-            if "subset_budgets" in blob
-            else None
-        ),
-    )
+    with open_archive(path, "dataset cache") as blob:
+        if not _CACHE_KEYS <= set(blob.files):
+            raise UserError(f"{path} is not a dataset cache")
+        if int(blob["format_version"][0]) != CACHE_FORMAT_VERSION:
+            raise UserError(f"cache {path} has unsupported format version")
+        lengths, items, times = blob["lengths"], blob["items_flat"], blob["times_flat"]
+        user_ids, item_ids = blob["user_ids"], blob["item_ids"]
+        num_items = int(blob["num_items"][0])
+        if not all(a.ndim == 1 and a.dtype.kind in "iu" for a in (lengths, items)):
+            raise UserError(f"cache {path} is inconsistent: its lengths and items_flat "
+                            "must be 1-D integer arrays")
+        for bad, reason in (
+                (lengths.size == 0, "it holds no users"),
+                ((lengths < 0).any(), "a user's length is negative"),
+                (lengths.sum() != items.size or lengths.sum() != times.size,
+                 f"its lengths sum to {lengths.sum()}, but it holds {items.size} items "
+                 f"and {times.size} timestamps"),
+                (len(user_ids) != len(lengths),
+                 f"it holds {len(user_ids)} user ids for {len(lengths)} users"),
+                (len(item_ids) != num_items,
+                 f"it holds {len(item_ids)} item ids for {num_items} items"),
+                (items.size and not 0 <= items.min() <= items.max() < num_items,
+                 f"an item id lies outside [0, {num_items})")):
+            if bad:
+                raise UserError(f"cache {path} is inconsistent: {reason}")
+        bounds = np.cumsum(lengths)[:-1]
+        return InteractionDataset(
+            sequences=[s.copy() for s in np.split(items, bounds)],
+            times=[t.copy() for t in np.split(times, bounds)],
+            num_items=num_items,
+            user_ids=[str(u) for u in user_ids],
+            item_ids=[str(i) for i in item_ids],
+            attributes=blob["attributes"] if "attributes" in blob else None,
+            source=str(blob["source"][0]),
+            dropped_users=int(blob["dropped_users"][0]),
+            min_interactions=int(blob["min_interactions"][0]),
+            subset_info=(
+                SubsetInfo(int(blob["subset_budgets"][0]), int(blob["subset_budgets"][1]))
+                if "subset_budgets" in blob
+                else None
+            ),
+        )
 
 
 def load_attributes(path: str, ds: InteractionDataset) -> np.ndarray:
@@ -281,23 +316,16 @@ def load_attributes(path: str, ds: InteractionDataset) -> np.ndarray:
     sidecar get zero vectors.
     """
     path = str(path)
-    try:
-        with io.open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UserError(f"cannot read attributes {path}: {e}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    rows = _table(read_input(path, "attributes"))
+    header_line, header = next(rows, (0, None))
+    if header is None:
         raise UserError(f"{path} is empty")
-    delim = _sniff_delimiter(lines[0])
-    header = [f.strip() for f in lines[0].split(delim)]
     if header[0] != "item_id" or len(header) < 2:
-        raise DataFormatError(path, 1, "attribute header must start with item_id")
+        raise DataFormatError(path, header_line, "attribute header must start with item_id")
     width = len(header) - 1
     index = {orig: i for i, orig in enumerate(ds.item_ids)}
     attrs = np.zeros((ds.num_items, width), dtype=np.float64)
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in line.split(delim)]
+    for line_no, fields in rows:
         if len(fields) != width + 1:
             raise DataFormatError(path, line_no, f"expected {width + 1} columns, got {len(fields)}")
         iid = index.get(fields[0])

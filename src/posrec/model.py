@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numeric as nm
 from .attention import TransformerBlock, causal_keep_mask
-from .data import InteractionDataset, atomic_write, leave_one_out
+from .data import InteractionDataset, atomic_write, leave_one_out, open_archive
 from .encodings import (ACTIVATIONS, PROJECTION_ACTIVATIONS, VARIANTS, EncodingConfig,
                         EncodingTables, apply_vector_encoding, project_concat, xavier)
 from .errors import TrainingDiverged, UserError, require_int
@@ -594,12 +594,10 @@ def save_checkpoint(model: Model, path: str, dataset: InteractionDataset | None 
 def load_checkpoint(path: str, dataset: InteractionDataset | None = None) -> Model:
     """The model stored at `path`.  Given the dataset it is to be used on,
     the checkpoint must cover as many items and, when it holds the sha256 of
-    the dataset it was trained on, that same sha256."""
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as err:
-        raise UserError(f"cannot read checkpoint {path}: {err}") from None
-    with archive:
+    the dataset it was trained on, that same sha256.  The hash is taken with
+    the checkpoint's own attributes in place of the dataset's: those are the
+    ones the model ranks with."""
+    with open_archive(path, "model checkpoint") as archive:
         if "__meta__" not in archive:
             raise UserError(f"{path} is not a model checkpoint")
         try:
@@ -622,17 +620,17 @@ def load_checkpoint(path: str, dataset: InteractionDataset | None = None) -> Mod
             raise UserError(f"{path}: checkpoint metadata field 'config' is not a JSON object")
         config = ModelConfig.from_dict(meta["config"])
         num_items = require_int(f"{path}: checkpoint metadata field 'num_items'", meta["num_items"])
+        attributes = archive["attributes"] if meta["has_attributes"] else None
         if dataset is not None:
             if num_items != dataset.num_items:
                 raise UserError(f"checkpoint was trained over {num_items} items, "
                                 f"dataset has {dataset.num_items}")
             stored = meta.get("dataset_sha256")
-            if stored is not None and stored != dataset.identity["sha256"]:
+            given = replace(dataset, attributes=attributes).identity["sha256"]
+            if stored is not None and stored != given:
                 raise UserError(f"{path}: checkpoint was trained on a dataset with sha256 "
-                                f"{str(stored)[:12]}, this dataset has "
-                                f"{dataset.identity['sha256'][:12]}; pass the log (and "
-                                "attribute sidecar) the run was trained on")
-        attributes = archive["attributes"] if meta["has_attributes"] else None
+                                f"{str(stored)[:12]}, this dataset has {given[:12]}; "
+                                "pass the log the run was trained on")
         model = Model(num_items, config, Rng(config.seed), attributes=attributes)
         for name, node in model.parameters():
             key = f"param:{name}"

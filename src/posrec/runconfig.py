@@ -16,7 +16,7 @@ import yaml
 
 from . import synth
 from .data import (DEFAULT_MIN_INTERACTIONS, InteractionDataset, load_attributes,
-                   load_interactions)
+                   load_interactions, read_input)
 from .encodings import EncodingConfig
 from .errors import UserError, require_int
 from .model import ModelConfig
@@ -118,11 +118,9 @@ def parse_run_config(raw) -> RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
+    text = read_input(path, "config")
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=_ConfigLoader)
-    except OSError as err:
-        raise UserError(f"cannot read config {path}: {err}") from None
+        raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as err:
         raise UserError(f"config {path} is not valid YAML: {err}") from None
     return parse_run_config(raw)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import InteractionDataset, atomic_write
+from .data import InteractionDataset, _table, atomic_write, read_input
 from .errors import TrainingDiverged, UserError
 from .model import ModelConfig, TrainResult, save_checkpoint, train, write_history_tsv
 
@@ -167,15 +167,10 @@ def write_summary_tsv(summary: SweepSummary, config: ModelConfig, path: str) -> 
 
 def read_summary_tsv(path: str) -> SweepSummary:
     """The statistics of a results table's row; the records are not stored there."""
-    try:
-        with open(path) as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as err:
-        raise UserError(f"cannot read sweep results {path}: {err}") from None
-    if len(lines) < 2 or tuple(lines[0].split("\t")) != RESULTS_COLUMNS \
-            or len(lines[1].split("\t")) != len(RESULTS_COLUMNS):
+    rows = [fields for _, fields in _table(read_input(path, "sweep results"))]
+    if len(rows) < 2 or tuple(rows[0]) != RESULTS_COLUMNS or len(rows[1]) != len(RESULTS_COLUMNS):
         raise UserError(f"{path} is not a sweep results table")
-    got = dict(zip(RESULTS_COLUMNS, lines[1].split("\t")))
+    got = dict(zip(RESULTS_COLUMNS, rows[1]))
 
     def number(column, parse=float):
         try:
@@ -254,8 +249,7 @@ def _read_ledger(path: str) -> list[dict]:
     """
     if not os.path.exists(path):
         return []
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
+    lines = read_input(path, "sweep ledger", binary=True).splitlines(keepends=True)
     rows = []
     for number, line in enumerate(lines, 1):
         if not line.strip():

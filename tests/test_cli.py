@@ -436,11 +436,13 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
 
 @pytest.fixture(scope="module")
 def not_data(work):
-    """A dataset cache, a checkpoint (an .npz that is no dataset), seven
-    checkpoints with broken metadata, two whose attributes hold a NaN or are
-    1-D, an attribute sidecar with a NaN, a missing file, a log in which one
-    user's history covers the whole catalogue, and sweep results tables: one
-    well formed, and three whose Hit Dev is a word, NaN or negative."""
+    """A dataset cache, seven caches whose arrays disagree, a checkpoint (an
+    .npz that is no dataset), a .npy array, seven checkpoints with broken
+    metadata, two whose attributes hold a NaN or are 1-D, an attribute
+    sidecar with a NaN, a missing file, a log in which one user's history
+    covers the whole catalogue, sweep results tables: one well formed, and
+    three whose Hit Dev is a word, NaN or negative, and a log, a config, a
+    sidecar and a results table that are not UTF-8."""
     root = work["root"]
     cache, run = root / "data.npz", root / "checkpoint-run"
     ds = resolve_dataset({"path": work["data"]})
@@ -457,6 +459,29 @@ def not_data(work):
         row[4] = hit_dev
         files[name] = str(root / f"{name}.tsv")
         (root / f"{name}.tsv").write_text(header + "\n" + "\t".join(row) + "\n")
+    for name, text, encoding in (
+            ("latin1.tsv", "u\tcafé\t1\nu\tthé\t2\n", "latin-1"),
+            ("utf16.yaml", Path(work["cfg"]).read_text(), "utf-16"),
+            ("latin1_sidecar.csv", f"item_id,a_0\n{ds.item_ids[0]},1°\n", "latin-1"),
+            ("utf16_results.tsv", (root / "results.tsv").read_text(), "utf-16")):
+        files[name] = str(root / name)
+        (root / name).write_bytes(text.encode(encoding))
+    files["array.npy"] = str(root / "array.npy")
+    np.save(files["array.npy"], np.zeros(3))
+    with np.load(cache, allow_pickle=False) as archive:
+        arrays = dict(archive)
+    lengths, items = arrays["lengths"], arrays["items_flat"]
+    for name, change in (
+            ("negative_length", {"lengths": np.r_[-1, lengths[1] + lengths[0] + 1, lengths[2:]]}),
+            ("long_lengths", {"lengths": np.r_[lengths[0] + 1, lengths[1:]]}),
+            ("few_user_ids", {"user_ids": arrays["user_ids"][1:]}),
+            ("few_item_ids", {"item_ids": arrays["item_ids"][1:]}),
+            ("item_beyond", {"items_flat": np.r_[ds.num_items, items[1:]]}),
+            ("float_items", {"items_flat": items + 0.5}),
+            ("no_users", {name: arrays[name][:0]
+                          for name in ("lengths", "items_flat", "times_flat", "user_ids")})):
+        files[name] = str(root / f"{name}.npz")
+        np.savez(files[name], **{**arrays, **change})
     with np.load(files["checkpoint"], allow_pickle=False) as archive:
         arrays = {k: archive[k] for k in archive.files if k != "attributes"}
     meta = json.loads(str(arrays["__meta__"]))
@@ -573,6 +598,22 @@ BAD_DATA = {
         lambda f, cfg: ["recommend-encoding", f["negative_results"]], "Hit Dev"),
     "recommend-encoding --threshold nan": (
         lambda f, cfg: ["recommend-encoding", f["results"], "--threshold", "nan"], "threshold"),
+    "stats log not UTF-8": (
+        lambda f, cfg: ["stats", f["latin1.tsv"]], "latin1.tsv"),
+    "train --config not UTF-8": (
+        lambda f, cfg: ["train", "--config", f["utf16.yaml"]], "utf16.yaml"),
+    "stats --attributes not UTF-8": (
+        lambda f, cfg: ["stats", f["data"], "--attributes", f["latin1_sidecar.csv"]],
+        "latin1_sidecar.csv"),
+    "recommend-encoding results not UTF-8": (
+        lambda f, cfg: ["recommend-encoding", f["utf16_results.tsv"]], "utf16_results.tsv"),
+    "evaluate a .npy array": (
+        lambda f, cfg: ["evaluate", f["array.npy"], "--data", f["data"]],
+        "array.npy is not a model checkpoint"),
+    **{f"stats cache with {name}": (
+        lambda f, cfg, name=name: ["stats", f[name]], f"{name}.npz is inconsistent")
+       for name in ("negative_length", "long_lengths", "few_user_ids", "few_item_ids",
+                    "item_beyond", "float_items", "no_users")},
 }
 
 
@@ -674,13 +715,31 @@ def test_evaluate_refuses_a_checkpoint_trained_on_another_log(work, tmp_path, ca
     first, second = (resolve_dataset({"path": log}).identity for log in logs)
     assert {k: v for k, v in first.items() if k not in ("source", "sha256")} == {
         k: v for k, v in second.items() if k not in ("source", "sha256")}
-    run = tmp_path / "run"
-    assert cli.main(["train", "--config", work["cfg"], "--data", logs[0], "--epochs", "1",
-                     "--out", str(run), "--quiet"]) == 0
-    checkpoint = str(run / "checkpoint.npz")
-    assert cli.main(["evaluate", checkpoint, "--data", logs[0]]) == 0
-    capsys.readouterr()
-    assert cli.main(["evaluate", checkpoint, "--data", logs[1]]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert f"sha256 {first['sha256'][:12]}, this dataset has {second['sha256'][:12]}" in err
+    # a run trained with a sidecar is checked with the attributes it stored,
+    # so its log alone evaluates it
+    sidecar = tmp_path / "attributes.csv"
+    sidecar.write_text("item_id,a_0\n" + "".join(f"{i},{i}\n" for i in range(12)))
+    for attributes in (None, str(sidecar)):
+        run_config = (["--config", work["cfg"]] if attributes is None else _config_with(
+            work, tmp_path / "sidecar.yaml", "data", "attributes", attributes))
+        run = tmp_path / "run"
+        assert cli.main(["train", *run_config, "--data", logs[0], "--epochs", "1",
+                         "--out", str(run), "--quiet"]) == 0
+        test_line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("test "))
+        checkpoint = str(run / "checkpoint.npz")
+        assert cli.main(["evaluate", checkpoint, "--data", logs[0]]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split("\t")
+        assert [float(v) for v in row[:2]] == pytest.approx(
+            [float(v) for v in test_line.split()[2:5:2]], abs=0.006)
+        assert cli.main(["evaluate", checkpoint, "--data", logs[1]]) == 1
+        err = capsys.readouterr().err
+        trained = json.loads((run / "resolved.json").read_text())["dataset"]["sha256"]
+        with np.load(checkpoint, allow_pickle=False) as archive:
+            stored = archive["attributes"] if "attributes" in archive else None
+        given = dataclasses.replace(resolve_dataset({"path": logs[1]}),
+                                    attributes=stored).identity["sha256"]
+        assert (stored is None) == (attributes is None)
+        if stored is None:
+            assert (trained, given) == (first["sha256"], second["sha256"])
+        assert err.startswith("error:")
+        assert f"sha256 {trained[:12]}, this dataset has {given[:12]}" in err

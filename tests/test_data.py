@@ -97,6 +97,12 @@ def test_bad_row_reports_line_number(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_interactions(path)
     assert err.value.line_no == 2
+    # blank lines count: the sidecar's bad value is on the file's line 5
+    ds = load_interactions(write(tmp_path, "log2.tsv", "u\ta\t1\nu\tb\t2\n"))
+    side = write(tmp_path, "side.csv", "item_id,a_0\n\n\na,1\nb,x\n")
+    with pytest.raises(DataFormatError, match="bad attribute value") as err:
+        load_attributes(side, ds)
+    assert err.value.line_no == 5
 
 
 def test_bad_timestamp_reports_line_number(tmp_path):
@@ -194,6 +200,20 @@ def test_cache_round_trip(tmp_path, ds):
     else:
         assert np.array_equal(again.attributes, ds.attributes)
     assert load_interactions(path).num_users == ds.num_users  # dispatch on suffix
+
+
+def test_load_cache_closes_its_archive(tmp_path, monkeypatch):
+    ds = counts_dataset([2, 3], num_items=4)
+    good, bad = str(tmp_path / "good.npz"), str(tmp_path / "bad.npz")
+    save_cache(ds, good)
+    ds.num_items = 3  # now 4 item ids, and item 3, for a catalogue of 3
+    save_cache(ds, bad)
+    opened, load = [], np.load
+    monkeypatch.setattr(np, "load", lambda *a, **kw: opened.append(load(*a, **kw)) or opened[-1])
+    load_cache(good)
+    with pytest.raises(UserError, match="inconsistent"):
+        load_cache(bad)
+    assert len(opened) == 2 and all(archive.zip is None for archive in opened)
 
 
 def test_attribute_sidecar_alignment(tmp_path):
@@ -483,32 +503,32 @@ def test_failed_atomic_write_leaves_the_old_file_or_none(tmp_path):
         assert list(path.parent.iterdir()) == [path]
 
 
-def _opens_for_writing(call: ast.Call) -> bool:
-    """Whether `call` is open()/io.open() with a mode that may write; a mode
-    that is not a literal counts as writing."""
+FILE_HELPERS = {"atomic_write", "read_input", "open_archive"}
+
+
+def _opens_a_file(call: ast.Call) -> bool:
+    """Whether `call` is open(), io.open() or np.load(), in any mode."""
     func = call.func
-    if not ((isinstance(func, ast.Name) and func.id == "open") or
-            (isinstance(func, ast.Attribute) and func.attr == "open"
-             and isinstance(func.value, ast.Name) and func.value.id == "io")):
-        return False
-    mode = call.args[1] if len(call.args) > 1 else next(
-        (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r"))
-    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    return (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and (func.value.id, func.attr) in {("io", "open"), ("np", "load")})
 
 
-def test_files_are_written_only_through_atomic_write():
+def test_files_are_read_and_written_only_through_the_file_helpers():
     src = Path(data_module.__file__).parent
     found = []
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         exempt = set()
         if path == Path(data_module.__file__):
-            writer = next(node for node in tree.body
-                          if isinstance(node, ast.FunctionDef) and node.name == "atomic_write")
-            exempt = {id(node) for node in ast.walk(writer)}
+            helpers = [node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name in FILE_HELPERS]
+            assert {node.name for node in helpers} == FILE_HELPERS
+            exempt = {id(node) for helper in helpers for node in ast.walk(helper)}
         found += [f"{path.relative_to(src)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node) not in exempt
-                  and _opens_for_writing(node)]
+                  and _opens_a_file(node)]
     assert found == []
 
 
