@@ -21,7 +21,7 @@ import traceback
 
 from . import stability, synth
 from .data import (atomic_write, format_stats_table, leave_one_out, read_input,
-                   save_cache, save_interactions, stats, subset, write_stats_tsv)
+                   save_interactions, stats, subset, write_stats_tsv)
 from .errors import PosrecError, UserError
 from .metrics import evaluate
 from .model import TEST_EVAL_STREAM, load_checkpoint, train
@@ -124,12 +124,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_subset(args) -> int:
-    small = subset(resolve_dataset(_data_section(args)), args.users, args.items, Rng(args.seed))
     if args.out.endswith(".npz"):
-        save_cache(small, args.out)
-    else:
-        save_interactions(small, args.out)
-    print(format_stats_table(stats(small)))
+        raise UserError(f"--out {args.out}: subset writes a TSV log, not an .npz archive")
+    small = subset(resolve_dataset(_data_section(args)), args.users, args.items, Rng(args.seed))
+    save_interactions(small, args.out)
+    budgets = {"budget_users": args.users, "budget_items": args.items,
+               # the post-filter density and the budget density disagree in general
+               "budget_density": small.num_interactions / (args.users * args.items)}
+    print(format_stats_table({**stats(small), **budgets}))
     print(f"wrote {args.out}")
     return 0
 
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-interactions", type=int, default=None, dest="min_interactions")
     p.add_argument("--attributes", help="item attribute sidecar CSV")
-    p.add_argument("--out", required=True, help=".tsv or .npz path to write")
+    p.add_argument("--out", required=True, help="TSV path to write")
     p.set_defaults(func=cmd_subset)
 
     p = sub.add_parser("train", help="train one model")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import zipfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,16 +21,6 @@ from .errors import DataFormatError, UserError
 from .numeric import Rng
 
 DEFAULT_MIN_INTERACTIONS = 2
-CACHE_FORMAT_VERSION = 1
-# arrays every cache holds; attributes and subset budgets are optional
-_CACHE_KEYS = {"format_version", "lengths", "items_flat", "times_flat", "user_ids",
-               "item_ids", "num_items", "dropped_users", "min_interactions", "source"}
-
-
-@dataclass
-class SubsetInfo:
-    user_budget: int
-    item_budget: int
 
 
 @dataclass
@@ -65,7 +56,6 @@ class InteractionDataset:
     source: str = ""
     dropped_users: int = 0
     min_interactions: int = DEFAULT_MIN_INTERACTIONS
-    subset_info: SubsetInfo | None = field(default=None)
 
     @property
     def num_users(self) -> int:
@@ -125,8 +115,6 @@ def _parse_rows(path: str, text: str):
             if line_no == 1:  # a header row
                 continue
             raise DataFormatError(path, line_no, f"bad timestamp '{fields[2]}'") from None
-        if "\x00" in fields[0] or "\x00" in fields[1]:  # .npz caches drop trailing NULs
-            raise DataFormatError(path, line_no, "NUL character in a user or item id")
         rows.append((fields[0], fields[1], ts))
     return rows
 
@@ -173,10 +161,11 @@ def _assemble(rows, min_interactions: int, source: str) -> InteractionDataset:
 
 
 def load_interactions(path: str, min_interactions: int = DEFAULT_MIN_INTERACTIONS) -> InteractionDataset:
-    """Read (user, item, timestamp) rows from TSV/CSV, or a saved .npz cache."""
+    """Read (user, item, timestamp) rows from a TSV or CSV log."""
     path = str(path)
     if path.endswith(".npz"):
-        return load_cache(path)
+        raise UserError(f"{path} is an .npz archive, not an interaction log; "
+                        "pass the TSV or CSV log")
     rows = _parse_rows(path, read_input(path, "interaction log"))
     if not rows:
         raise UserError(f"{path} contains no interaction rows")
@@ -194,18 +183,26 @@ def read_input(path: str, what: str, binary: bool = False):
         raise UserError(f"cannot read {what} {path}: {err}") from None
 
 
-@contextmanager
-def open_archive(path: str, what: str):
-    """The .npz archive at `path`, closed when the block ends; a file that cannot
-    be read, or holds no .npz archive, raises UserError naming `what` and the path."""
+def open_archive(path: str, what: str) -> dict[str, np.ndarray]:
+    """The arrays of the .npz archive at `path` by member name, every member
+    read before the archive is closed.  A file that cannot be read or holds
+    no .npz archive (an empty or truncated one, say), and a member that
+    cannot be read (one saved with object dtype, or whose bytes fail their
+    CRC), raise UserError naming `what`, the path and the member."""
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
         raise UserError(f"cannot read {what} {path}: {err}") from None
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise UserError(f"{path} is not a {what}")
+    members = {}
     with archive:
-        yield archive
+        for name in archive.files:
+            try:
+                members[name] = archive[name]
+            except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+                raise UserError(f"cannot read {what} {path}, member '{name}': {err}") from None
+    return members
 
 
 @contextmanager
@@ -237,76 +234,6 @@ def save_interactions(ds: InteractionDataset, path: str) -> None:
             uid = ds.user_ids[u]
             for item, ts in zip(seq, tvals):
                 fh.write(f"{uid}\t{ds.item_ids[int(item)]}\t{float(ts)!r}\n")
-
-
-def save_cache(ds: InteractionDataset, path: str) -> None:
-    """Write the dataset as an .npz archive at exactly `path`."""
-    lengths = np.array([len(s) for s in ds.sequences], dtype=np.int64)
-    payload = {
-        "format_version": np.array([CACHE_FORMAT_VERSION]),
-        "lengths": lengths,
-        "items_flat": np.concatenate(ds.sequences) if ds.sequences else np.empty(0, np.int64),
-        "times_flat": np.concatenate(ds.times) if ds.times else np.empty(0, np.float64),
-        "user_ids": np.array(ds.user_ids, dtype=str),
-        "item_ids": np.array(ds.item_ids, dtype=str),
-        "num_items": np.array([ds.num_items]),
-        "dropped_users": np.array([ds.dropped_users]),
-        "min_interactions": np.array([ds.min_interactions]),
-        "source": np.array([ds.source], dtype=str),
-    }
-    if ds.attributes is not None:
-        payload["attributes"] = ds.attributes
-    if ds.subset_info is not None:
-        payload["subset_budgets"] = np.array(
-            [ds.subset_info.user_budget, ds.subset_info.item_budget]
-        )
-    with atomic_write(path, binary=True) as fh:
-        np.savez(fh, **payload)
-
-
-def load_cache(path: str) -> InteractionDataset:
-    with open_archive(path, "dataset cache") as blob:
-        if not _CACHE_KEYS <= set(blob.files):
-            raise UserError(f"{path} is not a dataset cache")
-        if int(blob["format_version"][0]) != CACHE_FORMAT_VERSION:
-            raise UserError(f"cache {path} has unsupported format version")
-        lengths, items, times = blob["lengths"], blob["items_flat"], blob["times_flat"]
-        user_ids, item_ids = blob["user_ids"], blob["item_ids"]
-        num_items = int(blob["num_items"][0])
-        if not all(a.ndim == 1 and a.dtype.kind in "iu" for a in (lengths, items)):
-            raise UserError(f"cache {path} is inconsistent: its lengths and items_flat "
-                            "must be 1-D integer arrays")
-        for bad, reason in (
-                (lengths.size == 0, "it holds no users"),
-                ((lengths < 0).any(), "a user's length is negative"),
-                (lengths.sum() != items.size or lengths.sum() != times.size,
-                 f"its lengths sum to {lengths.sum()}, but it holds {items.size} items "
-                 f"and {times.size} timestamps"),
-                (len(user_ids) != len(lengths),
-                 f"it holds {len(user_ids)} user ids for {len(lengths)} users"),
-                (len(item_ids) != num_items,
-                 f"it holds {len(item_ids)} item ids for {num_items} items"),
-                (items.size and not 0 <= items.min() <= items.max() < num_items,
-                 f"an item id lies outside [0, {num_items})")):
-            if bad:
-                raise UserError(f"cache {path} is inconsistent: {reason}")
-        bounds = np.cumsum(lengths)[:-1]
-        return InteractionDataset(
-            sequences=[s.copy() for s in np.split(items, bounds)],
-            times=[t.copy() for t in np.split(times, bounds)],
-            num_items=num_items,
-            user_ids=[str(u) for u in user_ids],
-            item_ids=[str(i) for i in item_ids],
-            attributes=blob["attributes"] if "attributes" in blob else None,
-            source=str(blob["source"][0]),
-            dropped_users=int(blob["dropped_users"][0]),
-            min_interactions=int(blob["min_interactions"][0]),
-            subset_info=(
-                SubsetInfo(int(blob["subset_budgets"][0]), int(blob["subset_budgets"][1]))
-                if "subset_budgets" in blob
-                else None
-            ),
-        )
 
 
 def load_attributes(path: str, ds: InteractionDataset) -> np.ndarray:
@@ -378,7 +305,6 @@ def subset(ds: InteractionDataset, user_budget: int, item_budget: int, rng: Rng)
     if not rows:
         raise UserError("subset is empty: budgets removed every interaction")
     out = _assemble(rows, ds.min_interactions, source=ds.source)
-    out.subset_info = SubsetInfo(user_budget=user_budget, item_budget=item_budget)
     if ds.attributes is not None:
         back = {orig: i for i, orig in enumerate(ds.item_ids)}
         out.attributes = np.stack([ds.attributes[back[i]] for i in out.item_ids])
@@ -386,9 +312,8 @@ def subset(ds: InteractionDataset, user_budget: int, item_budget: int, rng: Rng)
 
 
 def stats(ds: InteractionDataset) -> dict:
-    """Counts and densities; subset datasets also report the budget-based
-    density since the post-filter and budget views disagree in general."""
-    out = {
+    """Counts and density, as `posrec stats` prints them."""
+    return {
         "users": ds.num_users,
         "items": ds.num_items,
         "interactions": ds.num_interactions,
@@ -397,13 +322,6 @@ def stats(ds: InteractionDataset) -> dict:
         "dropped_users": ds.dropped_users,
         "source": ds.source or "-",
     }
-    if ds.subset_info is not None:
-        out["budget_users"] = ds.subset_info.user_budget
-        out["budget_items"] = ds.subset_info.item_budget
-        out["budget_density"] = ds.num_interactions / (
-            ds.subset_info.user_budget * ds.subset_info.item_budget
-        )
-    return out
 
 
 def write_stats_tsv(values: dict, path: str) -> None:

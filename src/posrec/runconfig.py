@@ -163,10 +163,7 @@ def resolve_dataset(data_section: dict, path_override: str | None = None) -> Int
     if "path" not in data:
         raise UserError("no data source: give data.path / data.synth in the "
                         "config, or pass --data")
-    path = str(data["path"])
-    if path.endswith(".npz") and "min_interactions" in data:
-        raise UserError("min_interactions applies to raw logs, not .npz caches")
-    ds = load_interactions(path, require_int("data.min_interactions", data.get(
+    ds = load_interactions(str(data["path"]), require_int("data.min_interactions", data.get(
         "min_interactions", DEFAULT_MIN_INTERACTIONS)))
     if "attributes" in data and data["attributes"]:
         load_attributes(str(data["attributes"]), ds)

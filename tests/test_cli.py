@@ -11,7 +11,6 @@ import pytest
 import yaml
 
 from posrec import cli, stability
-from posrec.data import save_cache
 from posrec.errors import UserError
 from posrec.model import Model, ModelConfig, save_checkpoint
 from posrec.numeric import Rng
@@ -130,11 +129,6 @@ def test_path_and_synth_together_rejected():
             "profile": "random", "users": 1, "items": 2, "seq_len": 3}}})
 
 
-def test_min_interactions_with_cache_rejected():
-    with pytest.raises(UserError, match="caches"):
-        resolve_dataset({"path": "x.npz", "min_interactions": 3})
-
-
 def test_path_override_displaces_synth(tmp_path):
     from posrec import synth
     p = tmp_path / "d.tsv"
@@ -212,8 +206,11 @@ def test_subset_writes_and_reports(work, tmp_path, capsys):
     out = tmp_path / "sub.tsv"
     assert cli.main(["subset", work["data"], "--users", "10", "--items", "8",
                      "--out", str(out)]) == 0
-    shown = capsys.readouterr().out
-    assert "budget_users" in shown
+    shown = dict(line.split() for line in capsys.readouterr().out.splitlines()[:-1])
+    assert shown["budget_users"] == "10" and shown["budget_items"] == "8"
+    # the budget density counts the kept interactions over the budgets, not
+    # over the users and items left after filtering
+    assert shown["budget_density"] == f"{int(shown['interactions']) / 80:.6e}"
     assert out.exists()
 
 
@@ -436,23 +433,23 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
 
 @pytest.fixture(scope="module")
 def not_data(work):
-    """A dataset cache, seven caches whose arrays disagree, a checkpoint (an
-    .npz that is no dataset), a .npy array, seven checkpoints with broken
-    metadata, two whose attributes hold a NaN or are 1-D, an attribute
-    sidecar with a NaN, a missing file, a log in which one user's history
+    """A checkpoint (an .npz that is no log), a .npy array, seven checkpoints
+    with broken metadata, one whose parameter holds strings, one with a member
+    saved with object dtype, an empty, a truncated and a byte-flipped one, two
+    whose attributes hold a NaN or are 1-D, an attribute sidecar with a NaN,
+    a missing file, a log in which one user's history
     covers the whole catalogue, sweep results tables: one well formed, and
     three whose Hit Dev is a word, NaN or negative, and a log, a config, a
     sidecar and a results table that are not UTF-8."""
     root = work["root"]
-    cache, run = root / "data.npz", root / "checkpoint-run"
+    run = root / "checkpoint-run"
     ds = resolve_dataset({"path": work["data"]})
-    save_cache(ds, str(cache))
     assert cli.main(["train", "--config", work["cfg"], "--out", str(run), "--quiet",
                      "--epochs", "1"]) == 0
     header = "\t".join(stability.RESULTS_COLUMNS)
     row = ["leaky", "None", "NaN", "50.00", "3.00", "30.00", "2.00", "3",
            "(45.00, 55.00)", "10.00"]
-    files = {"cache": str(cache), "checkpoint": str(run / "checkpoint.npz"),
+    files = {"checkpoint": str(run / "checkpoint.npz"),
              "missing": str(root / "missing.csv")}
     for name, hit_dev in (("results", "3.00"), ("bad_results", "abc"),
                           ("nan_results", "nan"), ("negative_results", "-4.00")):
@@ -468,23 +465,20 @@ def not_data(work):
         (root / name).write_bytes(text.encode(encoding))
     files["array.npy"] = str(root / "array.npy")
     np.save(files["array.npy"], np.zeros(3))
-    with np.load(cache, allow_pickle=False) as archive:
-        arrays = dict(archive)
-    lengths, items = arrays["lengths"], arrays["items_flat"]
-    for name, change in (
-            ("negative_length", {"lengths": np.r_[-1, lengths[1] + lengths[0] + 1, lengths[2:]]}),
-            ("long_lengths", {"lengths": np.r_[lengths[0] + 1, lengths[1:]]}),
-            ("few_user_ids", {"user_ids": arrays["user_ids"][1:]}),
-            ("few_item_ids", {"item_ids": arrays["item_ids"][1:]}),
-            ("item_beyond", {"items_flat": np.r_[ds.num_items, items[1:]]}),
-            ("float_items", {"items_flat": items + 0.5}),
-            ("no_users", {name: arrays[name][:0]
-                          for name in ("lengths", "items_flat", "times_flat", "user_ids")})):
-        files[name] = str(root / f"{name}.npz")
-        np.savez(files[name], **{**arrays, **change})
     with np.load(files["checkpoint"], allow_pickle=False) as archive:
         arrays = {k: archive[k] for k in archive.files if k != "attributes"}
     meta = json.loads(str(arrays["__meta__"]))
+    table = arrays["param:item_table"]
+    for name, values in (("param_strings", table.astype(str)), ("object_member", table.astype(object))):
+        files[name] = str(root / f"{name}.npz")
+        np.savez(files[name], **{**arrays, "param:item_table": values})
+    whole = Path(files["checkpoint"]).read_bytes()
+    flipped = bytearray(whole)
+    flipped[len(whole) // 2] ^= 0xFF
+    for name, raw in (("empty", b""), ("truncated", whole[:len(whole) // 2]),
+                      ("flipped", bytes(flipped))):
+        files[name] = str(root / f"{name}.npz")
+        Path(files[name]).write_bytes(raw)
     for name, text in (("meta_not_json", "{not json"),
                        ("meta_no_config", json.dumps({k: meta[k] for k in meta if k != "config"})),
                        ("meta_no_attributes", json.dumps({**meta, "has_attributes": True})),
@@ -530,11 +524,9 @@ def _config_with(work, path, section, key, value):
 
 # case -> (argv built from (files, config_with), text the error message names)
 BAD_DATA = {
-    "stats npz --min-interactions": (
-        lambda f, cfg: ["stats", f["cache"], "--min-interactions", "3"], "min_interactions"),
-    "subset npz --min-interactions": (
-        lambda f, cfg: ["subset", f["cache"], "--users", "5", "--items", "5",
-                        "--min-interactions", "3", "--out", f["out"]], "min_interactions"),
+    "subset --out x.npz": (
+        lambda f, cfg: ["subset", f["data"], "--users", "5", "--items", "5",
+                        "--out", f["out"][:-len(".tsv")] + ".npz"], "subset.npz"),
     "stats --attributes missing": (
         lambda f, cfg: ["stats", f["data"], "--attributes", f["missing"]], "missing.csv"),
     "train data.attributes missing": (
@@ -546,9 +538,11 @@ BAD_DATA = {
     "evaluate 1-D attributes": (
         lambda f, cfg: ["evaluate", f["flat_attributes"], "--data", f["data"]], "2-D"),
     "stats checkpoint.npz": (
-        lambda f, cfg: ["stats", f["checkpoint"]], "not a dataset cache"),
+        lambda f, cfg: ["stats", f["checkpoint"]],
+        "checkpoint.npz is an .npz archive, not an interaction log"),
     "train --data checkpoint.npz": (
-        lambda f, cfg: ["train", "--data", f["checkpoint"]], "not a dataset cache"),
+        lambda f, cfg: ["train", "--data", f["checkpoint"]],
+        "checkpoint.npz is an .npz archive, not an interaction log"),
     "train history covering the catalogue": (
         lambda f, cfg: ["train", "--data", f["whole_catalogue"]], "user u1:"),
     "sweep.jobs": (
@@ -610,10 +604,18 @@ BAD_DATA = {
     "evaluate a .npy array": (
         lambda f, cfg: ["evaluate", f["array.npy"], "--data", f["data"]],
         "array.npy is not a model checkpoint"),
-    **{f"stats cache with {name}": (
-        lambda f, cfg, name=name: ["stats", f[name]], f"{name}.npz is inconsistent")
-       for name in ("negative_length", "long_lengths", "few_user_ids", "few_item_ids",
-                    "item_beyond", "float_items", "no_users")},
+    "evaluate a parameter of strings": (
+        lambda f, cfg: ["evaluate", f["param_strings"], "--data", f["data"]],
+        "param_strings.npz: checkpoint parameter 'item_table' has dtype"),
+    "evaluate an object-dtype member": (
+        lambda f, cfg: ["evaluate", f["object_member"], "--data", f["data"]],
+        "object_member.npz, member 'param:item_table'"),
+    "evaluate an empty checkpoint": (
+        lambda f, cfg: ["evaluate", f["empty"], "--data", f["data"]], "empty.npz"),
+    "evaluate a truncated checkpoint": (
+        lambda f, cfg: ["evaluate", f["truncated"], "--data", f["data"]], "truncated.npz"),
+    "evaluate a checkpoint with a flipped byte": (
+        lambda f, cfg: ["evaluate", f["flipped"], "--data", f["data"]], "flipped.npz, member"),
 }
 
 
@@ -627,7 +629,7 @@ def test_bad_data_input_exits_1_naming_it(work, not_data, case, tmp_path, capsys
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
-    assert not (tmp_path / "run").exists() and not (tmp_path / "subset.tsv").exists()
+    assert not (tmp_path / "run").exists() and not list(tmp_path.glob("subset.*"))
 
 
 def test_bad_nmax_flag(work, capsys):
