@@ -104,11 +104,18 @@ def _data_section(args) -> dict:
     return {k: v for k, v in section.items() if v is not None}
 
 
+def _refuse_npz_out(args) -> None:
+    """Before any work: `synth` and `subset` write a TSV log, which an .npz name would hide."""
+    if args.out.endswith(".npz"):
+        raise UserError(f"--out {args.out}: {args.command} writes a TSV log, not an .npz archive")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_synth(args) -> int:
+    _refuse_npz_out(args)
     synth.write_dataset(args.profile, args.users, args.items, args.seq_len,
                         seed=args.seed, shift=args.shift, path=args.out)
     print(f"wrote {args.users * args.seq_len} interactions to {args.out}")
@@ -124,8 +131,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_subset(args) -> int:
-    if args.out.endswith(".npz"):
-        raise UserError(f"--out {args.out}: subset writes a TSV log, not an .npz archive")
+    _refuse_npz_out(args)
     small = subset(resolve_dataset(_data_section(args)), args.users, args.items, Rng(args.seed))
     save_interactions(small, args.out)
     budgets = {"budget_users": args.users, "budget_items": args.items,

@@ -75,8 +75,8 @@ class InteractionDataset:
 
     @property
     def identity(self) -> dict:
-        """What names this dataset: hashed into a sweep's fingerprint and
-        recorded as the `dataset` entry of resolved.json.  Its sha256 covers
+        """What names this dataset: recorded as the `dataset` entry of
+        resolved.json.  Its sha256, which a sweep's fingerprint hashes, covers
         what a model sees: num_items, the per-user lengths, the re-indexed
         item ids and the attribute matrix's shape and values (little-endian
         int64 and float64); original id strings are left out.  It is computed

@@ -596,56 +596,55 @@ def load_checkpoint(path: str, dataset: InteractionDataset | None = None) -> Mod
     the checkpoint must cover as many items and, when it holds the sha256 of
     the dataset it was trained on, that same sha256.  The hash is taken with
     the checkpoint's own attributes in place of the dataset's: those are the
-    ones the model ranks with."""
+    ones the model ranks with.  Every refusal names `path`."""
     archive = open_archive(path, "model checkpoint")
     if "__meta__" not in archive:
         raise UserError(f"{path} is not a model checkpoint")
     try:
-        meta = json.loads(str(archive["__meta__"]))
-    except ValueError:
-        meta = None
-    if not isinstance(meta, dict):
-        raise UserError(f"{path}: checkpoint metadata is not a JSON object")
-    if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise UserError(
-            f"checkpoint format {meta.get('format_version')} is not supported"
-        )
-    missing = sorted({"config", "has_attributes", "num_items"} - set(meta))
-    if missing:
-        raise UserError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
-    if meta["has_attributes"] and "attributes" not in archive:
-        raise UserError(f"{path}: checkpoint metadata sets has_attributes "
-                        "but the 'attributes' array is missing")
-    if not isinstance(meta["config"], dict):
-        raise UserError(f"{path}: checkpoint metadata field 'config' is not a JSON object")
-    config = ModelConfig.from_dict(meta["config"])
-    num_items = require_int(f"{path}: checkpoint metadata field 'num_items'", meta["num_items"])
-    attributes = archive["attributes"] if meta["has_attributes"] else None
-    if dataset is not None:
-        if num_items != dataset.num_items:
-            raise UserError(f"checkpoint was trained over {num_items} items, "
-                            f"dataset has {dataset.num_items}")
-        stored = meta.get("dataset_sha256")
-        given = replace(dataset, attributes=attributes).identity["sha256"]
-        if stored is not None and stored != given:
-            raise UserError(f"{path}: checkpoint was trained on a dataset with sha256 "
-                            f"{str(stored)[:12]}, this dataset has {given[:12]}; "
-                            "pass the log the run was trained on")
-    model = Model(num_items, config, Rng(config.seed), attributes=attributes)
-    for name, node in model.parameters():
-        key = f"param:{name}"
-        if key not in archive:
-            raise UserError(f"checkpoint is missing parameter '{name}'")
-        stored = archive[key]
-        if stored.shape != node.values.shape:
-            raise UserError(
-                f"checkpoint parameter '{name}' has shape {stored.shape}, "
-                f"expected {node.values.shape}"
-            )
-        if stored.dtype.kind != "f":
-            raise UserError(f"{path}: checkpoint parameter '{name}' has dtype {stored.dtype}, "
-                            "expected floats")
-        if not np.isfinite(stored).all():  # a NaN target score would rank first
-            raise UserError(f"checkpoint parameter '{name}' holds non-finite values")
-        node.values = stored.astype(np.float64)
+        try:
+            meta = json.loads(str(archive["__meta__"]))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise UserError("checkpoint metadata is not a JSON object")
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise UserError(f"checkpoint format {meta.get('format_version')} is not supported")
+        missing = sorted({"config", "has_attributes", "num_items"} - set(meta))
+        if missing:
+            raise UserError(f"checkpoint metadata lacks {', '.join(missing)}")
+        if meta["has_attributes"] and "attributes" not in archive:
+            raise UserError("checkpoint metadata sets has_attributes "
+                            "but the 'attributes' array is missing")
+        if not isinstance(meta["config"], dict):
+            raise UserError("checkpoint metadata field 'config' is not a JSON object")
+        for name, stored in archive.items():  # before numpy meets a string array
+            if name != "__meta__" and stored.dtype.kind != "f":
+                raise UserError(f"checkpoint member '{name}' has dtype {stored.dtype}, not floats")
+        config = ModelConfig.from_dict(meta["config"])
+        num_items = require_int("checkpoint metadata field 'num_items'", meta["num_items"])
+        attributes = archive["attributes"] if meta["has_attributes"] else None
+        if dataset is not None:
+            if num_items != dataset.num_items:
+                raise UserError(f"checkpoint was trained over {num_items} items, "
+                                f"dataset has {dataset.num_items}")
+            stored = meta.get("dataset_sha256")
+            given = replace(dataset, attributes=attributes).identity["sha256"]
+            if stored is not None and stored != given:
+                raise UserError("checkpoint was trained on a dataset with sha256 "
+                                f"{str(stored)[:12]}, this dataset has {given[:12]}; "
+                                "pass the log the run was trained on")
+        model = Model(num_items, config, Rng(config.seed), attributes=attributes)
+        for name, node in model.parameters():
+            key = f"param:{name}"
+            if key not in archive:
+                raise UserError(f"checkpoint is missing parameter '{name}'")
+            stored = archive[key]
+            if stored.shape != node.values.shape:
+                raise UserError(f"checkpoint parameter '{name}' has shape {stored.shape}, "
+                                f"expected {node.values.shape}")
+            if not np.isfinite(stored).all():  # a NaN target score would rank first
+                raise UserError(f"checkpoint parameter '{name}' holds non-finite values")
+            node.values = stored.astype(np.float64)
+    except UserError as err:
+        raise UserError(f"{path}: {err}") from None
     return model

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from . import synth
 from .data import (DEFAULT_MIN_INTERACTIONS, InteractionDataset, load_attributes,
                    load_interactions, read_input)
 from .encodings import EncodingConfig
@@ -23,8 +22,7 @@ from .model import ModelConfig
 from .presets import get_preset
 
 TOP_KEYS = {"preset", "data", "model", "encoding", "sweep", "out"}
-DATA_KEYS = {"path", "attributes", "min_interactions", "synth"}
-SYNTH_KEYS = {"profile", "users", "items", "seq_len", "seed", "shift"}
+DATA_KEYS = {"path", "attributes", "min_interactions"}
 MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {"encoding"}
 ENCODING_KEYS = {f.name for f in dataclasses.fields(EncodingConfig)}
 SWEEP_KEYS = {"seeds", "jobs"}
@@ -75,11 +73,6 @@ def parse_run_config(raw) -> RunConfig:
 
     data = _require_mapping("section 'data'", raw.get("data") or {})
     _check_keys("section 'data'", data, DATA_KEYS)
-    if "synth" in data:
-        sy = _require_mapping("section 'data.synth'", data["synth"])
-        _check_keys("section 'data.synth'", sy, SYNTH_KEYS)
-        if "path" in data:
-            raise UserError("section 'data' must give either 'path' or 'synth', not both")
 
     model = _require_mapping("section 'model'", raw.get("model") or {})
     if "encoding" in model:
@@ -145,26 +138,13 @@ def build_model_config(rc: RunConfig, overrides: dict | None = None) -> ModelCon
     return ModelConfig(encoding=EncodingConfig(**enc), **kwargs)
 
 
-def resolve_dataset(data_section: dict, path_override: str | None = None) -> InteractionDataset:
-    data = dict(data_section)
-    if path_override is not None:
-        data["path"] = path_override
-        data.pop("synth", None)
-
-    if "synth" in data:
-        sy = {"seed": 0, **data["synth"]}
-        for required in ("profile", "users", "items", "seq_len"):
-            if required not in sy:
-                raise UserError(f"data.synth needs '{required}'")
-        counts = {key: require_int(f"data.synth.{key}", value)
-                  for key, value in sy.items() if key != "profile"}
-        return synth.build_dataset(str(sy["profile"]), **counts)
-
-    if "path" not in data:
-        raise UserError("no data source: give data.path / data.synth in the "
-                        "config, or pass --data")
-    ds = load_interactions(str(data["path"]), require_int("data.min_interactions", data.get(
+def resolve_dataset(data: dict, path_override: str | None = None) -> InteractionDataset:
+    """The log that `data:` names (--data replaces its path), with its sidecar."""
+    path = data.get("path") if path_override is None else path_override
+    if path is None:
+        raise UserError("no data source: give data.path in the config, or pass --data")
+    ds = load_interactions(str(path), require_int("data.min_interactions", data.get(
         "min_interactions", DEFAULT_MIN_INTERACTIONS)))
-    if "attributes" in data and data["attributes"]:
+    if data.get("attributes"):
         load_attributes(str(data["attributes"]), ds)
     return ds

@@ -58,10 +58,10 @@ class SweepSummary:
 
 
 def config_fingerprint(config: ModelConfig, dataset: InteractionDataset | None = None) -> str:
-    """Stable id of (configuration minus seed, dataset identity)."""
+    """Stable id of (configuration minus seed, dataset content sha256)."""
     payload = {"config": {k: v for k, v in config.as_dict().items() if k != "seed"}}
     if dataset is not None:
-        payload["dataset"] = dataset.identity
+        payload["dataset"] = dataset.identity["sha256"]
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()[:16]
 

@@ -110,33 +110,18 @@ def test_override_nmax_none_beats_config():
     assert cfg.nmax is None
 
 
-def test_resolve_dataset_synth_section():
-    rc = parse_run_config({"data": {"synth": {
-        "profile": "memorizable", "users": 5, "items": 7, "seq_len": 4}}})
-    ds = resolve_dataset(rc.data)
-    assert ds.num_users == 5 and ds.num_items == 7
-    assert ds.source == "synth:memorizable"
-
-
 def test_resolve_dataset_requires_a_source():
     with pytest.raises(UserError, match="--data"):
         resolve_dataset({})
 
 
-def test_path_and_synth_together_rejected():
-    with pytest.raises(UserError, match="not both"):
-        parse_run_config({"data": {"path": "x.tsv", "synth": {
-            "profile": "random", "users": 1, "items": 2, "seq_len": 3}}})
-
-
-def test_path_override_displaces_synth(tmp_path):
+def test_path_override_displaces_data_path(tmp_path):
     from posrec import synth
     p = tmp_path / "d.tsv"
     synth.write_dataset("random", 4, 6, 5, seed=0, path=str(p))
-    rc = parse_run_config({"data": {"synth": {
-        "profile": "memorizable", "users": 99, "items": 9, "seq_len": 4}}})
+    rc = parse_run_config({"data": {"path": str(tmp_path / "missing.tsv")}})
     ds = resolve_dataset(rc.data, path_override=str(p))
-    assert ds.num_users == 4
+    assert ds.num_users == 4 and ds.source == str(p)
 
 
 def test_bad_yaml_is_user_error(tmp_path):
@@ -360,6 +345,18 @@ def test_diverged_sweep_rerun_only_appends_to_the_ledger(work, tmp_path, capsys)
     assert after == before
 
 
+def test_sweep_resumed_under_another_spelling_of_its_log_reruns_nothing(work, tmp_path,
+                                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("log.tsv").write_bytes(Path(work["data"]).read_bytes())
+    for data in ("log.tsv", "./log.tsv"):
+        assert cli.main(["sweep", "--config", work["cfg"], "--data", data, "--seeds", "1,2",
+                         "--out", "sw", "--quiet"]) == 0
+    assert len((tmp_path / "sw" / stability.LEDGER_NAME).read_text().splitlines()) == 2
+    assert json.loads((tmp_path / "sw" / "resolved.json").read_text())["dataset"]["source"] == (
+        "./log.tsv")
+
+
 def test_train_and_sweep_share_one_writer_and_one_dataset_identity(work, tmp_path):
     run, sw = tmp_path / "run", tmp_path / "sw"
     assert cli.main(["train", "--config", work["cfg"], "--seed", "5",
@@ -433,11 +430,12 @@ def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
 
 @pytest.fixture(scope="module")
 def not_data(work):
-    """A checkpoint (an .npz that is no log), a .npy array, seven checkpoints
-    with broken metadata, one whose parameter holds strings, one with a member
-    saved with object dtype, an empty, a truncated and a byte-flipped one, two
-    whose attributes hold a NaN or are 1-D, an attribute sidecar with a NaN,
-    a missing file, a log in which one user's history
+    """A checkpoint (an .npz that is no log), a .npy array, eight checkpoints
+    with broken metadata (one of them format 9), four whose `item_table`
+    holds strings, has the wrong shape or a NaN or is saved with object dtype,
+    one without `final_gain`, an empty, a truncated and a byte-flipped one,
+    three whose attributes hold a NaN or strings or are 1-D, an attribute
+    sidecar with a NaN, a missing file, a log in which one user's history
     covers the whole catalogue, sweep results tables: one well formed, and
     three whose Hit Dev is a word, NaN or negative, and a log, a config, a
     sidecar and a results table that are not UTF-8."""
@@ -469,9 +467,14 @@ def not_data(work):
         arrays = {k: archive[k] for k in archive.files if k != "attributes"}
     meta = json.loads(str(arrays["__meta__"]))
     table = arrays["param:item_table"]
-    for name, values in (("param_strings", table.astype(str)), ("object_member", table.astype(object))):
+    nan_table = table.copy()
+    nan_table[3, 0] = np.nan
+    for name, values in (("param_strings", table.astype(str)), ("param_shape", table[:-1]),
+                         ("param_nan", nan_table), ("object_member", table.astype(object))):
         files[name] = str(root / f"{name}.npz")
         np.savez(files[name], **{**arrays, "param:item_table": values})
+    files["no_final_gain"] = str(root / "no_final_gain.npz")
+    np.savez(files["no_final_gain"], **{k: v for k, v in arrays.items() if k != "param:final_gain"})
     whole = Path(files["checkpoint"]).read_bytes()
     flipped = bytearray(whole)
     flipped[len(whole) // 2] ^= 0xFF
@@ -479,7 +482,8 @@ def not_data(work):
                       ("flipped", bytes(flipped))):
         files[name] = str(root / f"{name}.npz")
         Path(files[name]).write_bytes(raw)
-    for name, text in (("meta_not_json", "{not json"),
+    for name, text in (("format_9", json.dumps({**meta, "format_version": 9})),
+                       ("meta_not_json", "{not json"),
                        ("meta_no_config", json.dumps({k: meta[k] for k in meta if k != "config"})),
                        ("meta_no_attributes", json.dumps({**meta, "has_attributes": True})),
                        ("meta_config_text", json.dumps({**meta, "config": "abc"})),
@@ -495,7 +499,8 @@ def not_data(work):
     with np.load(root / "fused.npz", allow_pickle=False) as archive:
         arrays = dict(archive)
     attributes[2, 0] = np.nan
-    for name, values in (("nan_attributes", attributes), ("flat_attributes", np.ones(ds.num_items))):
+    for name, values in (("nan_attributes", attributes), ("flat_attributes", np.ones(ds.num_items)),
+                         ("string_attributes", np.full((ds.num_items, 2), "x"))):
         files[name] = str(root / f"{name}.npz")
         np.savez(files[name], **{**arrays, "attributes": values})
     files["nan_sidecar"] = str(root / "nan_sidecar.csv")
@@ -509,15 +514,11 @@ def not_data(work):
 
 
 def _config_with(work, path, section, key, value):
-    """The work config with section.key set to value; data.synth replaces data.path."""
+    """The work config with section.key set to value."""
     raw = yaml.safe_load(open(work["cfg"]).read())
-    if section == "data.synth":
-        raw["data"] = {"synth": {"profile": "random", "users": 6, "items": 9, "seq_len": 5,
-                                 key: value}}
-    else:
-        if isinstance(raw.get(section), str):  # `encoding: Learnt`
-            raw[section] = {"variant": raw[section]}
-        raw.setdefault(section, {})[key] = value
+    if isinstance(raw.get(section), str):  # `encoding: Learnt`
+        raw[section] = {"variant": raw[section]}
+    raw.setdefault(section, {})[key] = value
     path.write_text(yaml.safe_dump(raw))
     return ["--config", str(path)]
 
@@ -527,6 +528,10 @@ BAD_DATA = {
     "subset --out x.npz": (
         lambda f, cfg: ["subset", f["data"], "--users", "5", "--items", "5",
                         "--out", f["out"][:-len(".tsv")] + ".npz"], "subset.npz"),
+    "synth --out x.npz": (
+        lambda f, cfg: ["synth", "--profile", "random", "--users", "3", "--items", "4",
+                        "--seq-len", "3", "--out", f["out"][:-len(".tsv")] + ".npz"],
+        "subset.npz: synth writes a TSV log"),
     "stats --attributes missing": (
         lambda f, cfg: ["stats", f["data"], "--attributes", f["missing"]], "missing.csv"),
     "train data.attributes missing": (
@@ -552,12 +557,11 @@ BAD_DATA = {
     "data.min_interactions": (
         lambda f, cfg: ["train", *cfg("data", "min_interactions", "three")],
         "data.min_interactions"),
-    "data.synth.users": (
-        lambda f, cfg: ["train", *cfg("data.synth", "users", 6.5)], "data.synth.users"),
-    "data.synth.seed": (
-        lambda f, cfg: ["train", *cfg("data.synth", "seed", "zero")], "data.synth.seed"),
-    "data.synth.shift": (
-        lambda f, cfg: ["train", *cfg("data.synth", "shift", True)], "data.synth.shift"),
+    # a run's data is a log file; `posrec synth --out` writes one
+    "train data.synth": (
+        lambda f, cfg: ["train", *cfg("data", "synth", {
+            "profile": "memorizable", "users": 5, "items": 7, "seq_len": 4})],
+        "unknown key 'synth' in section 'data'; allowed keys: attributes, min_interactions, path"),
     "evaluate --negatives -3": (
         lambda f, cfg: ["evaluate", f["checkpoint"], "--data", f["data"], "--negatives", "-3"],
         "num_negatives must be >= 0"),
@@ -606,7 +610,25 @@ BAD_DATA = {
         "array.npy is not a model checkpoint"),
     "evaluate a parameter of strings": (
         lambda f, cfg: ["evaluate", f["param_strings"], "--data", f["data"]],
-        "param_strings.npz: checkpoint parameter 'item_table' has dtype"),
+        "param_strings.npz: checkpoint member 'param:item_table' has dtype"),
+    "evaluate attributes of strings": (
+        lambda f, cfg: ["evaluate", f["string_attributes"], "--data", f["data"]],
+        "string_attributes.npz: checkpoint member 'attributes' has dtype"),
+    "evaluate checkpoint format 9": (
+        lambda f, cfg: ["evaluate", f["format_9"], "--data", f["data"]],
+        "format_9.npz: checkpoint format 9 is not supported"),
+    "evaluate a missing parameter": (
+        lambda f, cfg: ["evaluate", f["no_final_gain"], "--data", f["data"]],
+        "no_final_gain.npz: checkpoint is missing parameter 'final_gain'"),
+    "evaluate a parameter of the wrong shape": (
+        lambda f, cfg: ["evaluate", f["param_shape"], "--data", f["data"]],
+        "param_shape.npz: checkpoint parameter 'item_table' has shape"),
+    "evaluate a NaN parameter": (
+        lambda f, cfg: ["evaluate", f["param_nan"], "--data", f["data"]],
+        "param_nan.npz: checkpoint parameter 'item_table' holds non-finite values"),
+    "evaluate on a log of another item count": (
+        lambda f, cfg: ["evaluate", f["checkpoint"], "--data", f["whole_catalogue"]],
+        "checkpoint.npz: checkpoint was trained over 12 items, dataset has 3"),
     "evaluate an object-dtype member": (
         lambda f, cfg: ["evaluate", f["object_member"], "--data", f["data"]],
         "object_member.npz, member 'param:item_table'"),
