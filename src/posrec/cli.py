@@ -160,8 +160,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     rc = _load_run_config(args)
     ds = resolve_dataset(rc.data, path_override=args.data)
-    model = load_checkpoint(args.checkpoint, ds)
     split = leave_one_out(ds)
+    model = load_checkpoint(args.checkpoint, ds)
     rows = split.test if args.split == "test" else split.valid
     seed = model.config.seed if args.seed is None else args.seed
     negatives = model.config.eval_negatives if args.negatives is None else args.negatives

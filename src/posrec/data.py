@@ -273,6 +273,9 @@ def load_attributes(path: str, ds: InteractionDataset) -> np.ndarray:
 def leave_one_out(ds: InteractionDataset) -> Split:
     train, valid, test = [], [], []
     for u, seq in enumerate(ds.sequences):
+        if len(seq) < 2:  # its test row would have no context
+            raise UserError(f"user {ds.user_ids[u]} has {len(seq)} event; "
+                            "min_interactions must be at least 2 to split it")
         train.append(seq[:-2].copy())
         test.append(EvalRow(u, seq[:-1].copy(), int(seq[-1])))
         if len(seq) >= 3:

@@ -433,7 +433,7 @@ class TrainResult:
     model: Model
     history: list[MetricRecord] = field(repr=False)
     best_epoch: int
-    valid_hit: float   # percentage scale, NaN when no validation rows exist
+    valid_hit: float   # percentage scale
     valid_ndcg: float
     test_hit: float
     test_ndcg: float
@@ -480,7 +480,6 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
     state = AdamState.for_params(nodes)
 
     eligible = [u for u, seq in enumerate(split.train_sequences) if seq.size >= 2]
-    skipped = dataset.num_users - len(eligible)
     if not eligible:
         raise UserError("no user has a training sequence of at least 2 events")
     # negatives avoid every item of the user's whole history, valid and test
@@ -497,11 +496,12 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
     valid_root = root.child(4)
     test_rng = root.child(TEST_EVAL_STREAM)
 
-    history: list[MetricRecord] = []
+    # an eligible user has >= 4 events, so split.valid is never empty and
+    # epoch 1's validation always sets the best epoch
+    result = TrainResult(model, [], best_epoch=0, valid_hit=-1.0, valid_ndcg=float("nan"),
+                         test_hit=float("nan"), test_ndcg=float("nan"),
+                         skipped_users=dataset.num_users - len(eligible))
     best_values = None
-    best_epoch = 0
-    best_hit = -1.0
-    best_ndcg = float("nan")
     last_eval = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -532,45 +532,29 @@ def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> Tr
             loss_positions += batch.positions
 
         epoch_loss = loss_sum / loss_positions
-        history.append(MetricRecord(epoch, "train", epoch_loss, float("nan"), float("nan")))
+        result.history.append(MetricRecord(epoch, "train", epoch_loss, float("nan"), float("nan")))
 
         if epoch == 1 or epoch == config.epochs or epoch >= last_eval * EVAL_SCHEDULE_FACTOR:
             last_eval = epoch
-            if split.valid:
-                result = evaluate(model, split.valid, config.eval_negatives,
-                                  valid_root.child(epoch))
-                hit, ndcg = 100.0 * result.hit_at_10, 100.0 * result.ndcg
-                history.append(MetricRecord(epoch, "valid", float("nan"), hit, ndcg))
-                if hit > best_hit:
-                    best_hit, best_ndcg, best_epoch = hit, ndcg, epoch
-                    best_values = model.snapshot()
-                if progress:
-                    progress(f"epoch {epoch}: loss {epoch_loss:.4f}  "
-                             f"valid Hit@10 {hit:.2f}  NDCG {ndcg:.2f}")
-            elif progress:
-                progress(f"epoch {epoch}: loss {epoch_loss:.4f}")
+            valid = evaluate(model, split.valid, config.eval_negatives, valid_root.child(epoch))
+            hit, ndcg = 100.0 * valid.hit_at_10, 100.0 * valid.ndcg
+            result.history.append(MetricRecord(epoch, "valid", float("nan"), hit, ndcg))
+            if hit > result.valid_hit:
+                result.best_epoch, result.valid_hit, result.valid_ndcg = epoch, hit, ndcg
+                best_values = model.snapshot()
+            if progress:
+                progress(f"epoch {epoch}: loss {epoch_loss:.4f}  "
+                         f"valid Hit@10 {hit:.2f}  NDCG {ndcg:.2f}")
 
-    if best_values is None:  # nothing to validate on: final parameters win
-        best_epoch = config.epochs
-        best_hit = best_ndcg = float("nan")
-        best_values = model.snapshot()
     model.restore(best_values)
-
-    test_result = evaluate(model, split.test, config.eval_negatives, test_rng)
-    test_hit, test_ndcg = 100.0 * test_result.hit_at_10, 100.0 * test_result.ndcg
-    history.append(MetricRecord(best_epoch, "test", float("nan"), test_hit, test_ndcg))
+    test = evaluate(model, split.test, config.eval_negatives, test_rng)
+    result.test_hit, result.test_ndcg = 100.0 * test.hit_at_10, 100.0 * test.ndcg
+    result.history.append(MetricRecord(result.best_epoch, "test", float("nan"),
+                                       result.test_hit, result.test_ndcg))
     if progress:
-        progress(f"best epoch {best_epoch}: test Hit@10 {test_hit:.2f}  NDCG {test_ndcg:.2f}")
-    return TrainResult(
-        model=model,
-        history=history,
-        best_epoch=best_epoch,
-        valid_hit=best_hit,
-        valid_ndcg=best_ndcg,
-        test_hit=test_hit,
-        test_ndcg=test_ndcg,
-        skipped_users=skipped,
-    )
+        progress(f"best epoch {result.best_epoch}: "
+                 f"test Hit@10 {result.test_hit:.2f}  NDCG {result.test_ndcg:.2f}")
+    return result
 
 
 def save_checkpoint(model: Model, path: str, dataset: InteractionDataset | None = None) -> None:
@@ -632,7 +616,8 @@ def load_checkpoint(path: str, dataset: InteractionDataset | None = None) -> Mod
             if stored is not None and stored != given:
                 raise UserError("checkpoint was trained on a dataset with sha256 "
                                 f"{str(stored)[:12]}, this dataset has {given[:12]}; "
-                                "pass the log the run was trained on")
+                                "pass the log the run was trained on and, with --config, the run's "
+                                "config: its data.min_interactions changes the data")
         model = Model(num_items, config, Rng(config.seed), attributes=attributes)
         for name, node in model.parameters():
             key = f"param:{name}"

@@ -143,8 +143,11 @@ def resolve_dataset(data: dict, path_override: str | None = None) -> Interaction
     path = data.get("path") if path_override is None else path_override
     if path is None:
         raise UserError("no data source: give data.path in the config, or pass --data")
-    ds = load_interactions(str(path), require_int("data.min_interactions", data.get(
-        "min_interactions", DEFAULT_MIN_INTERACTIONS)))
+    minimum = require_int("data.min_interactions",
+                          data.get("min_interactions", DEFAULT_MIN_INTERACTIONS))
+    if minimum < 1:
+        raise UserError(f"data.min_interactions (--min-interactions) must be >= 1, got {minimum}")
+    ds = load_interactions(str(path), minimum)
     if data.get("attributes"):
         load_attributes(str(data["attributes"]), ds)
     return ds

@@ -37,16 +37,7 @@ RESULTS_NAME = "results.tsv"
 
 
 @dataclass
-class RunRecord:
-    seed: int
-    hit: float   # test Hit@10, x100
-    ndcg: float  # test NDCG, x100
-
-
-@dataclass
 class SweepSummary:
-    fingerprint: str
-    records: list[RunRecord] = field(repr=False)
     hit_mean: float
     hit_dev: float
     ndcg_mean: float
@@ -79,19 +70,20 @@ def ci_from_moments(mean: float, dev: float, runs: int) -> tuple[float, float, f
     return low, high, round(high - low, 2)
 
 
-def aggregate(records: list[RunRecord], fingerprint: str = "") -> SweepSummary:
-    if not records:
+def aggregate(rows: list[dict], errored: list[int] = ()) -> SweepSummary:
+    """The statistics of the ledger rows whose status is "ok"; `errored`
+    lists the seeds whose run raised."""
+    ok = [row for row in rows if row["status"] == "ok"]
+    if not ok:
         raise UserError("nothing to aggregate: no successful runs")
-    hits = np.array([r.hit for r in records], dtype=np.float64)
-    ndcgs = np.array([r.ndcg for r in records], dtype=np.float64)
-    runs = len(records)
+    hits = np.array([row["hit"] for row in ok], dtype=np.float64)
+    ndcgs = np.array([row["ndcg"] for row in ok], dtype=np.float64)
+    runs = len(ok)
     hit_dev = float(np.std(hits, ddof=1)) if runs > 1 else 0.0
     ndcg_dev = float(np.std(ndcgs, ddof=1)) if runs > 1 else 0.0
     hit_mean = float(np.mean(hits))
     low, high, length = ci_from_moments(hit_mean, hit_dev, runs)
     return SweepSummary(
-        fingerprint=fingerprint,
-        records=list(records),
         hit_mean=hit_mean,
         hit_dev=hit_dev,
         ndcg_mean=float(np.mean(ndcgs)),
@@ -99,15 +91,13 @@ def aggregate(records: list[RunRecord], fingerprint: str = "") -> SweepSummary:
         runs=runs,
         ci=(low, high),
         ci_length=length,
+        errored=list(errored),
     )
 
 
 @dataclass
 class Recommendation:
     choice: str
-    hit_dev: float
-    threshold: float
-    runs: int
     reason: str
 
 
@@ -136,7 +126,7 @@ def recommend_encoding(baseline: SweepSummary,
         choice = "RotatoryCon"
         reason = (f"Hit Dev {baseline.hit_dev:.2f} <= {threshold:.2f} over "
                   f"{baseline.runs} runs: stable dataset")
-    return Recommendation(choice, baseline.hit_dev, threshold, baseline.runs, reason)
+    return Recommendation(choice, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +156,7 @@ def write_summary_tsv(summary: SweepSummary, config: ModelConfig, path: str) -> 
 
 
 def read_summary_tsv(path: str) -> SweepSummary:
-    """The statistics of a results table's row; the records are not stored there."""
+    """The statistics of a results table's row."""
     rows = [fields for _, fields in _table(read_input(path, "sweep results"))]
     if len(rows) < 2 or tuple(rows[0]) != RESULTS_COLUMNS or len(rows[1]) != len(RESULTS_COLUMNS):
         raise UserError(f"{path} is not a sweep results table")
@@ -180,8 +170,6 @@ def read_summary_tsv(path: str) -> SweepSummary:
                             "not a number") from None
 
     return SweepSummary(
-        fingerprint="",
-        records=[],
         hit_mean=number("Hit Mean"),
         hit_dev=number("Hit Dev"),
         ndcg_mean=number("NDCG Mean"),
@@ -199,11 +187,12 @@ def save_run(result: TrainResult, run_dir: str, dataset: InteractionDataset) -> 
 
 
 def _run_seed(config: ModelConfig, dataset: InteractionDataset, seed: int,
-              out_dir: str | None) -> RunRecord:
+              out_dir: str | None) -> tuple[float, float]:
+    """The seed's test Hit@10 and NDCG."""
     result = train(replace(config, seed=seed), dataset)
     if out_dir is not None:
         save_run(result, os.path.join(out_dir, f"seed_{seed}"), dataset)
-    return RunRecord(seed=seed, hit=result.test_hit, ndcg=result.test_ndcg)
+    return result.test_hit, result.test_ndcg
 
 
 def _worker(args) -> dict:
@@ -212,14 +201,12 @@ def _worker(args) -> dict:
     config, dataset, seed, out_dir = args
     row = {"seed": seed, "status": "ok", "hit": math.nan, "ndcg": math.nan}
     try:
-        record = _run_seed(config, dataset, seed, out_dir)
+        row["hit"], row["ndcg"] = _run_seed(config, dataset, seed, out_dir)
     except TrainingDiverged as err:
         row.update(status="failed", error=str(err))
     except Exception as err:  # one seed's fault must not end the other seeds
         traceback.print_exc()
         row.update(status="error", error=f"{type(err).__name__}: {err}")
-    else:
-        row.update(hit=record.hit, ndcg=record.ndcg)
     return row
 
 
@@ -327,12 +314,10 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     failed = [s for s in seeds if done[s]["status"] != "ok"]
     if failed:
         warnings.warn(f"excluding {len(failed)} failed seed(s): {failed}", RuntimeWarning)
-    records = [RunRecord(s, done[s]["hit"], done[s]["ndcg"])
-               for s in seeds if done[s]["status"] == "ok"]
-    if not records:
+    if len(failed) == len(seeds):
         raise UserError(f"all {len(seeds)} sweep runs failed")
-    summary = aggregate(records, fingerprint)
-    summary.errored = [s for s in seeds if done[s]["status"] == "error"]
+    summary = aggregate([done[s] for s in seeds],
+                        [s for s in seeds if done[s]["status"] == "error"])
     if out_dir is not None:
         write_summary_tsv(summary, config, os.path.join(out_dir, RESULTS_NAME))
     return summary

@@ -27,7 +27,7 @@ from posrec.model import (
     write_history_tsv,
 )
 from posrec.numeric import Rng
-from posrec.stability import aggregate, recommend_encoding, sweep, RunRecord
+from posrec.stability import aggregate, recommend_encoding, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +174,24 @@ def test_criterion_04_relative_attention_oracle():
 # criterion 5: confidence-interval anchors
 
 
-def _records_with_moments(mean, dev, runs):
+def _rows_with_moments(mean, dev, runs):
     """Exact sample moments: two symmetric outliers, the rest at the mean."""
     values = np.full(runs, mean)
     if runs > 1:
         spread = dev * math.sqrt((runs - 1) / 2.0)
         values[0] += spread
         values[1] -= spread
-    return [RunRecord(seed=s, hit=float(v), ndcg=float(v)) for s, v in enumerate(values)]
+    return [{"seed": s, "status": "ok", "hit": float(v), "ndcg": float(v)}
+            for s, v in enumerate(values)]
 
 
 def test_criterion_05_ci_anchors():
-    s = aggregate(_records_with_moments(56.00, 0.96, 9))
+    s = aggregate(_rows_with_moments(56.00, 0.96, 9))
     assert s.ci[0] == pytest.approx(55.37, abs=0.01)
     assert s.ci[1] == pytest.approx(56.63, abs=0.01)
     assert s.ci_length == pytest.approx(1.26, abs=0.01)
 
-    s = aggregate(_records_with_moments(67.93, 4.17, 5))
+    s = aggregate(_rows_with_moments(67.93, 4.17, 5))
     assert s.ci[0] == pytest.approx(64.27, abs=0.01)
     assert s.ci[1] == pytest.approx(71.59, abs=0.01)
     assert s.ci_length == pytest.approx(7.32, abs=0.01)

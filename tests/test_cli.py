@@ -557,6 +557,15 @@ BAD_DATA = {
     "data.min_interactions": (
         lambda f, cfg: ["train", *cfg("data", "min_interactions", "three")],
         "data.min_interactions"),
+    "data.min_interactions 0": (
+        lambda f, cfg: ["train", *cfg("data", "min_interactions", 0)],
+        "data.min_interactions (--min-interactions) must be >= 1, got 0"),
+    "stats --min-interactions 0": (
+        lambda f, cfg: ["stats", f["data"], "--min-interactions", "0"],
+        "data.min_interactions (--min-interactions) must be >= 1, got 0"),
+    "stats --min-interactions -3": (
+        lambda f, cfg: ["stats", f["data"], "--min-interactions", "-3"],
+        "data.min_interactions (--min-interactions) must be >= 1, got -3"),
     # a run's data is a log file; `posrec synth --out` writes one
     "train data.synth": (
         lambda f, cfg: ["train", *cfg("data", "synth", {
@@ -728,6 +737,42 @@ def test_extra_epochs_is_neither_a_flag_nor_a_config_key(work, tmp_path, capsys)
             "batch_size, blocks, d, dropout, epochs, eval_negatives, g, heads, l2_weight, "
             "lr, max_len, nmax, seed") in capsys.readouterr().err
     assert not run.exists()
+
+
+def _five_event_log(path, extra_user=""):
+    """Six users of 5 events over 8 items, then `extra_user`'s rows over the same items."""
+    path.write_text("".join(f"u{u}\ti{(u + t) % 8}\t{t}\n" for u in range(6) for t in range(5))
+                    + extra_user)
+    return str(path)
+
+
+def test_a_one_event_user_fails_before_training(work, not_data, tmp_path, capsys):
+    log = _five_event_log(tmp_path / "log.tsv", "loner\ti0\t0\n")
+    config = _config_with(work, tmp_path / "one.yaml", "data", "min_interactions", 1)
+    run = tmp_path / "run"
+    for argv in (["train", *config, "--data", log, "--epochs", "3", "--out", str(run)],
+                 ["evaluate", not_data["checkpoint"], *config, "--data", log]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: user loner has 1 event; min_interactions must be at least 2" in err
+        assert "epoch 1" not in err
+    assert not run.exists()
+
+
+def test_evaluate_names_min_interactions_when_the_hash_differs(work, tmp_path, capsys):
+    # the 3-event user is dropped under min_interactions 5 and kept under the default 2
+    log = _five_event_log(tmp_path / "log.tsv", "short\ti1\t0\nshort\ti2\t1\nshort\ti3\t2\n")
+    run = tmp_path / "run"
+    config = _config_with(work, tmp_path / "five.yaml", "data", "min_interactions", 5)
+    assert cli.main(["train", *config, "--data", log, "--epochs", "1", "--out", str(run),
+                     "--quiet"]) == 0
+    capsys.readouterr()
+    checkpoint = str(run / "checkpoint.npz")
+    assert cli.main(["evaluate", checkpoint, "--data", log]) == 1
+    assert ("pass the log the run was trained on and, with --config, the run's config: "
+            "its data.min_interactions changes the data") in capsys.readouterr().err
+    assert cli.main(["evaluate", checkpoint, "--data", log,
+                     "--config", str(run / "config.yaml")]) == 0
 
 
 def test_evaluate_refuses_a_checkpoint_trained_on_another_log(work, tmp_path, capsys):

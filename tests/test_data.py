@@ -268,16 +268,23 @@ def test_leave_one_out_assigns_last_and_second_to_last():
     assert np.array_equal(split.test[0].context, [0, 1, 2])
 
 
-@given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=8), min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_leave_one_out_partitions_every_history_in_order(histories):
-    ds = InteractionDataset(
+def histories_dataset(histories):
+    """Dataset whose users hold `histories`, lists of item ids below 10."""
+    return InteractionDataset(
         sequences=[np.array(h, dtype=np.int64) for h in histories],
         times=[np.arange(len(h), dtype=np.float64) for h in histories],
         num_items=10, user_ids=[str(u) for u in range(len(histories))],
         item_ids=[str(i) for i in range(10)],
     )
-    split = leave_one_out(ds)
+
+
+HISTORIES = st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=8), min_size=1, max_size=6)
+
+
+@given(HISTORIES)
+@settings(max_examples=60, deadline=None)
+def test_leave_one_out_partitions_every_history_in_order(histories):
+    split = leave_one_out(histories_dataset(histories))
     valid = {row.user: row for row in split.valid}
     assert [row.user for row in split.test] == list(range(len(histories)))
     assert sorted(valid) == [u for u, h in enumerate(histories) if len(h) >= 3]
@@ -291,6 +298,13 @@ def test_leave_one_out_partitions_every_history_in_order(histories):
         if u in valid:
             assert valid[u].context.tolist() == train
             assert valid[u].seen.tolist() == sorted(set(train + held_out))
+
+
+@given(HISTORIES.filter(lambda histories: any(len(h) >= 4 for h in histories)))
+@settings(max_examples=60, deadline=None)
+def test_a_user_with_a_training_pair_gives_a_validation_row(histories):
+    """`train` needs one user of >= 4 events, so it always has rows to validate on."""
+    assert leave_one_out(histories_dataset(histories)).valid
 
 
 def test_length_two_users_have_no_validation_row():

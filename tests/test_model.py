@@ -400,14 +400,18 @@ def test_validation_epochs_follow_log_schedule():
 
 
 def test_best_checkpoint_is_first_validation_peak():
+    """The TrainResult repeats its history: the first valid row with the
+    highest Hit, and the one test row."""
     ds = tiny_ds(users=20, seq_len=8)
     result = train(tiny_cfg(epochs=12, lr=3e-3, encoding="Learnt"), ds)
-    valid = [(r.epoch, r.hit) for r in result.history if r.split == "valid"]
-    best_hit = max(h for _, h in valid)
-    first_peak = next(e for e, h in valid if h == best_hit)
-    assert result.best_epoch == first_peak
+    valid = [r for r in result.history if r.split == "valid"]
+    first_peak = next(r for r in valid if r.hit == max(v.hit for v in valid))
+    assert (result.best_epoch, result.valid_hit, result.valid_ndcg) == (
+        first_peak.epoch, first_peak.hit, first_peak.ndcg)
     test_rows = [r for r in result.history if r.split == "test"]
-    assert len(test_rows) == 1 and test_rows[0].epoch == first_peak
+    assert len(test_rows) == 1
+    assert (test_rows[0].epoch, test_rows[0].hit, test_rows[0].ndcg) == (
+        first_peak.epoch, result.test_hit, result.test_ndcg)
 
 
 def test_short_train_sequences_are_skipped(tmp_path):

@@ -17,7 +17,6 @@ from posrec.errors import TrainingDiverged, UserError
 from posrec.model import ModelConfig
 from posrec.stability import (
     RESULTS_COLUMNS,
-    RunRecord,
     aggregate,
     ci_from_moments,
     config_fingerprint,
@@ -37,9 +36,14 @@ def values_with_moments(mean, dev, runs):
     return vals
 
 
+def ok_row(seed, hit, ndcg):
+    """A ledger row of a seed that trained."""
+    return {"seed": seed, "status": "ok", "hit": hit, "ndcg": ndcg}
+
+
 def summary_with(hit_dev, runs=5, hit_mean=50.0):
     hits = values_with_moments(hit_mean, hit_dev, runs)
-    return aggregate([RunRecord(i, h, h / 2) for i, h in enumerate(hits)])
+    return aggregate([ok_row(i, h, h / 2) for i, h in enumerate(hits)])
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +92,18 @@ def test_aggregate_matches_numpy_oracle():
     rng = np.random.default_rng(5)
     hits = rng.uniform(20, 80, size=11)
     ndcgs = rng.uniform(10, 40, size=11)
-    recs = [RunRecord(i, h, n) for i, (h, n) in enumerate(zip(hits, ndcgs))]
-    s = aggregate(recs, "fp")
+    rows = [ok_row(i, h, n) for i, (h, n) in enumerate(zip(hits, ndcgs))]
+    s = aggregate(rows, [11])
     assert s.hit_mean == pytest.approx(np.mean(hits), rel=1e-12)
     assert s.hit_dev == pytest.approx(np.std(hits, ddof=1), rel=1e-12)
     assert s.ndcg_mean == pytest.approx(np.mean(ndcgs), rel=1e-12)
     assert s.ndcg_dev == pytest.approx(np.std(ndcgs, ddof=1), rel=1e-12)
     assert s.runs == 11
-    assert s.fingerprint == "fp"
+    assert s.errored == [11]
 
 
 def test_aggregate_single_run_has_zero_dev():
-    s = aggregate([RunRecord(0, 61.5, 33.0)])
+    s = aggregate([ok_row(0, 61.5, 33.0)])
     assert s.hit_dev == 0.0 and s.ndcg_dev == 0.0
     assert s.ci == (61.5, 61.5)
     assert s.ci_length == 0.0
@@ -107,17 +111,27 @@ def test_aggregate_single_run_has_zero_dev():
 
 
 def test_aggregate_is_permutation_invariant():
-    recs = [RunRecord(i, float(h), float(h) / 3) for i, h in enumerate([55, 58, 52, 60, 49])]
-    a = aggregate(recs)
-    b = aggregate(list(reversed(recs)))
+    rows = [ok_row(i, float(h), float(h) / 3) for i, h in enumerate([55, 58, 52, 60, 49])]
+    a = aggregate(rows)
+    b = aggregate(list(reversed(rows)))
     assert a.hit_mean == pytest.approx(b.hit_mean, rel=1e-14)
     assert a.hit_dev == pytest.approx(b.hit_dev, rel=1e-14)
     assert a.ci == b.ci and a.ci_length == b.ci_length
 
 
+def test_aggregate_reads_only_the_ok_rows():
+    rows = [ok_row(0, 60.0, 30.0), {"seed": 1, "status": "failed", "hit": math.nan,
+                                    "ndcg": math.nan, "error": "loss became nan"},
+            ok_row(2, 50.0, 20.0)]
+    s = aggregate(rows)
+    assert (s.runs, s.hit_mean, s.ndcg_mean, s.errored) == (2, 55.0, 25.0, [])
+
+
 def test_aggregate_rejects_empty():
     with pytest.raises(UserError):
         aggregate([])
+    with pytest.raises(UserError, match="no successful runs"):
+        aggregate([{"seed": 0, "status": "error", "hit": math.nan, "ndcg": math.nan}], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +187,7 @@ def test_sweep_writes_ledger_and_results(tmp_path):
     rows = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
     assert [r["seed"] for r in rows] == [1, 2]
     assert all(r["status"] == "ok" for r in rows)
-    assert all(r["fingerprint"] == s.fingerprint for r in rows)
+    assert all(r["fingerprint"] == config_fingerprint(tiny_config(), tiny_dataset()) for r in rows)
 
     lines = (out / "results.tsv").read_text().splitlines()
     assert tuple(lines[0].split("\t")) == RESULTS_COLUMNS
@@ -307,8 +321,8 @@ def test_sweep_excludes_failed_seeds(tmp_path, monkeypatch):
     with pytest.warns(RuntimeWarning, match="failed seed"):
         s = sweep(tiny_config(), tiny_dataset(), [1, 2, 3], out_dir=str(out))
     assert s.runs == 2
-    assert sorted(r.seed for r in s.records) == [1, 3]
     rows = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
+    assert [r["seed"] for r in rows if r["status"] == "ok"] == [1, 3]
     failed = [r for r in rows if r["status"] == "failed"]
     assert len(failed) == 1 and failed[0]["seed"] == 2
     assert "NaN" in failed[0]["error"]
@@ -345,7 +359,6 @@ def test_sweep_records_a_raising_seed_and_reruns_it_on_resume(tmp_path, monkeypa
     with pytest.warns(RuntimeWarning, match="excluding 2 failed seed"):
         s = sweep(cfg, ds, [1, 2, 3, 4], jobs=jobs, out_dir=str(out))
     assert s.errored == [2] and s.runs == 2
-    assert [r.seed for r in s.records] == [1, 4]
     rows = [json.loads(line) for line in ledger.read_text().splitlines()]
     assert [(r["seed"], r["status"]) for r in rows] == [(1, "ok"), (2, "error"), (3, "failed"), (4, "ok")]
     assert rows[1]["error"] == "ValueError: bad batch"
@@ -356,7 +369,7 @@ def test_sweep_records_a_raising_seed_and_reruns_it_on_resume(tmp_path, monkeypa
     rows = [json.loads(line) for line in ledger.read_text().splitlines()]
     # the raising seed runs again; the diverged one stays recorded as failed
     assert [(r["seed"], r["status"]) for r in rows[4:]] == [(2, "ok")]
-    assert resumed.errored == [] and [r.seed for r in resumed.records] == [1, 2, 4]
+    assert resumed.errored == [] and resumed.runs == 3
     fresh = sweep(cfg, ds, [1, 2, 4], out_dir=str(tmp_path / "fresh"))
     assert resumed.hit_mean == fresh.hit_mean and resumed.ndcg_mean == fresh.ndcg_mean
 
@@ -404,7 +417,7 @@ def test_parallel_sweep_records_a_seed_the_moment_it_ends(tmp_path, monkeypatch)
 # Runs a jobs=2 sweep whose seeds report their worker's OpenBLAS thread
 # count, read through the getter of the OpenBLAS that numpy links
 BLAS_WORKER_SCRIPT = textwrap.dedent("""
-    import ctypes, json
+    import ctypes, json, os, sys
     import numpy as np
     from posrec import stability, synth
     from posrec.model import ModelConfig
@@ -415,24 +428,25 @@ BLAS_WORKER_SCRIPT = textwrap.dedent("""
     getter = next((getattr(core, name) for name in names if hasattr(core, name)), None)
 
     def report_blas_threads(config, dataset, seed, out_dir):
-        return stability.RunRecord(seed, float(getter()), 0.0)
+        return float(getter()), 0.0
 
     if getter is not None:
         stability._run_seed = report_blas_threads
         dataset = synth.build_dataset("memorizable", users=10, items=12, seq_len=6, seed=0)
         config = ModelConfig(d=8, g=16, blocks=1, heads=2, max_len=5, epochs=1)
-        summary = stability.sweep(config, dataset, [1, 2], jobs=2)
-        print(json.dumps([record.hit for record in summary.records]))
+        stability.sweep(config, dataset, [1, 2], jobs=2, out_dir=sys.argv[1])
+        with open(os.path.join(sys.argv[1], stability.LEDGER_NAME)) as fh:
+            print(json.dumps([json.loads(line)["hit"] for line in fh]))
     else:
         print("null")
 """)
 
 
-def test_sweep_workers_run_one_blas_thread_without_the_environment_variable():
+def test_sweep_workers_run_one_blas_thread_without_the_environment_variable(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
-    got = subprocess.run([sys.executable, "-c", BLAS_WORKER_SCRIPT], capture_output=True,
+    got = subprocess.run([sys.executable, "-c", BLAS_WORKER_SCRIPT, str(tmp_path)], capture_output=True,
                          text=True, env={**env, "PYTHONPATH": src}, timeout=120)
     assert got.returncode == 0, got.stderr
     threads = json.loads(got.stdout)
@@ -506,3 +520,17 @@ def test_read_summary_rejects_garbage(tmp_path):
         read_summary_tsv(str(p))
     with pytest.raises(UserError):
         read_summary_tsv(str(tmp_path / "missing.tsv"))
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def test_readme_library_use_block_runs(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "epochs=70" in block
+    exec(block.replace("epochs=70", "epochs=1"), {})
+    assert "runs:" in capsys.readouterr().out  # recommend_encoding's reason
