@@ -35,51 +35,49 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _parse_nmax(text: str | None):
-    if text is None:
-        return None
+def _parse_nmax(text: str):
     if text.strip().lower() in ("none", "nan"):
         return math.nan  # normalised to "unbounded" by the model config
     try:
         return float(text)
     except ValueError:
-        raise UserError(f"--nmax expects a float or 'none', got '{text}'") from None
+        raise argparse.ArgumentTypeError(f"--nmax expects a float or 'none', got '{text}'") from None
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(text: str) -> list[int] | None:
+    """The seeds of --seeds; a blank list leaves the config's sweep.seeds."""
     try:
-        return [int(part) for part in text.replace(",", " ").split()]
+        return [int(part) for part in text.replace(",", " ").split()] or None
     except ValueError:
-        raise UserError(f"--seeds expects comma-separated integers, got '{text}'") from None
+        raise argparse.ArgumentTypeError(
+            f"--seeds expects comma-separated integers, got '{text}'") from None
 
 
-def _load_run_config(args) -> RunConfig:
+def _run_config(args) -> RunConfig:
+    """--config, or an empty run config, with every flag laid over it whose
+    dest names a config key: `section.key`, or `.key` for a top-level key.
+    A flag left unset (None) leaves the file's value."""
     rc = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "preset", None):
-        rc.preset = args.preset
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            if section:
+                getattr(rc, section)[key] = value
+            else:
+                setattr(rc, key, value)
     return rc
 
 
-def _model_overrides(args) -> dict:
-    return {
-        "encoding": getattr(args, "encoding", None),
-        "nmax": _parse_nmax(getattr(args, "nmax", None)),
-        "activation": getattr(args, "activation", None),
-        "lr": getattr(args, "lr", None),
-        "epochs": getattr(args, "epochs", None),
-        "eval_negatives": getattr(args, "negatives", None),
-        "seed": getattr(args, "seed", None),
-    }
-
-
 def _start_run(args, rc: RunConfig, command: str, **record):
-    """The resolved model config, the dataset, the run directory (--out, else
-    the config's `out`, else $POSREC_OUT/<command>) and the run's record: a
+    """The resolved model config, the dataset, the run directory (`out`, else
+    $POSREC_OUT/<command>, refused if it is a file) and the run's record: a
     byte-for-byte copy of --config, read now, and resolved.json, holding the
     resolved config, the dataset's identity and `record`."""
-    config = build_model_config(rc, _model_overrides(args))
-    ds = resolve_dataset(rc.data, path_override=args.data)
-    run_dir = args.out or rc.out or os.path.join(os.environ.get("POSREC_OUT", "runs"), command)
+    run_dir = rc.out or os.path.join(os.environ.get("POSREC_OUT", "runs"), command)
+    if os.path.exists(run_dir) and not os.path.isdir(run_dir):
+        raise UserError(f"run directory {run_dir} exists and is not a directory")
+    config = build_model_config(rc)
+    ds = resolve_dataset(rc.data)
     files = {}
     if args.config:
         files["config.yaml"] = read_input(args.config, "config", binary=True)
@@ -95,13 +93,6 @@ def _write_record(run_dir: str, files: dict[str, bytes]) -> None:
     for name, data in files.items():
         with atomic_write(os.path.join(run_dir, name), binary=True) as fh:
             fh.write(data)
-
-
-def _data_section(args) -> dict:
-    """The `data:` section that a positional path and its flags stand for."""
-    section = {"path": args.data, "min_interactions": args.min_interactions,
-               "attributes": args.attributes}
-    return {k: v for k, v in section.items() if v is not None}
 
 
 def _refuse_npz_out(args) -> None:
@@ -123,7 +114,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    values = stats(resolve_dataset(_data_section(args)))
+    values = stats(resolve_dataset(_run_config(args).data))
     print(format_stats_table(values))
     if args.out:
         write_stats_tsv(values, args.out)
@@ -132,7 +123,7 @@ def cmd_stats(args) -> int:
 
 def cmd_subset(args) -> int:
     _refuse_npz_out(args)
-    small = subset(resolve_dataset(_data_section(args)), args.users, args.items, Rng(args.seed))
+    small = subset(resolve_dataset(_run_config(args).data), args.users, args.items, Rng(args.seed))
     save_interactions(small, args.out)
     budgets = {"budget_users": args.users, "budget_items": args.items,
                # the post-filter density and the budget density disagree in general
@@ -143,7 +134,7 @@ def cmd_subset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, ds, run_dir, record = _start_run(args, _load_run_config(args), "train")
+    config, ds, run_dir, record = _start_run(args, _run_config(args), "train")
     result = train(config, ds, progress=_progress if not args.quiet else None)
 
     stability.save_run(result, run_dir, ds)
@@ -158,8 +149,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    rc = _load_run_config(args)
-    ds = resolve_dataset(rc.data, path_override=args.data)
+    ds = resolve_dataset(_run_config(args).data)
     split = leave_one_out(ds)
     model = load_checkpoint(args.checkpoint, ds)
     rows = split.test if args.split == "test" else split.valid
@@ -174,15 +164,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rc = _load_run_config(args)
-    seeds = _parse_seeds(args.seeds) if args.seeds else rc.sweep.get("seeds")
-    if not seeds:
+    rc = _run_config(args)
+    if not rc.sweep.get("seeds"):
         raise UserError("no seeds: pass --seeds or set sweep.seeds in the config")
-    jobs = args.jobs if args.jobs is not None else rc.sweep.get("jobs", 1)
-    config, ds, run_dir, record = _start_run(args, rc, "sweep", seeds=seeds, jobs=jobs)
+    config, ds, run_dir, record = _start_run(args, rc, "sweep", **rc.sweep)
 
-    summary = stability.sweep(config, ds, seeds, jobs=jobs, out_dir=run_dir,
-                              progress=_progress if not args.quiet else None)
+    summary = stability.sweep(config, ds, out_dir=run_dir,
+                              progress=_progress if not args.quiet else None, **rc.sweep)
     _write_record(run_dir, record)
     print(read_input(os.path.join(run_dir, stability.RESULTS_NAME), "sweep results"), end="")
     print(f"artifacts: {run_dir}")
@@ -209,17 +197,24 @@ def cmd_recommend(args) -> int:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML run config")
-    p.add_argument("--data", help="interactions file (overrides the config)")
-    p.add_argument("--preset", help="named hyperparameter preset")
-    p.add_argument("--encoding", help="positional encoding variant")
-    p.add_argument("--nmax", help="embedding max-norm bound; 'none' lifts it")
-    p.add_argument("--activation", help="feed-forward activation")
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--negatives", type=int,
+    p.add_argument("--data", dest="data.path", help="interactions file")
+    p.add_argument("--preset", dest=".preset", help="named hyperparameter preset")
+    p.add_argument("--encoding", dest="encoding.variant", help="positional encoding variant")
+    p.add_argument("--nmax", dest="model.nmax", type=_parse_nmax,
+                   help="embedding max-norm bound; 'none' lifts it")
+    p.add_argument("--activation", dest="model.activation", help="feed-forward activation")
+    p.add_argument("--lr", dest="model.lr", type=float, help="learning rate")
+    p.add_argument("--epochs", dest="model.epochs", type=int, help="training epochs")
+    p.add_argument("--negatives", dest="model.eval_negatives", type=int,
                    help="sampled negatives per evaluation user; 0 ranks the full catalogue")
-    p.add_argument("--out", help="run directory")
+    p.add_argument("--out", dest=".out", help="run directory")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
+
+
+def _add_log_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("data.path", metavar="data", help="interactions file")
+    p.add_argument("--min-interactions", type=int, dest="data.min_interactions")
+    p.add_argument("--attributes", dest="data.attributes", help="item attribute sidecar CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,31 +236,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("stats", help="summarize an interaction log")
-    p.add_argument("data")
-    p.add_argument("--min-interactions", type=int, default=None, dest="min_interactions")
-    p.add_argument("--attributes", help="item attribute sidecar CSV")
+    _add_log_flags(p)
     p.add_argument("--out", help="also write the stats as TSV")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("subset", help="carve a dense subset by item popularity")
-    p.add_argument("data")
+    _add_log_flags(p)
     p.add_argument("--users", type=int, required=True, help="user budget")
     p.add_argument("--items", type=int, required=True, help="item budget")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-interactions", type=int, default=None, dest="min_interactions")
-    p.add_argument("--attributes", help="item attribute sidecar CSV")
     p.add_argument("--out", required=True, help="TSV path to write")
     p.set_defaults(func=cmd_subset)
 
     p = sub.add_parser("train", help="train one model")
     _add_model_flags(p)
-    p.add_argument("--seed", type=int, help="training seed")
+    p.add_argument("--seed", dest="model.seed", type=int, help="training seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a saved checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("--config", help="YAML run config (for its data section)")
-    p.add_argument("--data", help="interactions file")
+    p.add_argument("--data", dest="data.path", help="interactions file")
     p.add_argument("--split", choices=("test", "valid"), default="test")
     p.add_argument("--negatives", type=int, help="sampled negatives per user; 0 ranks "
                    "the full catalogue (default: the run's eval_negatives)")
@@ -276,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train one config under several seeds")
     _add_model_flags(p)
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--jobs", type=int, help="parallel workers")
+    p.add_argument("--seeds", dest="sweep.seeds", type=_parse_seeds,
+                   help="comma-separated seed list")
+    p.add_argument("--jobs", dest="sweep.jobs", type=int, help="parallel workers")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("recommend-encoding",

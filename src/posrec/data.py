@@ -190,11 +190,13 @@ def open_archive(path: str, what: str) -> dict[str, np.ndarray]:
     cannot be read (one saved with object dtype, or whose bytes fail their
     CRC), raise UserError naming `what`, the path and the member."""
     try:
-        archive = np.load(path, allow_pickle=False)
+        with open(path, "rb") as fh:  # a zip's magic, else np.load would try pickle
+            is_zip = fh.read(4) in (b"PK\x03\x04", b"PK\x05\x06")
+        archive = np.load(path, allow_pickle=False) if is_zip else None
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
         raise UserError(f"cannot read {what} {path}: {err}") from None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise UserError(f"{path} is not a {what}")
+    if archive is None:
+        raise UserError(f"{path} is not a {what}: it is not an .npz archive")
     members = {}
     with archive:
         for name in archive.files:
@@ -210,17 +212,24 @@ def atomic_write(path: str, binary: bool = False):
     """Write `path` through a sibling temporary file that replaces it only
     once the block finishes, so `path` is either its old self, absent, or
     complete; never partly written.  A missing parent directory is created.
-    Text mode is UTF-8 with "\\n" newlines.
+    Text mode is UTF-8 with "\\n" newlines.  A parent, temporary file or
+    replace that the file system refuses raises UserError naming `path`.
     """
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with (open(tmp, "wb") if binary else
-              open(tmp, "w", encoding="utf-8", newline="\n")) as fh:
+        try:
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n")
+        except OSError as err:
+            raise UserError(f"cannot write {path}: {err}") from None
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:
+            raise UserError(f"cannot write {path}: {err}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

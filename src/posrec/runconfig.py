@@ -2,8 +2,8 @@
 
 A run config is a YAML mapping with up to six sections — preset, data,
 model, encoding, sweep, out — validated strictly: an unknown key anywhere
-is an error, never silently ignored.  CLI flags overlay the file, and the
-file overlays the preset.
+is an error, never silently ignored.  CLI flags overlay the file
+(`cli._run_config`), and the file overlays the preset.
 """
 
 from __future__ import annotations
@@ -119,35 +119,22 @@ def load_run_config(path: str) -> RunConfig:
     return parse_run_config(raw)
 
 
-def build_model_config(rc: RunConfig, overrides: dict | None = None) -> ModelConfig:
-    """preset < file < flags; ModelConfig fills in and checks the rest."""
-    kwargs: dict = {}
-    if rc.preset:
-        kwargs.update(get_preset(rc.preset))
-    kwargs.update(rc.model)
-
-    enc = dict(rc.encoding)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "encoding":
-            enc["variant"] = value
-        else:
-            kwargs[key] = value
-
-    return ModelConfig(encoding=EncodingConfig(**enc), **kwargs)
+def build_model_config(rc: RunConfig) -> ModelConfig:
+    """The preset overlaid by the `model` and `encoding` sections; ModelConfig
+    fills in and checks the rest."""
+    kwargs = {**(get_preset(rc.preset) if rc.preset is not None else {}), **rc.model}
+    return ModelConfig(encoding=EncodingConfig(**rc.encoding), **kwargs)
 
 
-def resolve_dataset(data: dict, path_override: str | None = None) -> InteractionDataset:
-    """The log that `data:` names (--data replaces its path), with its sidecar."""
-    path = data.get("path") if path_override is None else path_override
-    if path is None:
+def resolve_dataset(data: dict) -> InteractionDataset:
+    """The log that a `data:` section names, with its sidecar."""
+    if data.get("path") is None:
         raise UserError("no data source: give data.path in the config, or pass --data")
     minimum = require_int("data.min_interactions",
                           data.get("min_interactions", DEFAULT_MIN_INTERACTIONS))
     if minimum < 1:
         raise UserError(f"data.min_interactions (--min-interactions) must be >= 1, got {minimum}")
-    ds = load_interactions(str(path), minimum)
+    ds = load_interactions(str(data["path"]), minimum)
     if data.get("attributes"):
         load_attributes(str(data["attributes"]), ds)
     return ds

@@ -304,7 +304,8 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
         if _blas_thread_setter() is None:
             warnings.warn("no OpenBLAS thread setter found: each sweep worker keeps the "
                           "BLAS library's own thread count", RuntimeWarning)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_one_blas_thread) as pool:
             for future in as_completed([pool.submit(_worker, task) for task in tasks]):
                 record(future.result())
     else:

@@ -1,5 +1,6 @@
 """Run-config parsing and the command-line workflow."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from posrec import cli, stability
+from posrec import cli, runconfig, stability
 from posrec.errors import UserError
 from posrec.model import Model, ModelConfig, save_checkpoint
 from posrec.numeric import Rng
@@ -62,9 +63,15 @@ def test_sweep_seeds_must_be_list():
         parse_run_config({"sweep": {"seeds": "1,2,3"}})
 
 
-def test_merge_order_preset_file_flags():
-    rc = parse_run_config({"preset": "games", "model": {"epochs": 50, "d": 12, "heads": 2}})
-    cfg = build_model_config(rc, {"epochs": 5})
+def _flags_over(argv):
+    """The run config that `posrec <argv>` runs under."""
+    return cli._run_config(cli.build_parser().parse_args(argv))
+
+
+def test_merge_order_preset_file_flags(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({"preset": "games", "model": {"epochs": 50, "d": 12, "heads": 2}}))
+    cfg = build_model_config(_flags_over(["train", "--config", str(p), "--epochs", "5"]))
     assert cfg.epochs == 5            # flag beats file
     assert cfg.d == 12                # file beats preset (games: d=90)
     assert cfg.max_len == 50          # preset survives where nothing overrides
@@ -104,9 +111,10 @@ def test_yaml_exponent_without_a_dot_is_a_float(tmp_path, key, text, value):
     assert getattr(build_model_config(load_run_config(p)), key) == value
 
 
-def test_override_nmax_none_beats_config():
-    rc = parse_run_config({"model": {"nmax": 1e-4}})
-    cfg = build_model_config(rc, {"nmax": math.nan})
+def test_override_nmax_none_beats_config(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text("model:\n  nmax: 1.0e-4\n")
+    cfg = build_model_config(_flags_over(["train", "--config", str(p), "--nmax", "none"]))
     assert cfg.nmax is None
 
 
@@ -119,8 +127,9 @@ def test_path_override_displaces_data_path(tmp_path):
     from posrec import synth
     p = tmp_path / "d.tsv"
     synth.write_dataset("random", 4, 6, 5, seed=0, path=str(p))
-    rc = parse_run_config({"data": {"path": str(tmp_path / "missing.tsv")}})
-    ds = resolve_dataset(rc.data, path_override=str(p))
+    c = tmp_path / "c.yaml"
+    c.write_text(yaml.safe_dump({"data": {"path": str(tmp_path / "missing.tsv")}}))
+    ds = resolve_dataset(_flags_over(["train", "--config", str(c), "--data", str(p)]).data)
     assert ds.num_users == 4 and ds.source == str(p)
 
 
@@ -614,6 +623,10 @@ BAD_DATA = {
         "latin1_sidecar.csv"),
     "recommend-encoding results not UTF-8": (
         lambda f, cfg: ["recommend-encoding", f["utf16_results.tsv"]], "utf16_results.tsv"),
+    # the whole line, so no advice of numpy's to load it with allow_pickle
+    "evaluate a TSV log as the checkpoint": (
+        lambda f, cfg: ["evaluate", f["data"], "--data", f["data"]],
+        "/data.tsv is not a model checkpoint: it is not an .npz archive\n"),
     "evaluate a .npy array": (
         lambda f, cfg: ["evaluate", f["array.npy"], "--data", f["data"]],
         "array.npy is not a model checkpoint"),
@@ -719,11 +732,133 @@ def test_sweep_with_a_raising_seed_exits_2(work, tmp_path, capsys, monkeypatch):
     assert (sw / "results.tsv").exists()
 
 
-def test_every_model_flag_sets_a_config_field():
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    for command in ("train", "sweep"):
-        args = cli.build_parser().parse_args([command])
-        assert set(cli._model_overrides(args)) - {"encoding"} <= fields, command
+def _overlay_flags():
+    """(command, flag or "" for a positional, config key) of every argument
+    whose dest names a config key, read from build_parser()."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [(command, (action.option_strings or [""])[0], action.dest)
+            for command, parser in subparsers.choices.items()
+            for action in parser._actions if "." in action.dest]
+
+
+def test_every_dotted_dest_names_a_config_key():
+    sections = {"data": runconfig.DATA_KEYS, "model": runconfig.MODEL_KEYS,
+                "encoding": runconfig.ENCODING_KEYS, "sweep": runconfig.SWEEP_KEYS,
+                "": runconfig.TOP_KEYS - {"data", "model", "encoding", "sweep"}}
+    flags = _overlay_flags()
+    assert {command for command, _, _ in flags} == {"train", "sweep", "evaluate", "stats",
+                                                    "subset"}
+    for command, flag, dest in flags:
+        section, _, key = dest.partition(".")
+        assert key in sections[section], (command, flag, dest)
+
+
+# config key -> (its value in the config file, the flag's text, the value the flag sets)
+OVERLAY_VALUES = {
+    ".preset": ("men", "games", "games"),
+    ".out": ("from-file", "from-flag", "from-flag"),
+    "data.path": ("file.tsv", "flag.tsv", "flag.tsv"),
+    "data.min_interactions": (3, "5", 5),
+    "data.attributes": ("file.csv", "flag.csv", "flag.csv"),
+    "encoding.variant": ("Learnt", "RoPE", "RoPE"),
+    "model.nmax": (1e-4, "0.5", 0.5),
+    "model.activation": ("leaky", "silu", "silu"),
+    "model.lr": (0.1, "0.5", 0.5),
+    "model.epochs": (3, "5", 5),
+    "model.eval_negatives": (7, "9", 9),
+    "model.seed": (1, "4", 4),
+    "sweep.seeds": ([1, 2], "3,4", [3, 4]),
+    "sweep.jobs": (1, "2", 2),
+}
+# the other arguments each command requires
+REQUIRED = {"train": [], "sweep": [], "evaluate": ["ck.npz"], "stats": ["log.tsv"],
+            "subset": ["log.tsv", "--users", "1", "--items", "1", "--out", "x.tsv"]}
+
+
+def _at(rc, dest):
+    """The value of run config `rc` at the config key a dest names."""
+    section, _, key = dest.partition(".")
+    return getattr(rc, section)[key] if section else getattr(rc, key)
+
+
+@pytest.mark.parametrize("command, flag, dest", _overlay_flags())
+def test_overlay_flag_beats_the_config_file(command, flag, dest, tmp_path):
+    in_file, text, value = OVERLAY_VALUES[dest]
+    argv = [command, *REQUIRED[command]]
+    if flag:
+        argv += [flag, text]
+    else:  # the positional log of stats and subset
+        argv[argv.index("log.tsv")] = text
+    if command in ("train", "sweep", "evaluate"):  # stats and subset take no --config
+        section, _, key = dest.partition(".")
+        config = tmp_path / "c.yaml"
+        config.write_text(yaml.safe_dump({section: {key: in_file}} if section else
+                                         {key: in_file}))
+        assert _at(_flags_over([command, *REQUIRED[command], "--config", str(config)]),
+                   dest) == in_file
+        argv += ["--config", str(config)]
+    assert _at(_flags_over(argv), dest) == value
+
+
+def test_blank_seeds_fall_back_to_the_config(work, tmp_path):
+    argv = _config_with(work, tmp_path / "seeds.yaml", "sweep", "seeds", [5, 6])
+    assert _flags_over(["sweep", *argv, "--seeds", ""]).sweep["seeds"] == [5, 6]
+    assert _flags_over(["sweep", *argv, "--seeds", " , "]).sweep["seeds"] == [5, 6]
+    assert _flags_over(["sweep", *argv, "--seeds", "7"]).sweep["seeds"] == [7]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--nmax", "tiny"], "argument --nmax: --nmax expects a float or 'none', got 'tiny'"),
+    (["sweep", "--seeds", "x"], "argument --seeds: --seeds expects comma-separated integers"),
+    (["train", "--preset", ""], "unknown preset ''; available: beauty, fashion, games, men"),
+])
+def test_a_bad_overlay_value_exits_1_naming_the_flag(work, argv, named, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main([*argv, "--config", work["cfg"], "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "epoch 1" not in err
+    assert not run.exists()
+
+
+def test_readme_lists_every_overlay_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| flag | config key | commands |")[1].split("\n\n")[0]
+    listed = set()
+    for line in table.strip().splitlines()[1:]:
+        flag, key, commands = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        listed |= {(command.strip("` "), flag, key) for command in commands.split(",")}
+    assert listed == {(command, flag or "data", dest.lstrip("."))
+                      for command, flag, dest in _overlay_flags()}
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda files, out: ["synth", "--profile", "random", "--users", "3", "--items", "4",
+                       "--seq-len", "3", "--out", out],
+    lambda files, out: ["stats", files["data"], "--out", out],
+    lambda files, out: ["evaluate", files["checkpoint"], "--data", files["data"], "--out", out],
+], ids=["synth", "stats", "evaluate"])
+def test_writing_over_a_directory_exits_1_naming_it(work, not_data, make_argv, tmp_path,
+                                                    capsys):
+    taken = tmp_path / "taken"
+    (taken / "inside").mkdir(parents=True)
+    assert cli.main(make_argv({**not_data, "data": work["data"]}, str(taken))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {taken}:")
+    assert [p.name for p in taken.iterdir()] == ["inside"]
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("command, flags", [("train", []), ("sweep", ["--seeds", "1,2"])])
+def test_a_run_directory_that_is_a_file_is_refused_before_training(work, command, flags,
+                                                                   tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    assert cli.main([command, "--config", work["cfg"], *flags, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run directory {taken} exists and is not a directory")
+    assert "epoch 1" not in err and "seed 1" not in err
+    assert taken.read_bytes() == b"not a directory\n"
 
 
 def test_extra_epochs_is_neither_a_flag_nor_a_config_key(work, tmp_path, capsys):

@@ -561,7 +561,7 @@ def _write_record(inputs, path):
         fh.write(f"data: {{path: {log}}}\n")
     args = cli.build_parser().parse_args(["train", "--config", config,
                                           "--out", os.path.dirname(path)])
-    _, _, run_dir, record = cli._start_run(args, cli._load_run_config(args), "train")
+    _, _, run_dir, record = cli._start_run(args, cli._run_config(args), "train")
     cli._write_record(run_dir, record)
 
 

@@ -534,3 +534,35 @@ def test_readme_library_use_block_runs(capsys):
     assert "epochs=70" in block
     exec(block.replace("epochs=70", "epochs=1"), {})
     assert "runs:" in capsys.readouterr().out  # recommend_encoding's reason
+
+
+def test_sweep_pool_has_no_more_workers_than_seeds(tmp_path, monkeypatch):
+    import posrec.stability as st
+    from concurrent.futures import Future
+
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs each task at submit, in this process."""
+
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(st, "ProcessPoolExecutor", InlinePool)
+    ds, cfg = tiny_dataset(), tiny_config(epochs=1)
+    assert sweep(cfg, ds, [1, 2], jobs=8, out_dir=str(tmp_path / "sw")).runs == 2
+    assert sweep(cfg, ds, [1, 2, 3], jobs=2, out_dir=str(tmp_path / "sw")).runs == 3
+    assert sizes == [2]  # the resumed sweep runs one seed, so it needs no pool
+    assert sweep(cfg, ds, [4, 5, 6], jobs=2).runs == 3
+    assert sizes == [2, 2]
