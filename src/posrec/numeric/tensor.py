@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode differentiation on numpy arrays.
 
 Every op returns a TensorNode holding the forward values and, when any input
-requires gradients, an op record (parents + a closure pushing the output
-adjoint to the parents). backward() walks the recorded graph once in reverse
-topological order and accumulates adjoints into the leaves, so calling it
-twice doubles them; intermediate adjoints are dropped as soon as they are
-pushed to the parents.
+requires gradients, an op record: its parents' graph vertices (op record,
+gradient leaf or None) and a closure pushing the output adjoint to them that
+keeps only the arrays and shapes the adjoint reads, never a node, so a node's
+values live only as long as the caller or a closure holds them. backward()
+walks the op records once in reverse topological order and accumulates
+adjoints into the leaves, so calling it twice doubles them; intermediate
+adjoints are dropped as soon as they are pushed to the parents.
 
 Leaves are float64. `add`, the bias of `linear` and the angles of `rotate`
 follow numpy broadcasting; gradients of broadcast inputs are summed back to
@@ -39,10 +41,12 @@ def no_graph():
 
 
 class OpRecord:
-    """Backpointer from an op output to its inputs.
+    """Backpointer from an op output to its inputs' vertices: each one's
+    OpRecord, the input itself if it is a gradient leaf, or None.
 
-    push_grads(adjoint) returns one gradient array per parent, aligned with
-    the parents tuple; None marks a parent that takes no gradient.
+    push_grads(adjoint), which holds arrays and never a node, returns one
+    gradient array per parent, aligned with the parents tuple; None marks a
+    parent that takes no gradient.
     """
 
     __slots__ = ("op", "parents", "push_grads")
@@ -91,11 +95,17 @@ def constant(values, name=None):
     return tensor(values, requires_grad=False, name=name)
 
 
+def _vertex(node):
+    """node's vertex in the backward graph: its op record, a gradient leaf itself, or None."""
+    return node.op_record or (node if node.requires_grad else None)
+
+
 def _make(op, values, parents, push_grads):
     needs = _graph_enabled and any(p.requires_grad for p in parents)
     if not needs:
         return TensorNode(values)
-    return TensorNode(values, requires_grad=True, op_record=OpRecord(op, tuple(parents), push_grads))
+    record = OpRecord(op, tuple(_vertex(p) for p in parents), push_grads)
+    return TensorNode(values, requires_grad=True, op_record=record)
 
 
 def _unbroadcast(grad, shape):
@@ -123,9 +133,10 @@ def add(a, b):
         out = a.values + b.values
     except ValueError:
         raise ShapeMismatchError("add", a.shape, b.shape) from None
+    a_shape, b_shape = a.shape, b.shape
 
     def push(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make("add", out, (a, b), push)
 
@@ -146,12 +157,13 @@ def linear(x, w, b=None):
             out += b.values
         except ValueError:
             raise ShapeMismatchError("linear", x.shape, w.shape, b.shape) from None
+    xv, wv, b_shape = x.values, w.values, None if b is None else b.shape
 
     def push(g):
         g2 = g.reshape(-1, n)
-        gx = (g2 @ w.values.T).reshape(x.shape)
-        gw = x.values.reshape(-1, k).T @ g2
-        return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
+        gx = (g2 @ wv.T).reshape(xv.shape)
+        gw = xv.reshape(-1, k).T @ g2
+        return (gx, gw) if b_shape is None else (gx, gw, _unbroadcast(g, b_shape))
 
     return _make("linear", out, (x, w) if b is None else (x, w, b), push)
 
@@ -181,10 +193,10 @@ def gather(table, ids):
         raise ShapeMismatchError("gather", table.shape)
     idx = np.asarray(ids)
     out = table.values[idx]
+    rows, d = table.shape
 
     def push(g):
         # np.add.at's sums in the same order, as one pass over flat cells
-        rows, d = table.shape
         cells = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
         return (np.bincount(cells, weights=g.ravel(), minlength=rows * d).reshape(rows, d),)
 
@@ -195,10 +207,11 @@ def dot_last(a, b):
     """Rowwise dot product over the last axis."""
     if a.shape != b.shape:
         raise ShapeMismatchError("dot_last", a.shape, b.shape)
-    out = np.einsum("...d,...d->...", a.values, b.values)
+    av, bv = a.values, b.values
+    out = np.einsum("...d,...d->...", av, bv)
 
     def push(g):
-        return g[..., None] * b.values, g[..., None] * a.values
+        return g[..., None] * bv, g[..., None] * av
 
     return _make("dot_last", out, (a, b), push)
 
@@ -256,13 +269,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
-    np.multiply(xhat, gain.values, out=out)
+    gv = gain.values
+    np.multiply(xhat, gv, out=out)
     out += bias.values
 
     def push(g):
         # gx = inv * (ghat - mean(ghat) - xhat * mean(ghat * xhat)), with one
         # scratch array for the products
-        ghat = g * gain.values
+        ghat = g * gv
         gx = ghat - ghat.mean(axis=-1, keepdims=True)
         scratch = np.multiply(ghat, xhat, out=ghat)
         gx -= np.multiply(xhat, scratch.mean(axis=-1, keepdims=True), out=scratch)
@@ -323,17 +337,18 @@ def rotate(x, angles, freq):
     out = np.empty(x.shape)
     out[..., 0::2] = a * c - b * s
     out[..., 1::2] = b * c + a * s
+    x_grad, angles_grad, angles_shape = x.requires_grad, angles.requires_grad, angles.shape
 
     def push(g):
         g_a, g_b = g[..., 0::2], g[..., 1::2]
         gx = g_angles = None
-        if x.requires_grad:
+        if x_grad:
             gx = np.empty_like(g)
             gx[..., 0::2] = g_a * c + g_b * s
             gx[..., 1::2] = g_b * c - g_a * s
-        if angles.requires_grad:
+        if angles_grad:
             g_theta = g_b * out[..., 0::2] - g_a * out[..., 1::2]
-            g_angles = _unbroadcast(g_theta * freq, angles.shape)
+            g_angles = _unbroadcast(g_theta * freq, angles_shape)
         return gx, g_angles
 
     return _make("rotate", out, (x, angles), push)
@@ -390,10 +405,12 @@ def attend(q, k, v, keep, a_k=None, a_v=None, idx=None):
                 or (a_v is not None and a_v.shape != (C, d_v))):
             raise ShapeMismatchError("attend", q.shape, idx.shape, *(t.shape for t in tables))
     c = 1.0 / np.sqrt(d_h)
+    qv, kv, vv = q.values, k.values, v.values
+    akv, avv = (None if t is None else t.values for t in (a_k, a_v))
 
-    p = q.values @ np.swapaxes(k.values, -1, -2)
-    if a_k is not None:
-        p += _take_offsets(_rows_at(q.values, a_k.values.T), idx)
+    p = qv @ np.swapaxes(kv, -1, -2)
+    if akv is not None:
+        p += _take_offsets(_rows_at(qv, akv.T), idx)
     p *= c
     dropped = ~np.asarray(keep, dtype=bool)
     np.copyto(p, -np.inf, where=dropped)
@@ -412,26 +429,26 @@ def attend(q, k, v, keep, a_k=None, a_v=None, idx=None):
         np.copyto(p, 0.0, where=~np.isfinite(p))
         denom = p.sum(axis=-1, keepdims=True)
     p /= np.where(denom == 0.0, 1.0, denom)
-    out = p @ v.values
-    if a_v is not None:
+    out = p @ vv
+    if avv is not None:
         sums = _sum_offsets(p, idx, C)
-        out += _rows_at(sums, a_v.values)
+        out += _rows_at(sums, avv)
 
     def push(g):
         dv = np.swapaxes(p, -1, -2) @ g
-        ds = g @ np.swapaxes(v.values, -1, -2)  # dP, turned into dS in place
-        if a_v is not None:
-            ds += _take_offsets(_rows_at(g, a_v.values.T), idx)
+        ds = g @ np.swapaxes(vv, -1, -2)  # dP, turned into dS in place
+        if avv is not None:
+            ds += _take_offsets(_rows_at(g, avv.T), idx)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= c
-        dq = ds @ k.values
-        grads = [dq, np.swapaxes(ds, -1, -2) @ q.values, dv]
-        if a_k is not None:
+        dq = ds @ kv
+        grads = [dq, np.swapaxes(ds, -1, -2) @ qv, dv]
+        if akv is not None:
             by_bucket = _sum_offsets(ds, idx, C)
-            dq += _rows_at(by_bucket, a_k.values)
-            grads.append(by_bucket.reshape(-1, C).T @ q.values.reshape(-1, d_h))
-        if a_v is not None:
+            dq += _rows_at(by_bucket, akv)
+            grads.append(by_bucket.reshape(-1, C).T @ qv.reshape(-1, d_h))
+        if avv is not None:
             grads.append(sums.reshape(-1, C).T @ g.reshape(-1, d_v))
         return grads
 
@@ -482,41 +499,42 @@ def backward(loss: TensorNode) -> None:
 
     Leaves with requires_grad get their .adjoint populated (lazily allocated);
     repeated calls keep accumulating, which callers must zero between steps.
-    Intermediate nodes keep adjoint None: their gradient lives only until it
-    has been pushed to their parents.
+    The walk visits op records and leaves depth first from loss's op record,
+    never an intermediate node.  Intermediate nodes keep adjoint None: their
+    gradient lives only until it has been pushed to their parents.
     """
     if loss.values.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
 
-    order: list[TensorNode] = []
+    root = _vertex(loss)
+    order: list[OpRecord | TensorNode] = []
     seen = set()
-    stack: list[tuple[TensorNode, bool]] = [(loss, False)]
+    stack: list[tuple[OpRecord | TensorNode | None, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        vertex, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(vertex)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if vertex is None or vertex in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if node.op_record is not None:
-            for parent in node.op_record.parents:
+        seen.add(vertex)
+        stack.append((vertex, True))
+        if isinstance(vertex, OpRecord):
+            for parent in vertex.parents:
                 stack.append((parent, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
+    grads: dict[OpRecord | TensorNode, np.ndarray] = {root: np.ones_like(loss.values)}
+    for vertex in reversed(order):
+        g = grads.pop(vertex, None)
         if g is None:
             continue
-        if node.op_record is None:
-            node.adjoint = g if node.adjoint is None else node.adjoint + g
+        if isinstance(vertex, TensorNode):
+            vertex.adjoint = g if vertex.adjoint is None else vertex.adjoint + g
             continue
-        for parent, pg in zip(node.op_record.parents, node.op_record.push_grads(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(vertex.parents, vertex.push_grads(g)):
+            if pg is None or parent is None:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
+            if parent in grads:
+                grads[parent] = grads[parent] + pg
             else:
-                grads[key] = pg
+                grads[parent] = pg

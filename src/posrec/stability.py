@@ -196,10 +196,11 @@ def _run_seed(config: ModelConfig, dataset: InteractionDataset, seed: int,
 
 
 def _worker(args) -> dict:
-    """One seed's ledger row, less the fingerprint.  Its status is "ok",
-    "failed" (diverged) or "error" (raised); the last two carry an `error`."""
+    """One seed's ledger row, less the fingerprint.  Its status is "ok", with
+    the `hit` and `ndcg`, or "failed" (diverged) or "error" (raised), with an
+    `error` instead."""
     config, dataset, seed, out_dir = args
-    row = {"seed": seed, "status": "ok", "hit": math.nan, "ndcg": math.nan}
+    row = {"seed": seed, "status": "ok"}
     try:
         row["hit"], row["ndcg"] = _run_seed(config, dataset, seed, out_dir)
     except TrainingDiverged as err:
@@ -285,6 +286,10 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
             and row.get("status") != "error"}
 
     pending = [s for s in seeds if s not in done]
+    for seed in pending if out_dir is not None else ():
+        seed_dir = os.path.join(out_dir, f"seed_{seed}")  # _run_seed's run directory
+        if os.path.exists(seed_dir) and not os.path.isdir(seed_dir):
+            raise UserError(f"seed directory {seed_dir} exists and is not a directory")
     if progress and done:
         progress(f"resuming: {len(done)} of {len(seeds)} seeds already recorded")
 

@@ -861,6 +861,30 @@ def test_a_run_directory_that_is_a_file_is_refused_before_training(work, command
     assert taken.read_bytes() == b"not a directory\n"
 
 
+def test_a_seed_directory_that_is_a_file_is_refused_before_training(work, tmp_path, capsys):
+    sw = tmp_path / "sw"
+    sw.mkdir()
+    (sw / "seed_2").write_bytes(b"not a directory\n")
+    ledger = sw / "runs.jsonl"
+    argv = ["sweep", "--config", work["cfg"], "--epochs", "1", "--out", str(sw), "--seeds"]
+
+    def refused():
+        assert cli.main([*argv, "1,2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed directory {sw / 'seed_2'} exists and is not a "
+                              "directory")
+        assert "seed 1" not in err and "epoch 1" not in err
+
+    refused()
+    assert not ledger.exists()
+    assert cli.main([*argv, "1"]) == 0  # seed 2 does not run, so its path is not read
+    capsys.readouterr()
+    before = ledger.read_bytes()
+    refused()
+    assert ledger.read_bytes() == before
+    assert (sw / "seed_2").read_bytes() == b"not a directory\n"
+
+
 def test_extra_epochs_is_neither_a_flag_nor_a_config_key(work, tmp_path, capsys):
     run = tmp_path / "run"
     assert cli.main(["train", "--config", work["cfg"], "--extra-epochs", "3",

@@ -328,6 +328,31 @@ def test_sweep_excludes_failed_seeds(tmp_path, monkeypatch):
     assert "NaN" in failed[0]["error"]
 
 
+def test_every_ledger_row_is_strict_json(tmp_path, monkeypatch):
+    import posrec.stability as st
+
+    def outcomes(config, dataset, seed, out_dir):
+        if seed == 2:
+            raise TrainingDiverged(1, "loss became NaN")
+        if seed == 3:
+            raise ValueError("bad batch")
+        return 50.0, 30.0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    monkeypatch.setattr(st, "_run_seed", outcomes)
+    out = tmp_path / "sw"
+    with pytest.warns(RuntimeWarning, match="failed seed"):
+        sweep(tiny_config(), tiny_dataset(), [1, 2, 3], out_dir=str(out))
+    rows = [json.loads(line, parse_constant=refuse)
+            for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert [(r["status"], sorted(r)) for r in rows] == [
+        ("ok", ["fingerprint", "hit", "ndcg", "seed", "status"]),
+        ("failed", ["error", "fingerprint", "seed", "status"]),
+        ("error", ["error", "fingerprint", "seed", "status"])]
+
+
 def test_sweep_all_failed_raises(tmp_path, monkeypatch):
     import posrec.stability as st
 
