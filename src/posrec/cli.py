@@ -70,12 +70,15 @@ def _run_config(args) -> RunConfig:
 
 def _start_run(args, rc: RunConfig, command: str, **record):
     """The resolved model config, the dataset, the run directory (`out`, else
-    $POSREC_OUT/<command>, refused if it is a file) and the run's record: a
-    byte-for-byte copy of --config, read now, and resolved.json, holding the
-    resolved config, the dataset's identity and `record`."""
+    $POSREC_OUT/<command>; refused if a file or another command's run) and the
+    run's record: a byte-for-byte copy of --config, read now, and resolved.json,
+    holding the resolved config, the dataset's identity and `record`."""
     run_dir = rc.out or os.path.join(os.environ.get("POSREC_OUT", "runs"), command)
     if os.path.exists(run_dir) and not os.path.isdir(run_dir):
         raise UserError(f"run directory {run_dir} exists and is not a directory")
+    mark = {"train": stability.LEDGER_NAME, "sweep": "checkpoint.npz"}[command]
+    if os.path.exists(os.path.join(run_dir, mark)):
+        raise UserError(f"run directory {run_dir} holds another command's {mark}; use another --out")
     config = build_model_config(rc)
     ds = resolve_dataset(rc.data)
     files = {}

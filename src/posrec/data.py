@@ -189,21 +189,21 @@ def open_archive(path: str, what: str) -> dict[str, np.ndarray]:
     no .npz archive (an empty or truncated one, say), and a member that
     cannot be read (one saved with object dtype, or whose bytes fail their
     CRC), raise UserError naming `what`, the path and the member."""
-    try:
-        with open(path, "rb") as fh:  # a zip's magic, else np.load would try pickle
-            is_zip = fh.read(4) in (b"PK\x03\x04", b"PK\x05\x06")
-        archive = np.load(path, allow_pickle=False) if is_zip else None
+    try:  # np.load is given the open file: one it opens itself leaks if the zip is bad
+        with open(path, "rb") as fh:
+            if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):  # else np.load would try pickle
+                raise UserError(f"{path} is not a {what}: it is not an .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                members = {}
+                for name in archive.files:
+                    try:
+                        members[name] = archive[name]
+                    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+                        raise UserError(f"cannot read {what} {path}, "
+                                        f"member '{name}': {err}") from None
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
         raise UserError(f"cannot read {what} {path}: {err}") from None
-    if archive is None:
-        raise UserError(f"{path} is not a {what}: it is not an .npz archive")
-    members = {}
-    with archive:
-        for name in archive.files:
-            try:
-                members[name] = archive[name]
-            except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
-                raise UserError(f"cannot read {what} {path}, member '{name}': {err}") from None
     return members
 
 

@@ -155,22 +155,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        """The config of a stored form.  Also reads the form of format 1's
-        first writer: its encoding mapping repeats max_len and d as
-        max_len/model_dim, and its extra_epochs trained as more epochs."""
-        data = dict(data)
-        if "extra_epochs" in data:
-            data["epochs"] = (require_int("epochs", data.get("epochs", cls.epochs))
-                              + require_int("extra_epochs", data.pop("extra_epochs")))
+        """The config of its stored form, as_dict()'s; any other key raises."""
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise UserError(f"unknown model config keys: {', '.join(sorted(unknown))}")
+        data = dict(data)
         if isinstance(data.get("encoding"), dict):
-            enc = {k: v for k, v in data["encoding"].items() if k not in ("max_len", "model_dim")}
-            unknown = set(enc) - {f.name for f in fields(EncodingConfig)}
+            unknown = set(data["encoding"]) - {f.name for f in fields(EncodingConfig)}
             if unknown:
                 raise UserError(f"unknown encoding keys: {', '.join(sorted(unknown))}")
-            data["encoding"] = EncodingConfig(**enc)
+            data["encoding"] = EncodingConfig(**data["encoding"])
         return cls(**data)
 
 

@@ -227,33 +227,34 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
-def _read_ledger(path: str) -> list[dict]:
-    """The ledger's rows; reading never changes the file.
+PERCENTAGE = ("a number from 0 to 100", lambda v: type(v) in (int, float) and 0 <= v <= 100)
+LEDGER_ROW = {"seed": ("an integer", lambda v: type(v) is int),
+              "fingerprint": ("a string", lambda v: isinstance(v, str)),
+              "status": ("ok, failed or error", lambda v: v in ("ok", "failed", "error"))}
 
-    An unterminated last line that does not parse can only be an older
-    version's append cut short: it is skipped with a warning, and the next
-    rewrite drops it.  A complete unterminated row is read as it is.  A bad
-    line anywhere else is corruption and raises.
-    """
+
+def _read_ledger(path: str):
+    """Yield the ledger's rows; reading never changes the file.  A line that is
+    not a JSON object with LEDGER_ROW's keys (and, if "ok", a PERCENTAGE hit and
+    ndcg) raises."""
     if not os.path.exists(path):
-        return []
-    lines = read_input(path, "sweep ledger", binary=True).splitlines(keepends=True)
-    rows = []
-    for number, line in enumerate(lines, 1):
+        return
+    for number, line in enumerate(read_input(path, "sweep ledger", binary=True).splitlines(), 1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
             if not isinstance(row, dict):
                 raise ValueError("not a JSON object")
+            ok = {"hit": PERCENTAGE, "ndcg": PERCENTAGE} if row.get("status") == "ok" else {}
+            for key, (what, good) in {**LEDGER_ROW, **ok}.items():
+                if not good(row.get(key)):
+                    raise ValueError(f"{key} {row[key]!r} is not {what}" if key in row
+                                     else f"no {key}")
         except ValueError as err:
-            if number == len(lines) and not line.endswith(b"\n"):
-                warnings.warn(f"{path}: dropping torn last line {number}", RuntimeWarning)
-                break
             raise UserError(f"{path} line {number} is not a ledger row ({err}); "
                             "repair or delete that line to resume") from None
-        rows.append(row)
-    return rows
+        yield row
 
 
 def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
@@ -264,11 +265,11 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     ends, whatever the order the `jobs` workers finish in: the ledger is
     rewritten as the rows read at the start, then this sweep's finished rows
     in the order of `seeds`, so once every seed ends it reads as a serial
-    sweep's would.  Rerunning the sweep skips seeds already recorded under
-    the same config/dataset fingerprint.  Diverged seeds stay in the ledger
-    as failed and are excluded from the aggregate (`runs` counts
-    successes), as are seeds whose run raised; those are recorded as
-    "error" rows, listed in `errored`, and run again on resume.
+    sweep's would.  `out_dir` holds one configuration: a ledger row of
+    another config/dataset fingerprint is refused before any seed runs, and
+    a rerun skips the seeds recorded.  Diverged seeds stay in the ledger as
+    failed and are excluded from the aggregate (`runs` counts successes), as
+    are seeds whose run raised: "error" rows, listed in `errored` and rerun.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -280,10 +281,12 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
 
     fingerprint = config_fingerprint(config, dataset)
     ledger_path = None if out_dir is None else os.path.join(out_dir, LEDGER_NAME)
-    kept = _read_ledger(ledger_path) if ledger_path is not None else []
-    done = {row["seed"]: row for row in kept
-            if row.get("fingerprint") == fingerprint and row.get("seed") in seeds
-            and row.get("status") != "error"}
+    kept = list(_read_ledger(ledger_path)) if ledger_path is not None else []
+    other = next((row["fingerprint"] for row in kept if row["fingerprint"] != fingerprint), None)
+    if other is not None:
+        raise UserError(f"{ledger_path} records fingerprint {other}, not this sweep's "
+                        f"{fingerprint}: a directory holds one configuration; pass another --out")
+    done = {row["seed"]: row for row in kept if row["seed"] in seeds and row["status"] != "error"}
 
     pending = [s for s in seeds if s not in done]
     for seed in pending if out_dir is not None else ():

@@ -1,15 +1,20 @@
 """Run-config parsing and the command-line workflow."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posrec import cli, runconfig, stability
 from posrec.errors import UserError
@@ -218,7 +223,7 @@ def test_train_writes_run_dir(work, tmp_path, capsys):
     assert (run / "history.tsv").exists()
     assert (run / "checkpoint.npz").exists()
     # config echo is byte-for-byte
-    assert (run / "config.yaml").read_bytes() == open(work["cfg"], "rb").read()
+    assert (run / "config.yaml").read_bytes() == Path(work["cfg"]).read_bytes()
     resolved = json.loads((run / "resolved.json").read_text())
     assert resolved["command"] == "train"
     assert resolved["config"]["d"] == 8
@@ -340,18 +345,104 @@ def test_diverged_rerun_leaves_a_finished_run_as_it_was(work, tmp_path, capsys):
     assert _files(run) == before
 
 
-def test_diverged_sweep_rerun_only_appends_to_the_ledger(work, tmp_path, capsys):
+def test_sweep_rerun_under_another_config_is_refused_before_training(work, tmp_path, capsys):
     sw = tmp_path / "sw"
     assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1,2", "--lr", "0.005",
                      "--out", str(sw), "--quiet"]) == 0
     before = _files(sw)
+    capsys.readouterr()
     assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1,2", "--lr", "1e200",
-                     "--out", str(sw), "--quiet"]) == 1
-    assert "all 2 sweep runs failed" in capsys.readouterr().err
-    after = _files(sw)
-    ledger = after.pop(Path(stability.LEDGER_NAME))
-    assert ledger.startswith(before.pop(Path(stability.LEDGER_NAME)))
-    assert after == before
+                     "--out", str(sw)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {sw / stability.LEDGER_NAME} records fingerprint " in err
+    assert "pass another --out" in err and "seed 1" not in err and "resuming" not in err
+    assert _files(sw) == before
+
+
+def _ledger_line(work, **row) -> str:
+    """A ledger line holding this config's fingerprint and `row`."""
+    rc = cli._run_config(cli.build_parser().parse_args(["sweep", "--config", work["cfg"]]))
+    fingerprint = stability.config_fingerprint(build_model_config(rc), resolve_dataset(rc.data))
+    return json.dumps({"seed": 1, "fingerprint": fingerprint, **row}) + "\n"
+
+
+@pytest.mark.parametrize("row, reason", [
+    ({}, "no status"),
+    ({"status": "ok", "ndcg": 10.0}, "no hit"),
+    ({"status": "ok", "hit": "abc", "ndcg": 10.0}, "hit 'abc' is not a number from 0 to 100"),
+    ({"status": "ok", "hit": math.nan, "ndcg": 10.0}, "hit nan is not a number from 0 to 100"),
+    ({"status": "ok", "hit": 900.0, "ndcg": 10.0}, "hit 900.0 is not a number from 0 to 100"),
+], ids=["no-status", "no-hit", "string-hit", "nan-hit", "hit-over-100"])
+def test_sweep_refuses_a_ledger_row_it_cannot_use(work, tmp_path, capsys, row, reason):
+    sw = tmp_path / "sw"
+    ledger = sw / stability.LEDGER_NAME
+    sw.mkdir()
+    ledger.write_text(_ledger_line(work, **row))
+    before = ledger.read_bytes()
+    assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1", "--out", str(sw)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {ledger} line 1 is not a ledger row ({reason}); repair or delete" in err
+    assert "seed 1" not in err
+    assert ledger.read_bytes() == before
+
+
+@pytest.mark.parametrize("first, second, mark", [("train", "sweep", "checkpoint.npz"),
+                                                 ("sweep", "train", stability.LEDGER_NAME)])
+def test_a_run_directory_holds_one_commands_run(work, tmp_path, capsys, first, second, mark):
+    run = tmp_path / "r1"
+    seed_flags = {"train": ["--seed", "1"], "sweep": ["--seeds", "1"]}
+    assert cli.main([first, "--config", work["cfg"], *seed_flags[first], "--out", str(run)]) == 0
+    before = _files(run)
+    capsys.readouterr()
+    assert cli.main([second, "--config", work["cfg"], *seed_flags[second], "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: run directory {run} holds another command's {mark}; use another --out\n"
+    assert _files(run) == before
+
+
+@pytest.fixture(scope="module")
+def two_seed_ledger(work, tmp_path_factory):
+    """The ledger of a finished 2-seed, 1-epoch sweep of the work config."""
+    sw = tmp_path_factory.mktemp("ledger") / "sw"
+    assert cli.main(["sweep", "--config", work["cfg"], "--epochs", "1", "--seeds", "1,2",
+                     "--out", str(sw), "--quiet"]) == 0
+    return (sw / stability.LEDGER_NAME).read_bytes()
+
+
+def _mutated(ledger: bytes, data) -> bytes:
+    """`ledger` with one mutation drawn from `data`: cut short, a byte flipped,
+    a key deleted, or a value replaced by NaN, a string, true, null or a list."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "delete", "set"]))
+    if kind == "truncate":
+        return ledger[:data.draw(st.integers(0, len(ledger) - 1))]
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(ledger) - 1))
+        return ledger[:at] + bytes([ledger[at] ^ data.draw(st.integers(1, 255))]) + ledger[at + 1:]
+    rows = [json.loads(line) for line in ledger.splitlines()]
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    key = data.draw(st.sampled_from(sorted(row)))
+    if kind == "delete":
+        del row[key]
+    else:
+        row[key] = data.draw(st.sampled_from([math.nan, "abc", True, None, [1]]))
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_ledger_exits_0_or_1_and_a_refusal_leaves_it_as_found(work, two_seed_ledger,
+                                                                        data):
+    mutated = _mutated(two_seed_ledger, data)
+    with tempfile.TemporaryDirectory() as sw:
+        ledger = Path(sw, stability.LEDGER_NAME)
+        ledger.write_bytes(mutated)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["sweep", "--config", work["cfg"], "--epochs", "1",
+                             "--seeds", "1,2", "--out", sw, "--quiet"])
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert str(ledger) in err.getvalue()
+            assert ledger.read_bytes() == mutated
 
 
 def test_sweep_resumed_under_another_spelling_of_its_log_reruns_nothing(work, tmp_path,
@@ -425,7 +516,7 @@ def test_bad_encoding_flag_lists_variants(work, capsys):
                          ids=["activation", "heads", "dropout", "rope-head-dim",
                               "lr-nan", "d-float"])
 def test_invalid_model_config_leaves_no_run_dir(work, tmp_path, capsys, bad):
-    raw = yaml.safe_load(open(work["cfg"]).read())
+    raw = yaml.safe_load(Path(work["cfg"]).read_text())
     raw["model"].update(bad)
     if bad.get("heads") == 2:
         raw["encoding"] = "RoPE"  # head dim 3 is odd
@@ -524,7 +615,7 @@ def not_data(work):
 
 def _config_with(work, path, section, key, value):
     """The work config with section.key set to value."""
-    raw = yaml.safe_load(open(work["cfg"]).read())
+    raw = yaml.safe_load(Path(work["cfg"]).read_text())
     if isinstance(raw.get(section), str):  # `encoding: Learnt`
         raw[section] = {"variant": raw[section]}
     raw.setdefault(section, {})[key] = value

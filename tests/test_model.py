@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradients
-from posrec import synth
-from posrec.data import EvalRow, leave_one_out, load_interactions
+from posrec import cli, synth
+from posrec.data import leave_one_out, load_interactions, save_interactions
 from posrec.encodings import VARIANTS, EncodingConfig
 from posrec.errors import TrainingDiverged, UserError
 from posrec.metrics import evaluate
@@ -551,7 +552,7 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     model = Model(15, tiny_cfg(), Rng(5))
     path = str(tmp_path / "checkpoint.npz")
     save_checkpoint(model, path)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
 
     def torn_savez(fh, **arrays):
         fh.write(b"PK\x03\x04 half an archive")
@@ -560,7 +561,7 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "savez", torn_savez)
     with pytest.raises(OSError):
         save_checkpoint(model, path)
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
 
 
@@ -648,17 +649,8 @@ def test_checkpoint_round_trip(tmp_path):
                                result.model.final_hidden([ctx]), atol=1e-15)
 
 
-# metadata of a checkpoint written by format 1's first writer: a silu
-# RotatoryCon model, whose concat projection inherits the activation
-STORED_META = (
-    '{"config": {"activation": "silu", "batch_size": 8, "blocks": 2, "d": 8, '
-    '"dropout": 0.2, "encoding": {"max_len": 6, "model_dim": 8, '
-    '"projection_activation": "silu", "variant": "RotatoryCon"}, "epochs": 4, '
-    '"eval_negatives": 20, "extra_epochs": 0, "g": 16, "heads": 2, "l2_weight": 0.0, '
-    '"lr": 0.003, "max_len": 6, "nmax": null, "seed": 3}, "format_version": 1, '
-    '"has_attributes": false, "num_items": 30}'
-)
-# the same model as the current writer stores it: each value once
+# metadata of a silu RotatoryCon model, whose concat projection inherits
+# the activation, as the current writer stores it: each value once
 WRITTEN_META = (
     '{"config": {"activation": "silu", "batch_size": 8, "blocks": 2, "d": 8, '
     '"dropout": 0.2, "encoding": {"projection_activation": "silu", "variant": "RotatoryCon"}, '
@@ -666,6 +658,11 @@ WRITTEN_META = (
     '"lr": 0.003, "max_len": 6, "nmax": null, "seed": 3}, "format_version": 1, '
     '"has_attributes": false, "num_items": 30}'
 )
+# the same model as format 1's first writer stored it: an extra_epochs, and
+# max_len and d repeated in the encoding mapping
+FIRST_WRITER_META = WRITTEN_META.replace(
+    '"encoding": {', '"encoding": {"max_len": 6, "model_dim": 8, ').replace(
+    '"eval_negatives": 20, ', '"eval_negatives": 20, "extra_epochs": 0, ')
 
 
 def _with_meta(path, meta: str) -> None:
@@ -675,7 +672,7 @@ def _with_meta(path, meta: str) -> None:
 
 
 def test_checkpoint_metadata_is_written_with_each_value_once(tmp_path):
-    config = ModelConfig.from_dict(json.loads(STORED_META)["config"])
+    config = ModelConfig.from_dict(json.loads(WRITTEN_META)["config"])
     path = str(tmp_path / "ck.npz")
     save_checkpoint(Model(30, config, Rng(config.seed)), path)
     with np.load(path, allow_pickle=False) as archive:
@@ -687,29 +684,27 @@ def test_checkpoint_metadata_is_written_with_each_value_once(tmp_path):
         "final_gain", "final_bias"]
 
 
-@pytest.mark.parametrize("extra, epochs", [(0, 4), (3, 7)])
-def test_checkpoint_of_the_first_writer_loads_and_ranks_as_before(tmp_path, extra, epochs):
-    # extra_epochs trained as that many more epochs, so it loads as them
-    meta = STORED_META.replace('"extra_epochs": 0', f'"extra_epochs": {extra}')
-    config = ModelConfig.from_dict(json.loads(meta)["config"])
-    assert config.epochs == epochs and config.encoding.as_dict() == {
-        "projection_activation": "silu", "variant": "RotatoryCon"}
-    model = Model(30, config, Rng(config.seed))
+@pytest.mark.parametrize("meta, refusal", [
+    (FIRST_WRITER_META, "unknown model config keys: extra_epochs"),
+    (FIRST_WRITER_META.replace('"extra_epochs": 0', '"extra_epochs": 3'),
+     "unknown model config keys: extra_epochs"),
+    (FIRST_WRITER_META.replace('"extra_epochs": 0', '"extra_epochs": 1.5'),
+     "unknown model config keys: extra_epochs"),
+    (FIRST_WRITER_META.replace('"extra_epochs": 0, ', ''),
+     "unknown encoding keys: max_len, model_dim"),
+], ids=["first-writer", "extra-epochs-3", "extra-epochs-1.5", "encoding-copies"])
+def test_checkpoint_of_the_first_writer_exits_1_naming_the_file_and_key(tmp_path, capsys,
+                                                                        meta, refusal):
+    # only format 1 as this version writes it loads
+    ds = synth.build_dataset("positional", users=12, items=30, seq_len=8, seed=0)
+    config = ModelConfig.from_dict(json.loads(WRITTEN_META)["config"])
     path = str(tmp_path / "ck.npz")
-    save_checkpoint(model, path)
+    save_checkpoint(Model(ds.num_items, config, Rng(config.seed)), path, ds)
     _with_meta(path, meta)
-    again = load_checkpoint(path)
-    assert again.config == config
-    rows = [EvalRow(u, np.arange(u, u + 5) % 30, (u + 7) % 30) for u in range(12)]
-    for negatives in (10, 0):
-        assert (evaluate(again, rows, negatives, Rng(4)).per_user_ranks
-                == evaluate(model, rows, negatives, Rng(4)).per_user_ranks)
-
-
-def test_stored_extra_epochs_must_be_an_integer():
-    stored = json.loads(STORED_META)["config"]
-    with pytest.raises(UserError, match="extra_epochs must be an integer"):
-        ModelConfig.from_dict({**stored, "extra_epochs": 1.5})
+    data = str(tmp_path / "log.tsv")
+    save_interactions(ds, data)
+    assert cli.main(["evaluate", path, "--data", data]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {refusal}\n"
 
 
 def test_checkpoint_is_checked_against_the_dataset_it_is_used_on(tmp_path):

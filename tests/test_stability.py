@@ -224,22 +224,18 @@ def test_sweep_resume_skips_recorded_seeds(tmp_path):
     assert s_resumed.ci == s_fresh.ci
 
 
-def test_sweep_resume_drops_torn_last_ledger_line(tmp_path):
+def test_sweep_refuses_a_torn_last_ledger_line(tmp_path):
     out = tmp_path / "sw"
     ds, cfg = tiny_dataset(), tiny_config()
     sweep(cfg, ds, [1, 2], out_dir=str(out))
     ledger = out / "runs.jsonl"
     complete = ledger.read_text().splitlines(keepends=True)
-    # a kill mid-append leaves half of seed 2's row without its newline
-    ledger.write_text(complete[0] + complete[1][: len(complete[1]) // 2])
-
-    with pytest.warns(RuntimeWarning, match="torn last line 2"):
-        s = sweep(cfg, ds, [1, 2, 3], out_dir=str(out))
-    rows = [json.loads(l) for l in ledger.read_text().splitlines()]
-    assert [r["seed"] for r in rows] == [1, 2, 3]  # only the torn seed reran
-    assert s.hit_mean == sweep(cfg, ds, [1, 2, 3], out_dir=str(tmp_path / "fresh")).hit_mean
-    sweep(cfg, ds, [1, 2, 3], out_dir=str(out))  # the repaired ledger resumes again
-    assert len(ledger.read_text().splitlines()) == 3
+    # a line cut short, as a killed append leaves it, is no ledger row
+    torn = complete[0] + complete[1][: len(complete[1]) // 2]
+    ledger.write_text(torn)
+    with pytest.raises(UserError, match="runs.jsonl line 2 is not a ledger row"):
+        sweep(cfg, ds, [1, 2, 3], out_dir=str(out))
+    assert ledger.read_text() == torn
 
 
 def test_sweep_resume_terminates_complete_unterminated_ledger_row(tmp_path):
@@ -274,28 +270,35 @@ def test_sweep_resume_rejects_a_ledger_line_that_is_no_json_object(tmp_path):
     assert ledger.read_text() == "[1]\n"
 
 
-def test_sweep_fingerprint_change_invalidates_ledger(tmp_path):
+def _refused_without_training(out, config, ds):
+    """Sweep `config` over `ds` into `out`, which holds another fingerprint's
+    ledger: refused naming the ledger and both fingerprints, with no file changed."""
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    old = json.loads((out / "runs.jsonl").read_text().splitlines()[0])["fingerprint"]
+    new, shown = config_fingerprint(config, ds), []
+    assert old != new
+    with pytest.raises(UserError, match=f"sw/runs.jsonl records fingerprint {old}, not this "
+                                        f"sweep's {new}: .*pass another --out"):
+        sweep(config, ds, [1, 2], out_dir=str(out), progress=shown.append)
+    assert shown == []  # no "resuming" line, no seed ran
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_sweep_refuses_a_ledger_of_another_config(tmp_path):
     out = tmp_path / "sw"
     ds = tiny_dataset()
     sweep(tiny_config(), ds, [1, 2], out_dir=str(out))
-    # different lr -> different fingerprint -> both seeds run again
-    sweep(tiny_config(lr=5e-4), ds, [1, 2], out_dir=str(out))
-    rows = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
-    assert len(rows) == 4
-    assert len({r["fingerprint"] for r in rows}) == 2
+    _refused_without_training(out, tiny_config(lr=5e-4), ds)
 
 
-def test_sweep_over_another_log_of_the_same_sizes_reruns_its_seeds(tmp_path):
+def test_sweep_refuses_a_ledger_of_another_log_of_the_same_sizes(tmp_path):
     out = tmp_path / "sw"
     first = synth.build_dataset("positional", users=10, items=12, seq_len=6, seed=0)
     second = synth.build_dataset("positional", users=10, items=12, seq_len=6, seed=1)
     assert ({k: v for k, v in first.identity.items() if k != "sha256"}
             == {k: v for k, v in second.identity.items() if k != "sha256"})
     sweep(tiny_config(), first, [1, 2], out_dir=str(out))
-    sweep(tiny_config(), second, [1, 2], out_dir=str(out))
-    rows = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
-    assert [r["seed"] for r in rows] == [1, 2, 1, 2]
-    assert len({r["fingerprint"] for r in rows}) == 2
+    _refused_without_training(out, tiny_config(), second)
 
 
 def test_sweep_seed_field_does_not_change_fingerprint():
