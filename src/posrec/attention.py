@@ -65,23 +65,22 @@ class TransformerBlock:
         self.block_index = block_index
         self.tables = tables
         d, g = config.d, config.g
-        pre = f"block{block_index}."
-        self.ln1_gain = nm.parameter(np.ones(d), name=pre + "ln1_gain")
-        self.ln1_bias = nm.parameter(np.zeros(d), name=pre + "ln1_bias")
-        self.w_query = nm.parameter(xavier(rng, (d, d)), name=pre + "w_query")
-        self.w_key = nm.parameter(xavier(rng, (d, d)), name=pre + "w_key")
-        self.w_value = nm.parameter(xavier(rng, (d, d)), name=pre + "w_value")
-        self.w_out = nm.parameter(xavier(rng, (d, d)), name=pre + "w_out")
-        self.b_query = nm.parameter(np.zeros(d), name=pre + "b_query")
-        self.b_key = nm.parameter(np.zeros(d), name=pre + "b_key")
-        self.b_value = nm.parameter(np.zeros(d), name=pre + "b_value")
-        self.b_out = nm.parameter(np.zeros(d), name=pre + "b_out")
-        self.ln2_gain = nm.parameter(np.ones(d), name=pre + "ln2_gain")
-        self.ln2_bias = nm.parameter(np.zeros(d), name=pre + "ln2_bias")
-        self.w_ff1 = nm.parameter(xavier(rng, (d, g)), name=pre + "w_ff1")
-        self.b_ff1 = nm.parameter(np.zeros(g), name=pre + "b_ff1")
-        self.w_ff2 = nm.parameter(xavier(rng, (g, d)), name=pre + "w_ff2")
-        self.b_ff2 = nm.parameter(np.zeros(d), name=pre + "b_ff2")
+        self.ln1_gain = nm.parameter(np.ones(d))
+        self.ln1_bias = nm.parameter(np.zeros(d))
+        self.w_query = nm.parameter(xavier(rng, (d, d)))
+        self.w_key = nm.parameter(xavier(rng, (d, d)))
+        self.w_value = nm.parameter(xavier(rng, (d, d)))
+        self.w_out = nm.parameter(xavier(rng, (d, d)))
+        self.b_query = nm.parameter(np.zeros(d))
+        self.b_key = nm.parameter(np.zeros(d))
+        self.b_value = nm.parameter(np.zeros(d))
+        self.b_out = nm.parameter(np.zeros(d))
+        self.ln2_gain = nm.parameter(np.ones(d))
+        self.ln2_bias = nm.parameter(np.zeros(d))
+        self.w_ff1 = nm.parameter(xavier(rng, (d, g)))
+        self.b_ff1 = nm.parameter(np.zeros(g))
+        self.w_ff2 = nm.parameter(xavier(rng, (g, d)))
+        self.b_ff2 = nm.parameter(np.zeros(d))
 
     def parameters(self) -> list[tuple[str, TensorNode]]:
         names = (
@@ -91,7 +90,7 @@ class TransformerBlock:
             "ln2_gain", "ln2_bias",
             "w_ff1", "b_ff1", "w_ff2", "b_ff2",
         )
-        return [(getattr(self, n).name, getattr(self, n)) for n in names]
+        return [(f"block{self.block_index}.{n}", getattr(self, n)) for n in names]
 
     def _split_heads(self, x: TensorNode, B: int, L: int) -> TensorNode:
         h, d_h = self.config.heads, self.config.head_dim

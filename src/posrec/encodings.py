@@ -192,20 +192,18 @@ class EncodingTables:
         if encoding.variant in ("Abs", "AbsCon"):
             tables.abs_table = sinusoidal_table(max_len, d)
         if encoding.variant in ("Learnt", "LearntCon"):
-            tables.position_table = nm.parameter(rng.normal((max_len, d), scale=0.02),
-                                                 name="position_table")
+            tables.position_table = nm.parameter(rng.normal((max_len, d), scale=0.02))
         if encoding.variant in ("Rotatory", "RotatoryCon"):
             # U[0, 1) angle entries sweep the full circle at the base frequency
-            tables.angle_table = nm.parameter(rng.uniform((max_len, d // 2)), name="angle_table")
+            tables.angle_table = nm.parameter(rng.uniform((max_len, d // 2)))
         if encoding.is_concat:
-            tables.projection_weight = nm.parameter(xavier(rng, (d, 2 * d)),
-                                                    name="projection_weight")
-            tables.projection_bias = nm.parameter(np.zeros(d), name="projection_bias")
+            tables.projection_weight = nm.parameter(xavier(rng, (d, 2 * d)))
+            tables.projection_bias = nm.parameter(np.zeros(d))
         if encoding.is_relative:
             shape = (2 * encoding.clip_distance + 1, config.head_dim)
-            tables.rel_key_table = nm.parameter(np.zeros(shape), name="rel_key_table")
+            tables.rel_key_table = nm.parameter(np.zeros(shape))
             if encoding.use_value_bias:
-                tables.rel_value_table = nm.parameter(np.zeros(shape), name="rel_value_table")
+                tables.rel_value_table = nm.parameter(np.zeros(shape))
         return tables
 
     def parameters(self) -> list[tuple[str, TensorNode]]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numeric as nm
 from .attention import TransformerBlock, causal_keep_mask
-from .data import InteractionDataset, atomic_write, leave_one_out, open_archive
+from .data import InteractionDataset, Split, atomic_write, leave_one_out, open_archive
 from .encodings import (ACTIVATIONS, PROJECTION_ACTIVATIONS, VARIANTS, EncodingConfig,
                         EncodingTables, apply_vector_encoding, project_concat, xavier)
 from .errors import TrainingDiverged, UserError, require_int
@@ -33,7 +33,8 @@ from .numeric import AdamState, Rng, TensorNode, adam_step
 CHECKPOINT_FORMAT_VERSION = 1
 # validation runs at epoch 1, then whenever epoch >= 1.3 * last-evaluated epoch
 EVAL_SCHEDULE_FACTOR = 1.3
-# train() ranks the test split on Rng(seed).child(TEST_EVAL_STREAM)
+# a run draws from Rng(seed).child(k): 0 the model; at epoch e, .child(e) of 1
+# negatives, 2 shuffle, 3 dropout, 4 validation; train() ranks the test split here
 TEST_EVAL_STREAM = 5
 # training and final_hidden run a batch in blocks of rows whose largest
 # activation stays under this many bytes, so the working set fits in cache
@@ -303,7 +304,7 @@ class Model:
         self.encoding_tables = EncodingTables.create(config, rng.child(1))
         table = rng.child(0).normal((num_items + 1, d), scale=0.02)
         table[0] = 0.0  # padding row
-        self.item_table = nm.parameter(table, name="item_table")
+        self.item_table = nm.parameter(table)
 
         self.attribute_table = None
         self.fuse_weight = None
@@ -320,16 +321,14 @@ class Model:
                 raise UserError("attribute matrix holds non-finite values (NaN or inf)")
             rows = np.zeros((num_items + 1, attributes.shape[1]))
             rows[1:] = attributes
-            self.attribute_table = nm.constant(rows, name="attribute_table")
-            self.fuse_weight = nm.parameter(
-                xavier(rng.child(2), (d, d + attributes.shape[1])), name="fuse_weight"
-            )
-            self.fuse_bias = nm.parameter(np.zeros(d), name="fuse_bias")
+            self.attribute_table = nm.constant(rows)
+            self.fuse_weight = nm.parameter(xavier(rng.child(2), (d, d + attributes.shape[1])))
+            self.fuse_bias = nm.parameter(np.zeros(d))
 
         self.blocks = [TransformerBlock(config, i, rng.child(10 + i), self.encoding_tables)
                        for i in range(config.blocks)]
-        self.final_gain = nm.parameter(np.ones(d), name="final_gain")
-        self.final_bias = nm.parameter(np.zeros(d), name="final_bias")
+        self.final_gain = nm.parameter(np.ones(d))
+        self.final_bias = nm.parameter(np.zeros(d))
 
     def parameters(self) -> list[tuple[str, TensorNode]]:
         out = [("item_table", self.item_table)]
@@ -424,6 +423,8 @@ def write_history_tsv(history: list[MetricRecord], path: str) -> None:
 
 @dataclass
 class TrainResult:
+    """A run's whole state: its outcome so far and all that its next epoch reads."""
+
     model: Model
     history: list[MetricRecord] = field(repr=False)
     best_epoch: int
@@ -432,6 +433,11 @@ class TrainResult:
     test_hit: float
     test_ndcg: float
     skipped_users: int
+    split: Split = field(repr=False)
+    forbidden: dict[int, np.ndarray] = field(repr=False)  # eligible user -> items seen
+    adam: AdamState = field(repr=False)
+    best_values: dict | None = field(default=None, repr=False)  # the model at best_epoch
+    last_eval: int = field(default=0, repr=False)  # the last validated epoch
 
 
 def _loss_and_gradients(model: Model, batch: SequenceBatch, drop_rng: Rng) -> float:
@@ -462,86 +468,87 @@ def _loss_and_gradients(model: Model, batch: SequenceBatch, drop_rng: Rng) -> fl
     return total
 
 
-def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> TrainResult:
-    """Full training run: leave-one-out split, Adam over shuffled user
-    batches, max-norm clamp, logarithmic validation schedule, best-checkpoint
-    test metrics.  Deterministic given config.seed; NaN loss aborts.
-    """
+def start_run(config: ModelConfig, dataset: InteractionDataset) -> TrainResult:
+    """A run before epoch 1; UserError when no user has a training sequence
+    of at least 2 events, or one's history covers the catalogue."""
     split = leave_one_out(dataset)
-    root = Rng(config.seed)
-    model = Model(dataset.num_items, config, root.child(0), attributes=dataset.attributes)
-    nodes = [node for _, node in model.parameters()]
-    state = AdamState.for_params(nodes)
-
-    eligible = [u for u, seq in enumerate(split.train_sequences) if seq.size >= 2]
-    if not eligible:
-        raise UserError("no user has a training sequence of at least 2 events")
+    model = Model(dataset.num_items, config, Rng(config.seed).child(0), dataset.attributes)
+    adam = AdamState.for_params([node for _, node in model.parameters()])
     # negatives avoid every item of the user's whole history, valid and test
     # included: the items its test row has seen
-    forbidden = {u: split.test[u].seen for u in eligible}
-    for u in eligible:
-        if forbidden[u].size >= dataset.num_items:
+    forbidden = {u: split.test[u].seen for u, seq in enumerate(split.train_sequences)
+                 if seq.size >= 2}
+    if not forbidden:
+        raise UserError("no user has a training sequence of at least 2 events")
+    for u, seen in forbidden.items():
+        if seen.size >= dataset.num_items:
             raise UserError(f"user {dataset.user_ids[u]}: the history covers the whole "
                             "catalogue, so no negative item can be sampled")
-
-    neg_root = root.child(1)
-    shuffle_root = root.child(2)
-    drop_root = root.child(3)
-    valid_root = root.child(4)
-    test_rng = root.child(TEST_EVAL_STREAM)
-
     # an eligible user has >= 4 events, so split.valid is never empty and
     # epoch 1's validation always sets the best epoch
-    result = TrainResult(model, [], best_epoch=0, valid_hit=-1.0, valid_ndcg=float("nan"),
-                         test_hit=float("nan"), test_ndcg=float("nan"),
-                         skipped_users=dataset.num_users - len(eligible))
-    best_values = None
-    last_eval = 0
+    return TrainResult(model, [], best_epoch=0, valid_hit=-1.0, valid_ndcg=float("nan"),
+                       test_hit=float("nan"), test_ndcg=float("nan"),
+                       skipped_users=dataset.num_users - len(forbidden), split=split,
+                       forbidden=forbidden, adam=adam)
 
+
+def run_epoch(run: TrainResult, epoch: int, progress=None) -> None:
+    """Epoch `epoch` of `run`: Adam and the clamp over shuffled user batches,
+    a train row, and the scheduled validation.  Its draws depend on (seed,
+    epoch) alone; a non-finite loss raises TrainingDiverged."""
+    model, config = run.model, run.model.config
+    nodes = [node for _, node in model.parameters()]
+    eligible = list(run.forbidden)
+    root = Rng(config.seed)
+    order = root.child(2).child(epoch).permutation(len(eligible))
+    neg_epoch, drop_epoch = root.child(1).child(epoch), root.child(3).child(epoch)
+    loss_sum = 0.0
+    loss_positions = 0
+    for start in range(0, len(order), config.batch_size):
+        users = [eligible[i] for i in order[start:start + config.batch_size]]
+        batch = build_sequences([run.split.train_sequences[u] for u in users],
+                                [run.forbidden[u] for u in users], model.num_items,
+                                config.max_len, [neg_epoch.child(u) for u in users])
+        value = _loss_and_gradients(model, batch, drop_epoch.child(start))
+        if not np.isfinite(value):
+            raise TrainingDiverged(
+                epoch,
+                f"loss became {value} (encoding={config.encoding.variant}, "
+                f"lr={config.lr}, seed={config.seed})",
+            )
+        if config.lr > 0.0:
+            adam_step(nodes, run.adam, lr=config.lr, l2_weight=config.l2_weight)
+            apply_max_norm(model.clamped_tables(), config.nmax)
+        else:  # dry run: gradients computed, parameters untouched
+            for node in nodes:
+                node.adjoint = None
+        loss_sum += value * batch.positions
+        loss_positions += batch.positions
+
+    epoch_loss = loss_sum / loss_positions
+    run.history.append(MetricRecord(epoch, "train", epoch_loss, float("nan"), float("nan")))
+
+    if epoch == 1 or epoch == config.epochs or epoch >= run.last_eval * EVAL_SCHEDULE_FACTOR:
+        run.last_eval = epoch
+        valid = evaluate(model, run.split.valid, config.eval_negatives, root.child(4).child(epoch))
+        hit, ndcg = 100.0 * valid.hit_at_10, 100.0 * valid.ndcg
+        run.history.append(MetricRecord(epoch, "valid", float("nan"), hit, ndcg))
+        if hit > run.valid_hit:
+            run.best_epoch, run.valid_hit, run.valid_ndcg = epoch, hit, ndcg
+            run.best_values = model.snapshot()
+        if progress:
+            progress(f"epoch {epoch}: loss {epoch_loss:.4f}  "
+                     f"valid Hit@10 {hit:.2f}  NDCG {ndcg:.2f}")
+
+
+def train(config: ModelConfig, dataset: InteractionDataset, progress=None) -> TrainResult:
+    """A whole run: start_run, each epoch's run_epoch, then the best snapshot's test ranking."""
+    result = start_run(config, dataset)
     for epoch in range(1, config.epochs + 1):
-        order = shuffle_root.child(epoch).permutation(len(eligible))
-        neg_epoch = neg_root.child(epoch)
-        drop_epoch = drop_root.child(epoch)
-        loss_sum = 0.0
-        loss_positions = 0
-        for start in range(0, len(order), config.batch_size):
-            users = [eligible[i] for i in order[start:start + config.batch_size]]
-            batch = build_sequences([split.train_sequences[u] for u in users],
-                                    [forbidden[u] for u in users], dataset.num_items,
-                                    config.max_len, [neg_epoch.child(u) for u in users])
-            value = _loss_and_gradients(model, batch, drop_epoch.child(start))
-            if not np.isfinite(value):
-                raise TrainingDiverged(
-                    epoch,
-                    f"loss became {value} (encoding={config.encoding.variant}, "
-                    f"lr={config.lr}, seed={config.seed})",
-                )
-            if config.lr > 0.0:
-                adam_step(nodes, state, lr=config.lr, l2_weight=config.l2_weight)
-                apply_max_norm(model.clamped_tables(), config.nmax)
-            else:  # dry run: gradients computed, parameters untouched
-                for node in nodes:
-                    node.adjoint = None
-            loss_sum += value * batch.positions
-            loss_positions += batch.positions
-
-        epoch_loss = loss_sum / loss_positions
-        result.history.append(MetricRecord(epoch, "train", epoch_loss, float("nan"), float("nan")))
-
-        if epoch == 1 or epoch == config.epochs or epoch >= last_eval * EVAL_SCHEDULE_FACTOR:
-            last_eval = epoch
-            valid = evaluate(model, split.valid, config.eval_negatives, valid_root.child(epoch))
-            hit, ndcg = 100.0 * valid.hit_at_10, 100.0 * valid.ndcg
-            result.history.append(MetricRecord(epoch, "valid", float("nan"), hit, ndcg))
-            if hit > result.valid_hit:
-                result.best_epoch, result.valid_hit, result.valid_ndcg = epoch, hit, ndcg
-                best_values = model.snapshot()
-            if progress:
-                progress(f"epoch {epoch}: loss {epoch_loss:.4f}  "
-                         f"valid Hit@10 {hit:.2f}  NDCG {ndcg:.2f}")
-
-    model.restore(best_values)
-    test = evaluate(model, split.test, config.eval_negatives, test_rng)
+        run_epoch(result, epoch, progress)
+    result.model.restore(result.best_values)
+    test = evaluate(result.model, result.split.test, config.eval_negatives,
+                    Rng(config.seed).child(TEST_EVAL_STREAM))
     result.test_hit, result.test_ndcg = 100.0 * test.hit_at_10, 100.0 * test.ndcg
     result.history.append(MetricRecord(result.best_epoch, "test", float("nan"),
                                        result.test_hit, result.test_ndcg))

@@ -58,14 +58,13 @@ class OpRecord:
 
 
 class TensorNode:
-    __slots__ = ("values", "adjoint", "requires_grad", "op_record", "name")
+    __slots__ = ("values", "adjoint", "requires_grad", "op_record")
 
-    def __init__(self, values, requires_grad=False, op_record=None, name=None):
+    def __init__(self, values, requires_grad=False, op_record=None):
         self.values = values
         self.adjoint = None
         self.requires_grad = requires_grad
         self.op_record = op_record
-        self.name = name
 
     @property
     def shape(self):
@@ -78,21 +77,21 @@ class TensorNode:
         backward(self)
 
     def __repr__(self):
-        tag = self.name or (self.op_record.op if self.op_record else "leaf")
+        tag = self.op_record.op if self.op_record else "leaf"
         return f"TensorNode({tag}, shape={tuple(self.shape)}, grad={self.requires_grad})"
 
 
-def tensor(values, requires_grad=False, name=None):
+def tensor(values, requires_grad=False):
     """Wrap array-like data as a float64 leaf node."""
-    return TensorNode(np.asarray(values, dtype=np.float64), requires_grad=requires_grad, name=name)
+    return TensorNode(np.asarray(values, dtype=np.float64), requires_grad=requires_grad)
 
 
-def parameter(values, name=None):
-    return tensor(values, requires_grad=True, name=name)
+def parameter(values):
+    return tensor(values, requires_grad=True)
 
 
-def constant(values, name=None):
-    return tensor(values, requires_grad=False, name=name)
+def constant(values):
+    return tensor(values, requires_grad=False)
 
 
 def _vertex(node):

@@ -240,8 +240,6 @@ def _read_ledger(path: str):
     if not os.path.exists(path):
         return
     for number, line in enumerate(read_input(path, "sweep ledger", binary=True).splitlines(), 1):
-        if not line.strip():
-            continue
         try:
             row = json.loads(line)
             if not isinstance(row, dict):
@@ -265,11 +263,12 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     ends, whatever the order the `jobs` workers finish in: the ledger is
     rewritten as the rows read at the start, then this sweep's finished rows
     in the order of `seeds`, so once every seed ends it reads as a serial
-    sweep's would.  `out_dir` holds one configuration: a ledger row of
-    another config/dataset fingerprint is refused before any seed runs, and
-    a rerun skips the seeds recorded.  Diverged seeds stay in the ledger as
-    failed and are excluded from the aggregate (`runs` counts successes), as
-    are seeds whose run raised: "error" rows, listed in `errored` and rerun.
+    sweep's would.  `out_dir` holds one configuration: a ledger row of another
+    config/dataset fingerprint, or an "ok" row without its seed directory, is
+    refused before any seed runs, and a rerun skips the seeds recorded.
+    Diverged seeds stay in the ledger as failed and are excluded from the
+    aggregate (`runs` counts successes), as are seeds whose run raised:
+    "error" rows, listed in `errored` and rerun.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -289,8 +288,11 @@ def sweep(config: ModelConfig, dataset: InteractionDataset, seeds: list[int],
     done = {row["seed"]: row for row in kept if row["seed"] in seeds and row["status"] != "error"}
 
     pending = [s for s in seeds if s not in done]
-    for seed in pending if out_dir is not None else ():
+    ok = [row["seed"] for row in kept if row["status"] == "ok"]  # only these saved a run
+    for seed in pending + ok if out_dir is not None else ():
         seed_dir = os.path.join(out_dir, f"seed_{seed}")  # _run_seed's run directory
+        if seed in ok and not os.path.isdir(seed_dir):
+            raise UserError(f"{ledger_path} records seed {seed}, but its run {seed_dir} is gone")
         if os.path.exists(seed_dir) and not os.path.isdir(seed_dir):
             raise UserError(f"seed directory {seed_dir} exists and is not a directory")
     if progress and done:

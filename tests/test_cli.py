@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -372,12 +373,13 @@ def _ledger_line(work, **row) -> str:
     ({"status": "ok", "hit": "abc", "ndcg": 10.0}, "hit 'abc' is not a number from 0 to 100"),
     ({"status": "ok", "hit": math.nan, "ndcg": 10.0}, "hit nan is not a number from 0 to 100"),
     ({"status": "ok", "hit": 900.0, "ndcg": 10.0}, "hit 900.0 is not a number from 0 to 100"),
-], ids=["no-status", "no-hit", "string-hit", "nan-hit", "hit-over-100"])
+    ("\n", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["no-status", "no-hit", "string-hit", "nan-hit", "hit-over-100", "blank-line"])
 def test_sweep_refuses_a_ledger_row_it_cannot_use(work, tmp_path, capsys, row, reason):
     sw = tmp_path / "sw"
     ledger = sw / stability.LEDGER_NAME
     sw.mkdir()
-    ledger.write_text(_ledger_line(work, **row))
+    ledger.write_text(row if isinstance(row, str) else _ledger_line(work, **row))
     before = ledger.read_bytes()
     assert cli.main(["sweep", "--config", work["cfg"], "--seeds", "1", "--out", str(sw)]) == 1
     err = capsys.readouterr().err
@@ -386,18 +388,38 @@ def test_sweep_refuses_a_ledger_row_it_cannot_use(work, tmp_path, capsys, row, r
     assert ledger.read_bytes() == before
 
 
-@pytest.mark.parametrize("first, second, mark", [("train", "sweep", "checkpoint.npz"),
-                                                 ("sweep", "train", stability.LEDGER_NAME)])
-def test_a_run_directory_holds_one_commands_run(work, tmp_path, capsys, first, second, mark):
+@pytest.mark.parametrize("first, second, at, refusal", [
+    ("train", "sweep", "", "holds another command's checkpoint.npz"),
+    ("sweep", "train", "", f"holds another command's {stability.LEDGER_NAME}"),
+    ("sweep", "train", "seed_1", "is in a sweep's directory"),  # would replace seed 1's run
+], ids=["train-sweep-checkpoint.npz", "sweep-train-runs.jsonl", "sweep-train-seed-directory"])
+def test_a_run_directory_holds_one_commands_run(work, tmp_path, capsys, first, second, at,
+                                                refusal):
     run = tmp_path / "r1"
     seed_flags = {"train": ["--seed", "1"], "sweep": ["--seeds", "1"]}
     assert cli.main([first, "--config", work["cfg"], *seed_flags[first], "--out", str(run)]) == 0
     before = _files(run)
     capsys.readouterr()
-    assert cli.main([second, "--config", work["cfg"], *seed_flags[second], "--out", str(run)]) == 1
+    out = run / at
+    assert cli.main([second, "--config", work["cfg"], *seed_flags[second], "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: run directory {run} holds another command's {mark}; use another --out\n"
+    assert err == f"error: run directory {out} {refusal}; use another --out\n"
     assert _files(run) == before
+
+
+def test_a_resumed_sweep_refuses_an_ok_row_whose_seed_directory_is_gone(work, tmp_path,
+                                                                        capsys):
+    sw = tmp_path / "sw"
+    argv = ["sweep", "--config", work["cfg"], "--epochs", "1", "--seeds", "1,2", "--out", str(sw)]
+    assert cli.main([*argv, "--quiet"]) == 0
+    shutil.rmtree(sw / "seed_1")
+    before = _files(sw)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {sw / stability.LEDGER_NAME} records seed 1, but its run "
+                   f"{sw / 'seed_1'} is gone\n")  # before any seed trains or resumes
+    assert _files(sw) == before
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,8 @@ it observes every run under each tree in a subprocess and prints, per run,
 whether the two are bit-identical, within the tolerances above, or differ,
 naming the first field that differs (for a changed parameter set, the first
 parameter only the working tree has, as +name, or only <rev> has, as -name).
+It then prints each tree's lines of Python under `src/`, counted as
+`find src -name '*.py' | xargs cat | wc -l` counts them.
 """
 
 from __future__ import annotations
@@ -239,6 +241,11 @@ def _write() -> None:
     print(f"wrote {len(observed)} runs to {REFERENCE}")
 
 
+def _src_lines(src: Path) -> int:
+    """The newlines in the .py files under `src`, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+
+
 def _against(rev: str) -> int:
     """Print how each run under revision `rev`'s src/ compares with the
     working tree's; 1 if any run differs."""
@@ -250,6 +257,7 @@ def _against(rev: str) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
         trees = {rev: Path(tmp) / "src", "working tree": root / "src"}
+        lines = {label: _src_lines(src) for label, src in trees.items()}
         children = {  # both trees at once, one process each
             label: subprocess.Popen(
                 [sys.executable, __file__, "--observe"], stdout=subprocess.PIPE,
@@ -278,6 +286,8 @@ def _against(rev: str) -> int:
         else:
             verdict, differ = f"differs: {field}", differ + 1
         print(f"{name:<{width}}  {verdict}")
+    print(f"src/ lines: {rev} {lines[rev]}, working tree {lines['working tree']} "
+          f"({lines['working tree'] - lines[rev]:+d})")
     return 1 if differ else 0
 
 

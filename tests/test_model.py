@@ -22,6 +22,8 @@ from posrec.errors import TrainingDiverged, UserError
 from posrec.metrics import evaluate
 from posrec import model as model_module
 from posrec.model import (
+    TEST_EVAL_STREAM,
+    MetricRecord,
     Model,
     ModelConfig,
     _loss_and_gradients,
@@ -33,8 +35,10 @@ from posrec.model import (
     dropout_masks,
     left_pad,
     load_checkpoint,
+    run_epoch,
     save_checkpoint,
     score,
+    start_run,
     train,
     write_history_tsv,
 )
@@ -428,6 +432,29 @@ def test_training_is_deterministic(tmp_path):
     write_history_tsv(b.history, str(pb))
     assert pa.read_bytes() == pb.read_bytes()
     assert a.test_hit == b.test_hit and a.best_epoch == b.best_epoch
+
+
+@pytest.mark.parametrize("encoding, dropout", [("Learnt", 0.3), ("RMHA4", 0.0)])
+def test_a_run_stepped_by_hand_through_run_epoch_equals_train(encoding, dropout, tmp_path):
+    """start_run, then run_epoch for each epoch (the fifth skips validation),
+    then train's finish: the seam a resumed or observed run steps through."""
+    ds, cfg = tiny_ds(), tiny_cfg(encoding=encoding, dropout=dropout, epochs=6)
+    trained = train(cfg, ds)
+    run = start_run(cfg, ds)
+    for epoch in range(1, cfg.epochs + 1):
+        run_epoch(run, epoch)
+    run.model.restore(run.best_values)
+    test = evaluate(run.model, run.split.test, cfg.eval_negatives,
+                    Rng(cfg.seed).child(TEST_EVAL_STREAM))
+    run.history.append(MetricRecord(run.best_epoch, "test", math.nan,
+                                    100.0 * test.hit_at_10, 100.0 * test.ndcg))
+    for name, result in (("train.tsv", trained), ("by_hand.tsv", run)):
+        write_history_tsv(result.history, str(tmp_path / name))
+    assert (tmp_path / "train.tsv").read_bytes() == (tmp_path / "by_hand.tsv").read_bytes()
+    assert [r.split for r in run.history].count("valid") == 5
+    for (name, a), (other, b) in zip(trained.model.parameters(), run.model.parameters(),
+                                     strict=True):
+        assert name == other and np.array_equal(a.values, b.values), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
